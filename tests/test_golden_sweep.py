@@ -1,0 +1,108 @@
+"""Absolute results of a small sweep, pinned job by job.
+
+The differential suites compare engines with each other, so a change
+to code every engine shares (page services, network, directory,
+placement) moves them all together and passes unnoticed.  This test
+pins what the simulator computes instead: every unique job of
+
+    python -m repro reproduce --scale 0.05 --apps em3d
+
+keyed by app plus a label of its configuration, with the job's
+``exec_cycles`` and the sha256 of its result payload (the payload
+without its ``config`` entry, hashed like the store's integrity hash).
+The sweep runs once per production engine, and both must match the
+checked-in digest.
+
+A change that moves simulated results on purpose regenerates the
+digest, and bumps the store schema, in the same change:
+
+    PYTHONPATH=src python -m tests.test_golden_sweep
+"""
+
+import hashlib
+import json
+import os
+import pathlib
+import re
+import subprocess
+import sys
+import tempfile
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "data" / "golden_sweep.json"
+SWEEP_ARGS = ("reproduce", "--scale", "0.05", "--apps", "em3d")
+ENGINES = ("runahead", "specialized")
+ENTRY = re.compile(r"[0-9a-f]{64}\.json\Z")
+
+
+def _sha256(payload) -> str:
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def config_label(config: dict) -> str:
+    """Protocol and machine shape for the reader, then a digest of
+    every stored identity field except the engine (``obs`` is never
+    stored), so two distinct configurations never share a label."""
+    identity = {k: v for k, v in config.items() if k != "engine"}
+    machine = config["machine"]
+    return (
+        f"{config['protocol']} {machine['nodes']}x{machine['cpus_per_node']} "
+        f"{config['topology']} {_sha256(identity)[:16]}"
+    )
+
+
+def sweep_digest(engine: str, store: pathlib.Path) -> dict:
+    """Run the sweep under ``engine`` into the empty ``store`` (in a
+    fresh interpreter, so nothing leaks into this process) and digest
+    every stored result: label -> ``{exec_cycles, sha256}``."""
+    subprocess.run(
+        [sys.executable, "-m", "repro", *SWEEP_ARGS,
+         "--engine", engine, "--store", str(store)],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        check=True,
+        capture_output=True,
+    )
+    jobs = {}
+    for path in sorted(store.iterdir()):
+        if not ENTRY.match(path.name):
+            continue
+        entry = json.loads(path.read_text())
+        result = dict(entry["result"])
+        label = f"{entry['app']} {config_label(result.pop('config'))}"
+        assert label not in jobs, f"two jobs share the label {label!r}"
+        jobs[label] = {"exec_cycles": result["exec_cycles"], "sha256": _sha256(result)}
+    return jobs
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_sweep_matches_the_golden_digest(engine, tmp_path):
+    golden = json.loads(GOLDEN.read_text())["jobs"]
+    got = sweep_digest(engine, tmp_path / "store")
+    assert sorted(got) == sorted(golden), "the sweep's job set changed"
+    moved = sorted(label for label, pin in golden.items() if got[label] != pin)
+    assert not moved, f"{len(moved)} of {len(golden)} jobs moved, first: {moved[:3]}"
+
+
+def main() -> None:
+    """Regenerate ``tests/data/golden_sweep.json``; the production
+    engines must agree before anything is written."""
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = [sweep_digest(e, pathlib.Path(tmp) / e) for e in ENGINES]
+    assert all(run == runs[0] for run in runs), "production engines disagree"
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(
+        json.dumps(
+            {"command": "python -m repro " + " ".join(SWEEP_ARGS), "jobs": runs[0]},
+            indent=1,
+            sort_keys=True,
+        )
+        + "\n"
+    )
+    print(f"wrote {len(runs[0])} jobs to {GOLDEN}")
+
+
+if __name__ == "__main__":
+    main()
