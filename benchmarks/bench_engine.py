@@ -36,16 +36,9 @@ pre-columnar set/dict/object structures from :mod:`repro.sim.legacy`),
 so each speedup measures the scheduler and the state-layout overhaul
 together.
 
-When NumPy is importable, every scenario also times the batch-
-vectorized epoch engine (:class:`~repro.sim.vector.VectorEngine`) and
-records ``vector_refs_per_s`` / ``vector_speedup`` (vs reference) /
-``vector_vs_runahead``; without NumPy the vector columns are simply
-absent and a ``provenance`` entry records ``"numpy": "absent"`` so a
-reader of the JSON knows *why*.
-
 Every scenario also times the per-config specialized miss path
-(:class:`~repro.sim.specialized.SpecializedEngine` — no optional
-dependencies) and records ``specialized_refs_per_s`` /
+(:class:`~repro.sim.specialized.SpecializedEngine`) and records
+``specialized_refs_per_s`` /
 ``specialized_speedup`` (vs reference) / ``specialized_vs_runahead``.
 ``--profile`` additionally runs the four miss-dominated scenarios under
 cProfile and records each engine's ``_miss`` share of run wall time in
@@ -78,7 +71,6 @@ from repro.experiments.runner import ResultCache
 from repro.sim.engine import SimulationEngine, simulate
 from repro.sim.reference import ReferenceEngine
 from repro.sim.specialized import SpecializedEngine
-from repro.sim.vector import VectorEngine, numpy_available
 from repro.workloads.compile import CompiledProgram
 from repro.workloads.registry import build_program
 
@@ -280,23 +272,6 @@ def _compare(config, program, repeats: int) -> dict:
     row["specialized_refs_per_s"] = refs / spec_dt
     row["specialized_speedup"] = slow_dt / spec_dt
     row["specialized_vs_runahead"] = fast_dt / spec_dt
-    if numpy_available():
-        vec_r, vec_dt, vec_sched = _time_engine(
-            VectorEngine, config, program, repeats
-        )
-        assert _results_identical(vec_r, slow_r), (
-            "vector and reference engines disagree — benchmark void"
-        )
-        row["vector_refs_per_s"] = refs / vec_dt
-        row["vector_speedup"] = slow_dt / vec_dt
-        row["vector_vs_runahead"] = fast_dt / vec_dt
-        # Classification work per settled reference: > 1 means the
-        # affected-set re-predictions are reclassifying words.
-        row["vector_classify_per_ref"] = (
-            (vec_sched["vector_refs"] + vec_sched["scalar_refs"]) / refs
-            if refs
-            else 0.0
-        )
     return row
 
 
@@ -413,44 +388,6 @@ def assert_miss_path_floor(
     return measured
 
 
-#: scenarios the vector-engine floor tracks: the two it must win
-#: (hit settlement) plus the miss-path regression guard.
-VECTOR_SCENARIOS = ("parallel_hits", "app", "miss_stream")
-
-
-def assert_vector_floor(
-    numbers: dict, recorded: dict, tolerance: float = 0.9
-) -> float:
-    """CI gate: the vector engine's standing vs run-ahead must not
-    regress >10% against the recorded ``BENCH_engine.json``.
-
-    Same geomean construction as :func:`assert_miss_path_floor`, over
-    ``vector_vs_runahead`` for :data:`VECTOR_SCENARIOS` — the massive
-    hit-settlement win (``parallel_hits``), the end-to-end mix
-    (``app``), and the pure miss residue (``miss_stream``), so both a
-    lost vectorization win and a bloated scheduler move the gate.
-    Skips (returns 0.0) when either JSON has no vector columns — the
-    no-NumPy leg has nothing to compare.  Returns the measured geomean.
-    """
-    measured = 1.0
-    baseline = 1.0
-    for name in VECTOR_SCENARIOS:
-        m = numbers["scenarios"][name].get("vector_vs_runahead")
-        b = recorded["scenarios"][name].get("vector_vs_runahead")
-        if m is None or b is None:
-            return 0.0
-        measured *= m
-        baseline *= b
-    measured **= 1 / len(VECTOR_SCENARIOS)
-    baseline **= 1 / len(VECTOR_SCENARIOS)
-    floor = tolerance * baseline
-    assert measured >= floor, (
-        f"vector-engine speedup geomean {measured:.2f}x regressed below "
-        f"{floor:.2f}x (recorded {baseline:.2f}x - 10%)"
-    )
-    return measured
-
-
 #: scenarios the specialized-backend floor tracks: the issue's four
 #: acceptance scenarios (the end-to-end mix plus the three
 #: miss-dominated streams the specialization targets).
@@ -463,7 +400,7 @@ def assert_specialized_floor(
     """CI gate: the specialized backend's standing vs run-ahead must
     not regress >10% against the recorded ``BENCH_engine.json``.
 
-    Same geomean construction as :func:`assert_vector_floor`, over
+    Same geomean construction as :func:`assert_miss_path_floor`, over
     ``specialized_vs_runahead`` for :data:`SPECIALIZED_SCENARIOS`.
     Skips (returns 0.0) when the recorded JSON predates the specialized
     columns.  Returns the measured geomean.
@@ -689,9 +626,9 @@ def main(argv=None) -> int:
 
     numbers = run_engine_comparison(scale=scale, repeats=args.repeats)
     assert_engine_win(numbers)
-    # Also record the smoke scale: the vector engine's standing vs
-    # run-ahead depends on run *length* (short runs amortize less of
-    # the per-epoch setup), so CI's scale-0.1 measurement needs a
+    # Also record the smoke scale: a backend's standing vs run-ahead
+    # depends on run *length* (short runs amortize less of the
+    # per-engine setup), so CI's scale-0.1 measurement needs a
     # scale-0.1 baseline to be compared against.
     smoke = run_engine_comparison(scale=0.1, repeats=2)
     numbers["smoke"] = {"scale": smoke["scale"], "scenarios": smoke["scenarios"]}
@@ -712,11 +649,6 @@ def main(argv=None) -> int:
             f"mean_run {s['mean_run_length']:.1f}  miss {s['miss_rate'] * 100:.1f}%"
         )
         line += f"  specialized {s['specialized_vs_runahead']:.2f}x vs run-ahead"
-        if "vector_vs_runahead" in s:
-            line += (
-                f"  vector {s['vector_refs_per_s'] / 1e3:8.0f}k "
-                f"({s['vector_vs_runahead']:.2f}x vs run-ahead)"
-            )
         print(line)
     if args.profile:
         for name, row in numbers["profile"].items():
@@ -725,8 +657,6 @@ def main(argv=None) -> int:
                 f"{row['runahead_miss_share'] * 100:.0f}%  specialized "
                 f"{row['specialized_miss_share'] * 100:.0f}%"
             )
-    if not numpy_available():
-        print("NumPy absent: vector-engine columns skipped")
     print(f"wrote {path}")
     return 0
 

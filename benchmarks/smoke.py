@@ -62,13 +62,10 @@ def main() -> int:
         BENCH_JSON,
         MISS_SCENARIOS,
         SPECIALIZED_SCENARIOS,
-        VECTOR_SCENARIOS,
         assert_engine_win,
         assert_miss_path_floor,
         assert_specialized_floor,
-        assert_vector_floor,
         measure_allocations,
-        numpy_available,
         run_engine_comparison,
     )
 
@@ -93,29 +90,9 @@ def main() -> int:
         )
     print(f"miss path ok  geomean speedup {geomean:.2f}x (gate: no >10% regression)")
 
-    # Vector-backend floor: the epoch engine's standing vs run-ahead
-    # (geomean over the hit-settlement wins and the miss residue) must
-    # not regress >10% vs the recorded JSON.  Cleanly skipped when
-    # NumPy is absent — the no-NumPy leg has no vector columns.
-    if numpy_available():
-        geomean = assert_vector_floor(numbers, recorded.get("smoke", recorded))
-        for name in VECTOR_SCENARIOS:
-            s = numbers["scenarios"][name]
-            print(
-                f"vector ok     {name:13s} {s['vector_refs_per_s'] / 1e3:6.0f}k refs/s "
-                f"({s['vector_vs_runahead']:.2f}x vs run-ahead)"
-            )
-        print(
-            f"vector ok     geomean {geomean:.2f}x vs run-ahead "
-            "(gate: no >10% regression)"
-        )
-    else:
-        print("vector skip   NumPy absent — vector-backend floor not checked")
-
     # Specialized-backend floor: the partially evaluated miss path's
     # standing vs run-ahead (geomean over the four acceptance
-    # scenarios) must not regress >10% vs the recorded JSON.  Runs in
-    # both CI legs — the backend has no optional dependencies.
+    # scenarios) must not regress >10% vs the recorded JSON.
     geomean = assert_specialized_floor(numbers, recorded.get("smoke", recorded))
     for name in SPECIALIZED_SCENARIOS:
         s = numbers["scenarios"][name]

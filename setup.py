@@ -10,12 +10,8 @@ from setuptools import setup
 # The columnar miss path uses 3.10+ features (slotted dataclasses,
 # int.bit_count); CI tests 3.10–3.12.
 #
-# The core install has zero runtime dependencies.  The batch-vectorized
-# epoch engine (SystemConfig.engine == "vector") needs NumPy:
-#   pip install .[vector]
-# Without it, selecting that backend raises EngineUnavailableError and
-# the runahead/reference engines keep working.
-setup(
-    python_requires=">=3.10",
-    extras_require={"vector": ["numpy"]},
-)
+# The simulator, its engines, the result store and the CLI have zero
+# runtime dependencies.  NumPy's only user is the radix trace generator,
+# so the full paper sweep (`python -m repro reproduce`) needs
+#   pip install numpy
+setup(python_requires=">=3.10")

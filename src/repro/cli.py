@@ -9,7 +9,7 @@ Commands
 ``directories``
     Show the directory sharer-set representations and their knobs.
 ``engines``
-    Show the engine backends and whether each can run here.
+    Show the engine backends.
 ``run APP``
     Simulate one application under one or all protocols, optionally on
     a non-uniform interconnect topology (``--topology``,
@@ -33,9 +33,11 @@ Commands
     persistent result store, so a second invocation does near-zero
     simulation work.  ``--heartbeat`` streams per-job progress,
     ``--profile`` breaks down where the wall time went, and a run
-    manifest is written next to the stored results.  The sweep is
-    fault-tolerant: a crashed, hung, or dependency-starved job is
-    retried (``--retries``, ``--job-timeout``, ``--backoff``) and, if
+    manifest is written next to the stored results.  ``--engine``
+    picks the production backend; the backends are bit-identical, so
+    one store serves them all.  The sweep is fault-tolerant: a crashed
+    or hung job is retried (``--retries``, ``--job-timeout``,
+    ``--backoff``) and, if
     it permanently fails, recorded in the manifest while the rest of
     the sweep completes (``--keep-going``, the default; ``--fail-fast``
     aborts at the first permanent failure).  A failed sweep exits
@@ -64,12 +66,10 @@ from repro.common.params import (
     DirectoryParams,
     ObsParams,
     RetryPolicy,
-    SystemConfig,
     base_ccnuma_config,
     base_rnuma_config,
     base_scoma_config,
     ideal_config,
-    set_default_engine,
 )
 from repro.experiments import (
     compute_directory_scaling,
@@ -123,7 +123,7 @@ from repro.experiments.runner import ResultCache
 from repro.interconnect.routing import routing_table_for
 from repro.interconnect.topology import TOPOLOGIES, topology_names
 from repro.sim.engine import simulate
-from repro.sim.factory import engine_backends
+from repro.sim.factory import ENGINES, PRODUCTION_ENGINES, engine_backends
 from repro.workloads.registry import APPLICATIONS, build_program, workload_names
 
 _PROTOCOL_CONFIGS = {
@@ -225,7 +225,7 @@ def _add_executor_args(parser: argparse.ArgumentParser) -> None:
     parser.set_defaults(fail_fast=False)
 
 
-def _make_executor(args: argparse.Namespace) -> Executor:
+def _make_executor(args: argparse.Namespace, engine: str = "runahead") -> Executor:
     store = None
     if not args.no_store:
         root = Path(args.store) if args.store else default_store_dir()
@@ -243,7 +243,8 @@ def _make_executor(args: argparse.Namespace) -> Executor:
     except ConfigurationError as exc:
         raise SystemExit(f"repro: {exc}")
     return Executor(
-        workers=args.jobs, cache=ResultCache(), store=store, retry=retry
+        workers=args.jobs, cache=ResultCache(), store=store, retry=retry,
+        engine=engine,
     )
 
 
@@ -251,13 +252,12 @@ def _print_failure_table(failures: Sequence[JobFailure]) -> None:
     """The casualty report a failed sweep ends with (stderr)."""
     print(f"\n{len(failures)} job(s) permanently failed:", file=sys.stderr)
     print(
-        f"  {'app':<10} {'protocol':<7} {'engine':<12} {'kind':<11} "
-        f"{'attempts':>8}  error",
+        f"  {'app':<10} {'protocol':<7} {'kind':<11} {'attempts':>8}  error",
         file=sys.stderr,
     )
     for f in failures:
         print(
-            f"  {f.app:<10} {f.protocol:<7} {f.engine:<12} {f.kind:<11} "
+            f"  {f.app:<10} {f.protocol:<7} {f.kind:<11} "
             f"{f.attempts:>8}  {f.error}",
             file=sys.stderr,
         )
@@ -342,9 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument(
         "--engine",
-        choices=SystemConfig._ENGINES,
+        choices=ENGINES,
         default="runahead",
-        help="engine backend (default: runahead; vector needs NumPy)",
+        help="engine backend (default: runahead)",
     )
     run_p.add_argument(
         "--trace",
@@ -389,9 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
         "directories", help="show the directory sharer-set representations"
     )
 
-    sub.add_parser(
-        "engines", help="show the engine backends and their availability"
-    )
+    sub.add_parser("engines", help="show the engine backends")
 
     ts_p = sub.add_parser(
         "trace-stats", help="inspect an application's compiled trace"
@@ -424,12 +422,12 @@ def build_parser() -> argparse.ArgumentParser:
     rep_p.add_argument("--apps", nargs="*", default=None)
     rep_p.add_argument(
         "--engine",
-        choices=SystemConfig._ENGINES,
+        choices=PRODUCTION_ENGINES,
         default="runahead",
         help=(
             "engine backend for the whole sweep (default: runahead; "
-            "backends are bit-identical, so figures and tables do not "
-            "change — only wall time and store provenance do)"
+            "backends are bit-identical, so figures, tables and store "
+            "entries do not change — only wall time does)"
         ),
     )
     rep_p.add_argument(
@@ -555,15 +553,9 @@ def _cmd_directories() -> None:
 
 
 def _cmd_engines() -> None:
-    print(f"{'engine':<12} {'requires':<24} {'summary':<50} available")
+    print(f"{'engine':<12} summary")
     for row in engine_backends():
-        available = (
-            "yes" if row["available"] else f"unavailable — {row['reason']}"
-        )
-        print(
-            f"{row['name']:<12} {row['requires']:<24} "
-            f"{row['summary']:<50} {available}"
-        )
+        print(f"{row['name']:<12} {row['summary']}")
 
 
 def _run_config_overrides(args: argparse.Namespace, config):
@@ -587,8 +579,6 @@ def _run_config_overrides(args: argparse.Namespace, config):
                 region_size=args.dir_region,
             ),
         )
-    if args.engine != config.engine:
-        config = replace(config, engine=args.engine)
     return config
 
 
@@ -640,7 +630,7 @@ def _cmd_run(args: argparse.Namespace) -> None:
         obs = _run_obs_params(args, name, multi)
         if obs.enabled:
             config = config.with_obs(obs)
-        result = simulate(config, program)
+        result = simulate(config, program, engine=args.engine)
         if baseline is None:
             baseline = result
         print(f"{name:<8} {result.exec_cycles:>12,} cycles "
@@ -808,14 +798,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     """Full paper sweep: one deduplicated job set, one executor."""
     import time
 
-    # The figure/table modules build their SystemConfigs internally, so
-    # the backend choice rides on the process-wide default: every config
-    # constructed below (including by the render-phase compute calls)
-    # resolves it at construction into a concrete ``engine`` field,
-    # which then travels to worker processes inside the pickled config.
-    set_default_engine(args.engine)
-
-    executor = _make_executor(args)
+    executor = _make_executor(args, engine=args.engine)
     if args.heartbeat:
         start = time.perf_counter()
 

@@ -1,7 +1,5 @@
 """Exception hierarchy for the R-NUMA reproduction library."""
 
-from typing import Optional
-
 
 class ReproError(Exception):
     """Base class for all errors raised by this library."""
@@ -34,22 +32,3 @@ class FaultInjected(ReproError):
     death, so :meth:`ResultStore.save` deliberately does *not* clean up
     its temp file when this escapes — that is the crash being modeled.
     """
-
-
-class EngineUnavailableError(ReproError):
-    """A requested engine backend cannot run in this environment.
-
-    Raised when ``SystemConfig.engine`` selects a backend whose optional
-    dependency is missing — e.g. ``"vector"`` without NumPy installed
-    (``pip install .[vector]``).  The default ``"runahead"`` backend has
-    no optional dependencies and never raises this.
-
-    ``reason`` carries the short human-readable cause — the same string
-    the CLI ``engines`` listing shows (e.g. ``"NumPy not installed"``) —
-    while the message keeps the full remediation text.
-    """
-
-    def __init__(self, message: str, reason: Optional[str] = None) -> None:
-        super().__init__(message)
-        #: Short cause, matching repro.sim.factory.engine_unavailable_reason.
-        self.reason = reason if reason is not None else message

@@ -335,8 +335,7 @@ class RetryPolicy:
 
     ``retries``
         Extra attempts per job after the first, consumed by crashes and
-        timeouts.  Engine-unavailability (a missing optional dependency)
-        is never retried — re-running cannot install NumPy.
+        timeouts.
     ``job_timeout``
         Per-job wall-clock deadline in seconds.  A job past it is
         declared hung: its worker pool is recycled (the only way to
@@ -373,31 +372,6 @@ class RetryPolicy:
         return self.retries + 1
 
 
-# Process-wide default engine backend, resolved into any SystemConfig
-# constructed with engine="default".  ``reproduce --engine`` flips this
-# once, up front, so every config the sweep's figure/table modules
-# build — jobs and render-phase lookups alike — lands on one backend
-# and one set of store keys.
-_default_engine = "runahead"
-
-
-def set_default_engine(engine: str) -> str:
-    """Set the process default engine backend; returns the previous one.
-
-    Only configs constructed with ``engine="default"`` (the field
-    default) are affected, and only from this call onward; explicit
-    ``engine=`` arguments and already-built configs keep their value.
-    """
-    global _default_engine
-    if engine not in SystemConfig._ENGINES:
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; expected one of {SystemConfig._ENGINES}"
-        )
-    previous = _default_engine
-    _default_engine = engine
-    return previous
-
-
 @dataclass(frozen=True)
 class SystemConfig:
     """A complete system description handed to the simulator.
@@ -418,23 +392,9 @@ class SystemConfig:
     per-link contention governed by ``costs.link_latency`` /
     ``costs.link_occupancy``.
 
-    ``engine`` selects the simulation engine backend (see
-    :mod:`repro.sim.factory`):
-
-    - ``"runahead"`` — the drain-loop scheduler, the production default;
-    - ``"reference"`` — the frozen classic loop, the differential oracle;
-    - ``"vector"``    — the NumPy batch-vectorized epoch engine
-      (requires the optional ``[vector]`` extra);
-    - ``"specialized"`` — run-ahead's scheduler with a miss path
-      partially evaluated (generated and compiled) per configuration.
-
-    All four are bit-identical by contract (the differential property
-    suites pin it), so the choice affects wall time only; it still
-    participates in the result-store identity because stored timings
-    must be attributable to the backend that produced them.  The
-    literal ``"default"`` resolves to the process-wide default engine
-    (:func:`set_default_engine`), which ``reproduce --engine`` uses to
-    steer every config a sweep constructs.
+    The engine backend that simulates a config is not part of it: the
+    backends are bit-identical, so it is passed by name at run time
+    (see :mod:`repro.sim.factory`).
     """
 
     protocol: str = "rnuma"
@@ -453,9 +413,6 @@ class SystemConfig:
     #: "flush" — a less aggressive one flushes them home and refetches
     #: on demand, making C_relocate ~ C_allocate (bound ~3).
     relocation_mode: str = "local"
-    #: simulation engine backend; "default" resolves at construction to
-    #: the process default (normally "runahead").
-    engine: str = "default"
     #: observability settings (event tracing / metrics sampling).
     #: Excluded from equality, hashing, run keys, and serialized
     #: payloads: instrumentation never changes what a run computes,
@@ -463,7 +420,6 @@ class SystemConfig:
     obs: ObsParams = field(default_factory=ObsParams, compare=False)
 
     _PROTOCOLS = ("ccnuma", "scoma", "rnuma", "ideal")
-    _ENGINES = ("runahead", "reference", "vector", "specialized")
     # Mirrors repro.interconnect.topology.TOPOLOGIES (params cannot
     # import it without a package-init cycle); tests/test_topology.py
     # asserts the two stay in sync.
@@ -488,17 +444,6 @@ class SystemConfig:
                 f"unknown relocation_mode {self.relocation_mode!r}; "
                 f"expected one of {self._RELOCATION_MODES}"
             )
-        if self.engine == "default":
-            object.__setattr__(self, "engine", _default_engine)
-        if self.engine not in self._ENGINES:
-            raise ConfigurationError(
-                f"unknown engine {self.engine!r}; "
-                f"expected one of {self._ENGINES}"
-            )
-
-    def with_engine(self, engine: str) -> "SystemConfig":
-        """A copy of this config running on a different engine backend."""
-        return replace(self, engine=engine)
 
     def with_obs(self, obs: ObsParams) -> "SystemConfig":
         """A copy of this config with different observability settings.
@@ -572,7 +517,4 @@ def config_from_dict(data: Dict[str, Any]) -> SystemConfig:
         directory=DirectoryParams(**data.get("directory", {})),
         relocation_threshold=data["relocation_threshold"],
         relocation_mode=data["relocation_mode"],
-        # Absent in payloads serialized before engine selection; those
-        # results were produced by the then-only run-ahead backend.
-        engine=data.get("engine", "runahead"),
     )

@@ -11,13 +11,16 @@ which:
    directory);
 3. fans the remaining simulations out over ``workers`` processes
    through a *supervised* dispatch loop — every worker attempt is
-   wrapped in an outcome envelope, so one crashing, hanging, or
-   dependency-starved job can never abort the sweep;
+   wrapped in an outcome envelope, so one crashing or hanging job can
+   never abort the sweep;
 4. writes fresh results back to both layers as each job completes.
 
 Simulations are deterministic, so a parallel run produces bit-identical
 results to a serial one, and a second ``python -m repro reproduce``
-against a warm store does near-zero simulation work.
+against a warm store does near-zero simulation work.  The engine
+backends are bit-identical too, so the executor's ``engine`` is no
+part of a job's key: a store filled by one backend serves them all,
+and the run manifest records which one ran.
 
 Failure model
 -------------
@@ -30,10 +33,7 @@ Each job owns an attempt budget (:class:`repro.common.params.RetryPolicy`):
 - a **hang** is detected by the per-job deadline; the pool is
   terminated and rebuilt (the only way to reclaim a stuck worker
   process), the hung job is charged an attempt, and in-flight innocent
-  bystanders are re-dispatched *without* being charged;
-- an **unavailable engine** (:class:`EngineUnavailableError`, e.g.
-  ``--engine vector`` without NumPy) is recorded immediately with its
-  reason string — retrying cannot install a dependency.
+  bystanders are re-dispatched *without* being charged.
 
 A job whose budget is spent becomes a :class:`JobFailure`; the sweep
 keeps going (or aborts at once under ``fail_fast``), partial results
@@ -62,7 +62,8 @@ import tempfile
 import time
 import traceback as traceback_module
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from pathlib import Path
 from typing import (
     Any,
@@ -75,11 +76,7 @@ from typing import (
     Tuple,
 )
 
-from repro.common.errors import (
-    EngineUnavailableError,
-    FaultInjected,
-    ReproError,
-)
+from repro.common.errors import ConfigurationError, FaultInjected, ReproError
 from repro.common.params import (
     RetryPolicy,
     SystemConfig,
@@ -89,6 +86,7 @@ from repro.common.params import (
 from repro.experiments.runner import ResultCache, default_cache, run_key
 from repro.faults import injection
 from repro.sim.engine import simulate
+from repro.sim.factory import ENGINES
 from repro.sim.results import SimulationResult
 from repro.workloads.registry import build_program
 
@@ -107,7 +105,10 @@ from repro.workloads.registry import build_program
 #: v6: entries carry a ``payload_sha256`` integrity hash, required on
 #: load — pre-integrity entries would otherwise be silently
 #: re-simulated forever; ``store gc`` removes them instead.
-STORE_SCHEMA_VERSION = 6
+#: v7: the engine backend left the configuration (and so the run key):
+#: the backends are bit-identical, so one entry serves them all.  The
+#: key is derived from every compared ``SystemConfig`` field.
+STORE_SCHEMA_VERSION = 7
 
 #: Environment variable overriding the default store location.
 STORE_ENV_VAR = "REPRO_STORE_DIR"
@@ -146,8 +147,9 @@ class Job:
     config: SystemConfig
     scale: float = 1.0
 
-    @property
+    @cached_property
     def key(self) -> Tuple:
+        # Every sweep phase looks a job up several times; derive once.
         return run_key(self.app, self.config, self.scale)
 
 
@@ -163,11 +165,10 @@ class JobFailure:
     key: str  #: ``repr(run_key(...))`` — matches stored-entry keys.
     app: str
     scale: float
-    engine: str
     protocol: str
-    kind: str  #: ``"crash"``, ``"timeout"``, or ``"unavailable"``.
+    kind: str  #: ``"crash"`` or ``"timeout"``.
     attempts: int
-    error: str  #: one-line cause (exception repr, or the reason string).
+    error: str  #: one-line cause (exception repr, or the deadline).
     traceback: str  #: full worker traceback ("" for timeouts).
     config: Dict[str, Any]  #: :func:`config_to_dict` payload for resume.
 
@@ -176,7 +177,9 @@ class JobFailure:
 
     @classmethod
     def from_json_dict(cls, data: Dict[str, Any]) -> "JobFailure":
-        return cls(**data)
+        # Records written while the engine was part of a job carry an
+        # ``engine`` entry; the job it describes is the same without it.
+        return cls(**{f.name: data[f.name] for f in fields(cls)})
 
 
 def job_from_failure(failure: JobFailure) -> Job:
@@ -222,13 +225,13 @@ def backoff_delay(policy: RetryPolicy, key: Tuple, attempt: int) -> float:
     return min(policy.backoff * (2.0 ** (attempt - 1)) * jitter, _BACKOFF_CAP_S)
 
 
-def _simulate_job(job: Job) -> SimulationResult:
+def _simulate_job(job: Job, engine: str = "runahead") -> SimulationResult:
     """Serial execution body: build (or fetch the cached) compiled
-    program and simulate it."""
+    program and simulate it on the named engine."""
     program = build_program(
         job.app, machine=job.config.machine, space=job.config.space, scale=job.scale
     )
-    return simulate(job.config, program)
+    return simulate(job.config, program, engine=engine)
 
 
 def _job_payload(job: Job) -> Tuple[SystemConfig, object]:
@@ -266,7 +269,7 @@ def _run_supervised(payload: Tuple) -> Tuple:
     processes.  ``faults_spec`` travels in the payload too: injection
     must not depend on environment inheritance across start methods.
     """
-    config, program, submitted_at, faults_spec, app, index, attempt = payload
+    config, program, engine, submitted_at, faults_spec, app, index, attempt = payload
     queue_wait = max(0.0, time.time() - submitted_at)
     try:
         injection.maybe_hang(
@@ -276,15 +279,8 @@ def _run_supervised(payload: Tuple) -> Tuple:
             "worker-raise", spec=faults_spec, app=app, index=index, attempt=attempt
         )
         t0 = time.perf_counter()
-        result = simulate(config, program)
+        result = simulate(config, program, engine=engine)
         return (True, result, time.perf_counter() - t0, queue_wait)
-    except EngineUnavailableError as exc:
-        return (
-            False,
-            ("unavailable", exc.reason, traceback_module.format_exc()),
-            0.0,
-            queue_wait,
-        )
     except Exception as exc:
         return (
             False,
@@ -298,7 +294,9 @@ def _run_supervised(payload: Tuple) -> Tuple:
         )
 
 
-def _attempt_inline(job: Job, index: int, attempt: int, faults_spec) -> Tuple:
+def _attempt_inline(
+    job: Job, engine: str, index: int, attempt: int, faults_spec
+) -> Tuple:
     """One in-process attempt, same envelope shape as the worker body."""
     try:
         injection.maybe_hang(
@@ -308,15 +306,8 @@ def _attempt_inline(job: Job, index: int, attempt: int, faults_spec) -> Tuple:
             "worker-raise", spec=faults_spec, app=job.app, index=index, attempt=attempt
         )
         t0 = time.perf_counter()
-        result = _simulate_job(job)
+        result = _simulate_job(job, engine)
         return (True, result, time.perf_counter() - t0, 0.0)
-    except EngineUnavailableError as exc:
-        return (
-            False,
-            ("unavailable", exc.reason, traceback_module.format_exc()),
-            0.0,
-            0.0,
-        )
     except Exception as exc:
         return (
             False,
@@ -641,10 +632,17 @@ class Executor:
         store: Optional[ResultStore] = None,
         progress: Optional[Callable[[int, int, Job, str], None]] = None,
         retry: Optional[RetryPolicy] = None,
+        engine: str = "runahead",
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
+        if engine not in ENGINES:
+            raise ConfigurationError(
+                f"unknown engine {engine!r}; expected one of {ENGINES}"
+            )
         self.workers = workers
+        #: Engine backend every simulation of this executor runs on.
+        self.engine = engine
         self.cache = cache if cache is not None else ResultCache()
         self.store = store
         #: Failure policy: per-job retries, deadline, backoff, fail-fast.
@@ -655,7 +653,7 @@ class Executor:
         self.store_read_seconds = 0.0
         self.store_write_seconds = 0.0
         #: One record per job :meth:`run`/:meth:`run_app` resolved:
-        #: ``{app, engine, protocol, source, queue_wait_s, simulate_s,
+        #: ``{app, protocol, source, queue_wait_s, simulate_s,
         #: store_read_s, store_write_s}`` where ``source`` is
         #: ``cache`` / ``store`` / ``simulated`` / ``failed``.
         self.job_profiles: List[Dict[str, Any]] = []
@@ -719,7 +717,6 @@ class Executor:
         self.job_profiles.append(
             {
                 "app": job.app,
-                "engine": job.config.engine,
                 "protocol": job.config.protocol,
                 "source": source,
                 "queue_wait_s": queue_wait_s,
@@ -755,7 +752,6 @@ class Executor:
             key=repr(job.key),
             app=job.app,
             scale=job.scale,
-            engine=job.config.engine,
             protocol=job.config.protocol,
             kind=kind,
             attempts=attempts,
@@ -890,7 +886,7 @@ class Executor:
             attempt = 0
             while True:
                 attempt += 1
-                envelope = _attempt_inline(job, index, attempt, spec)
+                envelope = _attempt_inline(job, self.engine, index, attempt, spec)
                 if envelope[0]:
                     _, result, simulate_s, queue_wait_s = envelope
                     yield job, ("ok", result, simulate_s, queue_wait_s)
@@ -946,7 +942,9 @@ class Executor:
                     if base is None:
                         base = _job_payload(job)
                         payloads[index] = base
-                    payload = base + (time.time(), spec, job.app, index, attempt)
+                    payload = base + (
+                        self.engine, time.time(), spec, job.app, index, attempt
+                    )
                     deadline = (
                         now + policy.job_timeout
                         if policy.job_timeout is not None
@@ -1057,7 +1055,7 @@ class Executor:
         result = self._lookup(job)
         if result is None:
             t0 = time.perf_counter()
-            result = _simulate_job(job)
+            result = _simulate_job(job, self.engine)
             simulate_s = time.perf_counter() - t0
             write_before = self.store_write_seconds
             self._insert(job, result)
@@ -1073,9 +1071,9 @@ class Executor:
     ) -> Optional[Path]:
         """Write ``run_manifest.json`` next to the store's results.
 
-        Records what this sweep was (job/app/engine/protocol sets),
-        where it ran (provenance: git describe, host, interpreter), how
-        (workers, retry policy, store schema version), and what *did
+        Records what this sweep was (job/app/protocol sets), where it
+        ran (provenance: git describe, host, interpreter), how (engine,
+        workers, retry policy, store schema version), and what *did
         not* survive — the ``failures`` section carries one replayable
         record per permanently failed job, which ``reproduce --resume``
         re-runs.  Returns the manifest path, or None when there is no
@@ -1088,6 +1086,7 @@ class Executor:
         manifest: Dict[str, Any] = {
             "schema_version": self.store.schema_version,
             "provenance": provenance_block(),
+            "engine": self.engine,
             "workers": self.workers,
             "retry_policy": {
                 "retries": self.retry.retries,
@@ -1098,7 +1097,6 @@ class Executor:
             "jobs": len(jobs),
             "unique_jobs": len({job.key for job in jobs}),
             "apps": sorted({job.app for job in jobs}),
-            "engines": sorted({job.config.engine for job in jobs}),
             "protocols": sorted({job.config.protocol for job in jobs}),
             "scales": sorted({job.scale for job in jobs}),
             "failures": [f.to_json_dict() for f in self.failures],

@@ -10,35 +10,37 @@ For parallel fan-out and a persistent on-disk store, see
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from dataclasses import fields, is_dataclass
+from typing import Any, Dict, Optional, Tuple
 
 from repro.common.params import SystemConfig
 from repro.sim.engine import simulate
 from repro.sim.results import SimulationResult
 from repro.workloads.registry import build_program
 
+#: type -> names of its compared dataclass fields (``()`` for a leaf
+#: type), looked up once per type so a key costs one pass over values.
+_KEY_FIELDS: Dict[type, Tuple[str, ...]] = {}
+
+
+def _identity(value: Any) -> Any:
+    cls = type(value)
+    names = _KEY_FIELDS.get(cls)
+    if names is None:
+        names = _KEY_FIELDS[cls] = (
+            tuple(f.name for f in fields(cls) if f.compare) if is_dataclass(cls) else ()
+        )
+    if not names:
+        return value
+    return tuple([_identity(getattr(value, name)) for name in names])
+
 
 def config_key(config: SystemConfig) -> Tuple:
-    """Hashable identity of a system configuration."""
-    return (
-        config.protocol,
-        config.machine.nodes,
-        config.machine.cpus_per_node,
-        config.caches.l1_size,
-        config.caches.block_cache_size,
-        config.caches.page_cache_size,
-        config.caches.page_replacement,
-        config.costs,
-        config.space.block_size,
-        config.space.page_size,
-        config.topology,
-        config.directory,
-        config.relocation_threshold,
-        config.relocation_mode,
-        # Backends are bit-identical by contract, but stored wall-time
-        # provenance must be attributable to the backend that ran.
-        config.engine,
-    )
+    """Hashable identity of a system configuration: the values of every
+    field that takes part in ``SystemConfig`` equality, recursing into
+    the frozen parameter dataclasses, so a new field can never be left
+    out of the store key.  ``obs`` (``compare=False``) stays out."""
+    return _identity(config)
 
 
 def run_key(app: str, config: SystemConfig, scale: float = 1.0) -> Tuple:

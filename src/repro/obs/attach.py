@@ -10,8 +10,8 @@ place instrumentation touches the hot path.  The contract it exploits:
   uninstrumented build (the zero-cost-off invariant).
 * The hook's calling convention is declared by the ``_MISS_HOOK`` class
   attribute: ``"columnar"`` for the 5-argument
-  ``(cpu, b, w, st, now) -> lat`` form shared by the run-ahead, vector,
-  and specialized engines (the specialized engine binds its generated
+  ``(cpu, b, w, st, now) -> lat`` form shared by the run-ahead and
+  specialized engines (the specialized engine binds its generated
   closure as an *instance* attribute with the same signature, which the
   wrapper captures transparently), and ``"legacy"`` for the reference
   engine's 7-argument ``(cpu, node, l1, b, w, st, now) -> lat`` form.
@@ -25,7 +25,7 @@ place instrumentation touches the hot path.  The contract it exploits:
 The wrapper is observational only: it forwards arguments and the
 returned latency untouched and mutates no simulator state, so traced
 runs are bit-identical to untraced ones (pinned by
-``tests/property/test_obs_differential.py`` across all four engines).
+``tests/property/test_obs_differential.py`` across all three engines).
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ _PAGE_EVENTS = (
 class _Observer:
     """Shared per-run state for the miss wrappers and samplers."""
 
-    def __init__(self, engine: Any, obs: ObsParams) -> None:
+    def __init__(self, engine: Any, obs: ObsParams, name: str) -> None:
         self.engine = engine
         self.obs = obs
         config = engine.config
@@ -106,7 +106,7 @@ class _Observer:
                 obs.trace_path,
                 obs.trace_categories,
                 other_data={
-                    "engine": config.engine,
+                    "engine": name,
                     "protocol": config.protocol,
                     "time_unit": "cycles",
                     "generator": "repro.obs",
@@ -120,7 +120,7 @@ class _Observer:
             self.metrics = MetricsWriter(
                 obs.metrics_path,
                 meta={
-                    "engine": config.engine,
+                    "engine": name,
                     "interval": obs.metrics_interval,
                     "counters": list(TRACKED_COUNTERS),
                     "config": config_to_dict(config),
@@ -285,15 +285,16 @@ def _install(engine: Any, observer: _Observer) -> None:
     engine._miss = wrapper
 
 
-def observed_run(engine: Any, obs: ObsParams) -> Any:
-    """Run ``engine`` with instrumentation attached; return its result.
+def observed_run(engine: Any, obs: ObsParams, name: str) -> Any:
+    """Run ``engine`` (the backend called ``name``) with instrumentation
+    attached; return its result.
 
     The engine must not have been run yet (the hook is captured before
     the run loop binds it).  Writers are closed even if the run raises,
     so a crashed run still leaves a loadable (if truncated-at-a-record)
     metrics stream and a syntactically complete trace.
     """
-    observer = _Observer(engine, obs)
+    observer = _Observer(engine, obs, name)
     try:
         _install(engine, observer)
         result = engine.run()

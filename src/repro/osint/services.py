@@ -18,11 +18,6 @@ from repro.common.errors import ProtocolError
 from repro.machine.machine import Machine
 from repro.machine.node import Node
 
-try:  # Optional acceleration only; every path below has a pure fallback.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-NumPy CI job
-    _np = None
-
 
 def _page_hits(blocks_arr, num_sets: int, mask: int, base: int, bpp: int):
     """(set index, block) pairs of a page's blocks resident in a
@@ -32,9 +27,8 @@ def _page_hits(blocks_arr, num_sets: int, mask: int, base: int, bpp: int):
     page's first block number, ``bpp`` the (power-of-two) blocks per
     page.  With more sets than page blocks the candidate sets form one
     contiguous, alignment-guaranteed segment ``[base & mask, +bpp)``
-    where set ``s0+i`` can only hold block ``base+i`` — scanned with a
-    single vector compare when NumPy is present.  With fewer sets the
-    whole column is scanned instead (it is the shorter side).
+    where set ``s0+i`` can only hold block ``base+i``.  With fewer sets
+    the whole column is scanned instead (it is the shorter side).
     """
     if num_sets <= bpp:
         shift = bpp.bit_length() - 1
@@ -45,10 +39,6 @@ def _page_hits(blocks_arr, num_sets: int, mask: int, base: int, bpp: int):
             if b >= 0 and (b >> shift) == page
         ]
     s0 = base & mask
-    if _np is not None and bpp >= 16:
-        seg = _np.frombuffer(blocks_arr, dtype=_np.int64, count=bpp, offset=s0 * 8)
-        offs = _np.nonzero(seg == _np.arange(base, base + bpp, dtype=_np.int64))[0]
-        return [(s0 + off, base + off) for off in offs.tolist()]
     return [
         (s0 + i, base + i)
         for i, b in enumerate(blocks_arr[s0 : s0 + bpp])

@@ -1098,16 +1098,22 @@ def simulate(
     config: SystemConfig,
     traces: Sequence[Sequence[object]],
     homes: Optional[Dict[int, int]] = None,
+    engine: str = "runahead",
 ) -> SimulationResult:
-    """Build the engine ``config.engine`` selects, run it, and return
-    the result.
+    """Build the named engine backend (see :mod:`repro.sim.factory`),
+    run it, and return the result.
 
-    The default ``"runahead"`` backend constructs directly (no registry
-    hop on the common path); anything else dispatches through
-    :func:`repro.sim.factory.make_engine`.
+    When ``config.obs`` enables tracing or metrics, the run goes
+    through :func:`repro.obs.attach.observed_run` (imported only then —
+    the obs package stays unloaded for ordinary runs), which attaches
+    the miss-hook instrumentation before the run loop starts.  Results
+    are bit-identical either way.
     """
-    if config.engine == "runahead" and not config.obs.enabled:
-        return SimulationEngine(config, traces, homes).run()
-    from repro.sim.factory import simulate_with
+    from repro.sim.factory import make_engine
 
-    return simulate_with(config, traces, homes)
+    sim = make_engine(config, traces, homes, engine)
+    if config.obs.enabled:
+        from repro.obs.attach import observed_run
+
+        return observed_run(sim, config.obs, engine)
+    return sim.run()

@@ -108,7 +108,9 @@ class LegacyDirectory:
         e = self.entry(block)
         refetch = node in e.was_held and e.owner != node and not upgrade
         prev_owner = e.owner if e.owner not in (NO_OWNER, node) else NO_OWNER
-        invalidated = tuple(n for n in e.sharers if n != node)
+        # Ascending node order, as the bitmask directory reports them
+        # (a set of 9 or more nodes does not iterate in node order).
+        invalidated = tuple(sorted(n for n in e.sharers if n != node))
         e.sharers = {node}
         e.was_held = {node}
         e.owner = node
@@ -127,7 +129,7 @@ class LegacyDirectory:
         if e is None:
             return LegacyFetchOutcome(False)
         prev_owner = e.owner if e.owner not in (NO_OWNER, home) else NO_OWNER
-        invalidated = tuple(n for n in e.sharers if n != home)
+        invalidated = tuple(sorted(n for n in e.sharers if n != home))
         e.owner = NO_OWNER
         e.sharers = set()
         e.was_held = set()

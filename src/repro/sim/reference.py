@@ -19,6 +19,11 @@ input (see ``tests/property/test_runahead_differential.py``), and the
 honest baseline for ``benchmarks/bench_engine.py``'s speedup numbers —
 the ratio measures the scheduler *and* the state-layout overhaul.
 
+The legacy directory is the exact full map, so the engine refuses a
+directory configuration that can overflow (a ``limited`` one with
+fewer pointers than nodes, a ``coarse`` one with regions wider than a
+node) instead of silently simulating the full map for it.
+
 Do not optimize this file.  Its value is being obviously equivalent to
 the semantics the fast engine must preserve.
 """
@@ -31,7 +36,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.caches.finegrain import BLOCK_INVALID, BLOCK_READONLY, BLOCK_WRITABLE
 from repro.caches.l1 import EMPTY as L1_EMPTY
 from repro.coherence.states import EXCLUSIVE, INVALID, MODIFIED, OWNED, SHARED
-from repro.common.errors import TraceError
+from repro.common.errors import ConfigurationError, TraceError
 from repro.common.params import SystemConfig
 from repro.common.records import ADDR_SHIFT, THINK_MASK
 from repro.machine.node import Node
@@ -61,6 +66,15 @@ class ReferenceEngine(SimulationEngine):
         traces: Sequence[Sequence[object]],
         homes: Optional[Dict[int, int]] = None,
     ) -> None:
+        directory = config.directory
+        if (
+            directory.representation == "limited"
+            and directory.pointers < config.machine.nodes
+        ) or (directory.representation == "coarse" and directory.region_size > 1):
+            raise ConfigurationError(
+                "the reference engine models only the exact full-map "
+                f"directory; {directory} can overflow"
+            )
         super().__init__(config, traces, homes)
         # Swap the columnar structures for their frozen transcriptions.
         # The OS services (osint.services) speak the shared public API,

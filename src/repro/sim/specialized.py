@@ -49,7 +49,8 @@ What gets constant-folded
 
 The backend is pinned bit-identical to the frozen reference by
 ``tests/property/test_specialized_differential.py`` (same oracle scope
-as the vector suite) and needs no optional dependencies.
+as the directory-representation suite) and needs no optional
+dependencies.
 """
 
 from __future__ import annotations

@@ -31,21 +31,6 @@ def _isolated_result_store(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "result-store"))
 
 
-def pytest_collection_modifyitems(config, items):
-    """Skip ``vector``-marked tests when the optional NumPy dependency
-    is missing, so the no-NumPy environment stays green without any
-    per-test boilerplate (the engine-selection unit tests that *pin* the
-    missing-NumPy behavior are unmarked and always run)."""
-    from repro.sim.vector import numpy_available
-
-    if numpy_available():
-        return
-    skip = pytest.mark.skip(reason="vector engine needs NumPy (pip install .[vector])")
-    for item in items:
-        if "vector" in item.keywords:
-            item.add_marker(skip)
-
-
 TINY_SPACE = AddressSpace(block_size=64, page_size=512)
 TINY_MACHINE = MachineParams(nodes=2, cpus_per_node=1)
 TINY_CACHES = CacheParams(l1_size=128, block_cache_size=128, page_cache_size=1024)

@@ -13,7 +13,6 @@ import time
 
 import pytest
 
-from repro.common.errors import EngineUnavailableError
 from repro.common.params import RetryPolicy
 from repro.experiments.config import cc_config, ideal, rnuma_config, scoma_config
 from repro.experiments.executor import (
@@ -250,29 +249,3 @@ class TestStoreFaults:
         for a, b in zip(baseline, results):
             assert_results_equal(a, b)
         assert [p["source"] for p in exe.job_profiles] == ["simulated"] * 4
-
-
-class TestEngineUnavailable:
-    def test_recorded_with_reason_and_never_retried(self, monkeypatch):
-        attempts = []
-
-        def starved(config, program):
-            attempts.append(1)
-            raise EngineUnavailableError(
-                "vector engine needs NumPy (pip install .[vector])",
-                reason="NumPy not installed",
-            )
-
-        monkeypatch.setattr("repro.experiments.executor.simulate", starved)
-        exe = Executor(
-            workers=1,
-            cache=ResultCache(),
-            retry=RetryPolicy(retries=5, backoff=0.0),
-        )
-        with pytest.raises(SweepFailure) as exc_info:
-            exe.run([Job(APP, cc_config(), SCALE)])
-        (failure,) = exc_info.value.failures
-        assert failure.kind == "unavailable"
-        assert failure.attempts == 1, "a missing dependency is not retryable"
-        assert failure.error == "NumPy not installed"
-        assert len(attempts) == 1

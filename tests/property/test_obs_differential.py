@@ -62,10 +62,10 @@ def _obs(tmp_path, name, **overrides):
 
 
 def _run_pair(engine, tmp_path):
-    config = tiny_config("rnuma", engine=engine)
+    config = tiny_config("rnuma")
     obs = _obs(tmp_path, engine)
-    plain = simulate(config, _traces())
-    traced = simulate(config.with_obs(obs), _traces())
+    plain = simulate(config, _traces(), engine=engine)
+    traced = simulate(config.with_obs(obs), _traces(), engine=engine)
     return plain, traced, obs
 
 
@@ -78,19 +78,15 @@ def test_traced_run_bit_identical(engine, tmp_path):
     assert plain.to_json_dict() == traced.to_json_dict()
 
 
-@pytest.mark.vector
-def test_traced_run_bit_identical_vector(tmp_path):
-    pytest.importorskip("numpy")
-    plain, traced, _ = _run_pair("vector", tmp_path)
-    assert_identical_results(plain, traced)
-    assert plain.to_json_dict() == traced.to_json_dict()
-
-
 @pytest.mark.parametrize("engine", ENGINES)
 def test_emitted_artifacts_pass_schemas(engine, tmp_path):
     _, _, obs = _run_pair(engine, tmp_path)
     assert validate_trace_file(obs.trace_path) == []
     assert validate_metrics_file(obs.metrics_path) == []
+    # The backend that ran is recorded in both artifacts' metadata.
+    trace_meta = json.loads(open(obs.trace_path).read())["otherData"]
+    metrics_meta = json.loads(open(obs.metrics_path).readline())
+    assert trace_meta["engine"] == metrics_meta["engine"] == engine
 
 
 def test_trace_captures_paper_dynamics(tmp_path):
@@ -203,6 +199,6 @@ def test_disabled_obs_installs_no_wrapper():
     config = tiny_config("ccnuma")
     engine = make_engine(config, _traces())
     assert "_miss" not in engine.__dict__
-    spec = make_engine(tiny_config("ccnuma", engine="specialized"), _traces())
+    spec = make_engine(config, _traces(), engine="specialized")
     assert spec._miss.__name__ == "_miss"
     assert "observer" not in (spec._miss.__code__.co_freevars or ())

@@ -11,10 +11,10 @@ sweeps the corners: all four protocols, non-uniform fabrics, SMP nodes,
 inexact sharer sets, the sparse page-table fallback, and wide machines.
 The whole :class:`~repro.sim.results.SimulationResult` must match.
 
-Oracle scope mirrors ``test_vector_differential``: the reference engine
-always simulates the full-map directory, so the specialized engine is
-pinned against it on exact-capacity representations and against the
-run-ahead engine (same directory implementations, already
+Oracle scope mirrors ``test_directory_repr_differential``: the
+reference engine models only the full-map directory, so the specialized
+engine is pinned against it on exact-capacity representations and
+against the run-ahead engine (same directory implementations, already
 differentially pinned) on the inexact limited/coarse ones.
 """
 
@@ -22,19 +22,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.params import DirectoryParams, MachineParams
+from repro.common.params import MachineParams
 from repro.sim import simulate, simulate_reference, simulate_specialized
 
 from tests.conftest import tiny_config
+from tests.property.test_directory_repr_differential import INEXACT_PARAMS
 from tests.property.test_runahead_differential import (
     PROTOCOLS,
     _wide_machine_traces,
     assert_identical_results,
     programs,
 )
-from tests.property.test_vector_differential import INEXACT_PARAMS, TOPOLOGIES
 
 pytestmark = pytest.mark.specialized
+
+TOPOLOGIES = ("uniform", "mesh", "fattree")
 
 
 @given(traces=programs(), protocol=st.sampled_from(PROTOCOLS))

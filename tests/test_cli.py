@@ -1,10 +1,16 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from repro.cli import build_parser, main
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -163,6 +169,47 @@ def test_reproduce_no_store(capsys):
         capsys, "reproduce", "--scale", "0.1", "--apps", "em3d", "--no-store"
     )
     assert "Figure 6" in out
+
+
+def test_store_filled_by_one_engine_serves_the_other(capsys, tmp_path, monkeypatch):
+    """The engine is not part of result identity: a store filled under
+    run-ahead answers a specialized sweep with zero simulations."""
+    argv = ("reproduce", "--scale", "0.05", "--apps", "em3d", "--store", str(tmp_path))
+    first = run_cli(capsys, *argv, "--engine", "runahead")
+
+    def boom(*args):
+        raise AssertionError("simulated despite a store filled by another engine")
+
+    monkeypatch.setattr("repro.experiments.executor._simulate_job", boom)
+    assert run_cli(capsys, *argv, "--engine", "specialized") == first
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest["engine"] == "specialized"
+    assert manifest["failures"] == []
+
+
+def test_reproduce_offers_only_production_engines():
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["reproduce", "--engine", "reference"])
+    assert build_parser().parse_args(["run", "em3d", "--engine", "reference"])
+
+
+def test_engines_listing(capsys):
+    out = run_cli(capsys, "engines")
+    for name in ("runahead", "reference", "specialized"):
+        assert name in out
+
+
+def test_importing_the_cli_leaves_numpy_unimported():
+    """NumPy's only user is the radix trace generator, which imports it
+    lazily; the CLI, the engines and the store load without it."""
+    code = "import sys, repro.cli; assert 'numpy' not in sys.modules"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_unknown_app_rejected():

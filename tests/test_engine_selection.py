@@ -1,183 +1,176 @@
-"""Engine-backend selection plumbing: the ``SystemConfig.engine``
-field, the process default, the factory, and the missing-NumPy path.
-
-These run in every environment — including the no-NumPy CI leg, where
-they pin the degradation story (clean :class:`EngineUnavailableError`,
-runahead/reference untouched) rather than being skipped with the
-``vector``-marked suites.
+"""Engine-backend selection: the backend is a run-time argument passed
+by name (``simulate(..., engine=)``, ``Executor(engine=)``,
+``--engine``), never a field of :class:`SystemConfig`, and the factory
+builds each backend.
 """
+
+import dataclasses
+import json
+import sys
 
 import pytest
 
-from repro.common.errors import ConfigurationError, EngineUnavailableError
+from repro.common.errors import ConfigurationError
 from repro.common.params import (
+    DirectoryParams,
     SystemConfig,
     config_from_dict,
     config_to_dict,
-    set_default_engine,
 )
-from repro.experiments.runner import config_key
+from repro.common.records import Access
+from repro.experiments.config import cc_config
+from repro.experiments.executor import (
+    Executor,
+    Job,
+    JobFailure,
+    ResultStore,
+    job_from_failure,
+)
+from repro.experiments.runner import ResultCache
 from repro.sim import factory
-from repro.sim import vector as vector_mod
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import SimulationEngine, simulate
 from repro.sim.reference import ReferenceEngine
 
 from tests.conftest import tiny_config
 
+TRACES = [
+    [Access(0, False, 1), Access(64, True, 0)],
+    [Access(512, True, 2), Access(0, True, 0)],
+]
+
+
+def _traces():
+    return [list(t) for t in TRACES]
+
 
 class TestConfigField:
-    def test_default_resolves_to_runahead(self):
-        assert SystemConfig(protocol="ccnuma").engine == "runahead"
+    """The engine is chosen per run, not stored in the config."""
 
-    def test_explicit_engine_is_kept(self):
-        for name in SystemConfig._ENGINES:
-            assert SystemConfig(protocol="ccnuma", engine=name).engine == name
+    def test_default_resolves_to_runahead(self):
+        assert type(factory.make_engine(tiny_config("ccnuma"), _traces())) is (
+            SimulationEngine
+        )
+        assert Executor().engine == "runahead"
+
+    def test_explicit_engine_is_kept(self, tmp_path):
+        exe = Executor(
+            cache=ResultCache(), store=ResultStore(tmp_path), engine="reference"
+        )
+        jobs = [Job("em3d", cc_config(), 0.05)]
+        exe.run(jobs)
+        manifest = json.loads(exe.write_manifest(jobs).read_text())
+        assert manifest["engine"] == "reference"
 
     def test_unknown_engine_is_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SystemConfig(protocol="ccnuma", engine="warp")
+        with pytest.raises(ConfigurationError, match="unknown engine"):
+            simulate(tiny_config("ccnuma"), _traces(), engine="vector")
+        with pytest.raises(ConfigurationError, match="unknown engine"):
+            Executor(engine="warp")
 
-    def test_with_engine(self):
-        base = tiny_config("ccnuma")
-        assert base.with_engine("vector").engine == "vector"
-        assert base.engine == "runahead"
+    def test_engine_is_not_a_config_field(self):
+        assert "engine" not in {f.name for f in dataclasses.fields(SystemConfig)}
+        with pytest.raises(TypeError):
+            SystemConfig(engine="runahead")
 
-    def test_config_from_dict_defaults_to_runahead(self):
-        data = config_to_dict(tiny_config("ccnuma"))
-        data.pop("engine", None)
-        assert config_from_dict(data).engine == "runahead"
-
-    def test_engine_participates_in_config_key(self):
-        base = tiny_config("ccnuma")
-        assert config_key(base) != config_key(base.with_engine("reference"))
-
-
-class TestProcessDefault:
-    def test_set_default_engine_steers_the_sentinel(self):
-        previous = set_default_engine("reference")
-        try:
-            assert SystemConfig(protocol="ccnuma").engine == "reference"
-            assert (
-                SystemConfig(protocol="ccnuma", engine="runahead").engine
-                == "runahead"
-            )
-        finally:
-            set_default_engine(previous)
-        assert SystemConfig(protocol="ccnuma").engine == "runahead"
-
-    def test_set_default_engine_rejects_unknown_names(self):
-        with pytest.raises(ConfigurationError):
-            set_default_engine("warp")
+    def test_config_from_dict_ignores_a_stored_engine(self):
+        """Payloads written while the engine was part of a job still
+        load: configs and manifest failure records alike."""
+        config = tiny_config("ccnuma")
+        data = dict(config_to_dict(config), engine="specialized")
+        assert config_from_dict(data) == config
+        record = {
+            "key": "k", "app": "em3d", "scale": 0.1, "engine": "vector",
+            "protocol": "ccnuma", "kind": "crash", "attempts": 1,
+            "error": "boom", "traceback": "", "config": data,
+        }
+        assert job_from_failure(JobFailure.from_json_dict(record)).config == config
 
 
 class TestFactory:
     def test_builds_each_backend(self):
         from repro.sim.specialized import SpecializedEngine
 
-        traces = [[], []]
         cfg = tiny_config("ccnuma")
-        assert type(factory.make_engine(cfg, traces)) is SimulationEngine
+        assert type(factory.make_engine(cfg, [[], []])) is SimulationEngine
         assert isinstance(
-            factory.make_engine(cfg.with_engine("reference"), traces),
-            ReferenceEngine,
+            factory.make_engine(cfg, [[], []], engine="reference"), ReferenceEngine
         )
         assert isinstance(
-            factory.make_engine(cfg.with_engine("specialized"), traces),
+            factory.make_engine(cfg, [[], []], engine="specialized"),
             SpecializedEngine,
         )
 
     def test_backend_listing_shape(self):
         rows = factory.engine_backends()
-        assert [r["name"] for r in rows] == [
+        assert [r["name"] for r in rows] == list(factory.ENGINES) == [
             "runahead",
             "reference",
-            "vector",
             "specialized",
         ]
-        for row in rows:
-            assert set(row) == {
-                "name",
-                "summary",
-                "requires",
-                "available",
-                "reason",
-            }
-            # The listing's reason and the availability flag must agree.
-            assert row["available"] == (row["reason"] is None)
-        assert rows[0]["available"] and rows[1]["available"] and rows[3]["available"]
-
-    def test_unavailable_reason_strings(self):
-        assert factory.engine_unavailable_reason("runahead") is None
-        assert factory.engine_unavailable_reason("specialized") is None
-        assert "unknown engine" in factory.engine_unavailable_reason("warp")
-
-    def test_vector_without_numpy_raises_cleanly(self, monkeypatch):
-        """Simulate the missing optional dependency: construction fails
-        with the install hint, and availability reporting agrees."""
-        monkeypatch.setattr(vector_mod, "_np", None)
-        assert not vector_mod.numpy_available()
-        assert not factory.engine_available("vector")
-        expected_reason = "NumPy not installed (pip install .[vector])"
-        assert factory.engine_unavailable_reason("vector") == expected_reason
-        with pytest.raises(EngineUnavailableError, match=r"pip install \.\[vector\]") as exc:
-            factory.make_engine(tiny_config("ccnuma", engine="vector"), [[], []])
-        # The error carries the same short reason the listing shows.
-        assert exc.value.reason == expected_reason
-        with pytest.raises(EngineUnavailableError):
-            vector_mod.epoch_index(b"")
-        rows = {r["name"]: r for r in factory.engine_backends()}
-        assert rows["vector"]["reason"] == expected_reason
-        assert not rows["vector"]["available"]
+        assert all(set(row) == {"name", "summary"} for row in rows)
+        assert set(factory.PRODUCTION_ENGINES) < set(factory.ENGINES)
+        assert "reference" not in factory.PRODUCTION_ENGINES
 
     def test_runahead_and_reference_survive_missing_numpy(self, monkeypatch):
-        monkeypatch.setattr(vector_mod, "_np", None)
-        traces = [[], []]
-        cfg = tiny_config("ccnuma")
-        a = factory.simulate_with(cfg, traces)
-        b = factory.simulate_with(cfg.with_engine("reference"), traces)
-        assert a.exec_cycles == b.exec_cycles == 0
+        monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy fails
+        cfg = tiny_config("rnuma")
+        fast = simulate(cfg, _traces())
+        slow = simulate(cfg, _traces(), engine="reference")
+        assert fast.exec_cycles == slow.exec_cycles > 0
 
     def test_specialized_survives_missing_numpy(self, monkeypatch):
-        """The specialized backend must not require NumPy — the no-NumPy
-        CI leg runs its differential subset.  Patch out both optional
-        import sites and check a real (non-empty) run still matches."""
-        from repro.common.records import Access
-        from repro.osint import services as services_mod
-
-        monkeypatch.setattr(vector_mod, "_np", None)
-        monkeypatch.setattr(services_mod, "_np", None)
-        assert factory.engine_available("specialized")
-        traces = [
-            [Access(0, False, 1), Access(64, True, 0)],
-            [Access(512, True, 2), Access(0, True, 0)],
-        ]
+        monkeypatch.setitem(sys.modules, "numpy", None)
         cfg = tiny_config("rnuma")
-        fast = factory.simulate_with(
-            cfg.with_engine("specialized"), [list(t) for t in traces]
-        )
-        slow = factory.simulate_with(cfg, [list(t) for t in traces])
-        assert fast.exec_cycles == slow.exec_cycles
+        fast = simulate(cfg, _traces(), engine="specialized")
+        assert fast.exec_cycles == simulate(cfg, _traces()).exec_cycles > 0
 
 
 class TestSimulateDispatch:
-    def test_simulate_routes_by_config_engine(self):
-        from repro.sim.engine import simulate
+    def test_simulate_routes_by_engine_name(self, monkeypatch):
+        built = []
+        make = factory.make_engine
 
-        traces = [[], []]
-        for name in ("runahead", "reference", "specialized"):
-            result = simulate(tiny_config("ccnuma", engine=name), traces)
-            assert result.exec_cycles == 0
+        def spy(config, traces, homes=None, engine="runahead"):
+            built.append(engine)
+            return make(config, traces, homes, engine)
 
-    @pytest.mark.vector
-    def test_simulate_vector_engine_matches(self):
-        from repro.common.records import Access
-        from repro.sim.engine import simulate
+        monkeypatch.setattr(factory, "make_engine", spy)
+        results = [
+            simulate(tiny_config("scoma"), _traces(), engine=name)
+            for name in factory.ENGINES
+        ]
+        assert built == list(factory.ENGINES)
+        assert len({r.exec_cycles for r in results}) == 1
 
-        traces = [[Access(0, False, 1), Access(64, True, 0)], [Access(512, True, 2)]]
-        fast = simulate(
-            tiny_config("ccnuma", engine="vector"), [list(t) for t in traces]
+
+class TestReferenceScope:
+    """The oracle models only the exact full-map directory."""
+
+    @pytest.mark.parametrize(
+        "directory",
+        [
+            DirectoryParams(representation="limited", pointers=1),
+            DirectoryParams(representation="limited", pointers=1, overflow="evict"),
+            DirectoryParams(representation="coarse", region_size=2),
+        ],
+    )
+    def test_refuses_directories_that_can_overflow(self, directory):
+        config = tiny_config("ccnuma", directory=directory)
+        with pytest.raises(ConfigurationError, match="full-map"):
+            simulate(config, _traces(), engine="reference")
+        # The production backends model it.
+        assert simulate(config, _traces()).exec_cycles > 0
+
+    @pytest.mark.parametrize(
+        "directory",
+        [
+            DirectoryParams(representation="limited", pointers=2),
+            DirectoryParams(representation="coarse", region_size=1),
+        ],
+    )
+    def test_accepts_exact_capacity_directories(self, directory):
+        config = tiny_config("ccnuma", directory=directory)
+        assert (
+            simulate(config, _traces(), engine="reference").exec_cycles
+            == simulate(config, _traces()).exec_cycles
         )
-        slow = simulate(
-            tiny_config("ccnuma", engine="reference"), [list(t) for t in traces]
-        )
-        assert fast.exec_cycles == slow.exec_cycles

@@ -5,6 +5,8 @@ verify plumbing (caching, normalization, formatting), not the paper's
 shapes; the shape checks live in tests/integration/test_paper_claims.py.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.experiments import (
@@ -35,6 +37,34 @@ from repro.experiments.reporting import render_bar_chart, render_table
 SCALE = 0.12
 APPS = ("em3d", "moldyn")
 
+#: A different valid value for every string-valued config field.
+_ALTERNATIVE_STRINGS = {
+    "protocol": "scoma",
+    "page_replacement": "lru",
+    "topology": "mesh",
+    "representation": "limited",
+    "overflow": "evict",
+    "relocation_mode": "flush",
+}
+
+
+def _leaf_fields(obj, path=()):
+    """(field path, value) of every compared non-dataclass field."""
+    for f in dataclasses.fields(obj):
+        if not f.compare:
+            continue
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _leaf_fields(value, path + (f.name,))
+        else:
+            yield path + (f.name,), value
+
+
+def _with_leaf(obj, path, value):
+    head, *rest = path
+    new = _with_leaf(getattr(obj, head), rest, value) if rest else value
+    return dataclasses.replace(obj, **{head: new})
+
 
 @pytest.fixture(scope="module")
 def cache():
@@ -51,6 +81,25 @@ class TestConfigs:
             rnuma_config(threshold=64)
         )
         assert config_key(ideal()) == config_key(ideal())
+
+    def test_changing_any_leaf_field_changes_the_key(self):
+        """The key is derived from the config, so every compared field —
+        including any added later — reaches the store key."""
+        base = rnuma_config()
+        leaves = list(_leaf_fields(base))
+        assert len(leaves) > 30
+        for path, value in leaves:
+            other = _ALTERNATIVE_STRINGS[path[-1]] if isinstance(value, str) else 2 * value
+            changed = _with_leaf(base, path, other)
+            assert changed != base
+            assert config_key(changed) != config_key(base), ".".join(path)
+
+    def test_obs_does_not_change_the_key(self):
+        from repro.common.params import ObsParams
+
+        config = rnuma_config()
+        traced = config.with_obs(ObsParams(trace_path="t.json", metrics_interval=7))
+        assert config_key(traced) == config_key(config)
 
     def test_soft_configs_change_costs(self):
         from repro.experiments.config import rnuma_soft_config, scoma_soft_config

@@ -1,7 +1,5 @@
 """Unit tests for first-touch page placement."""
 
-import pytest
-
 from repro.common.addressing import AddressSpace
 from repro.common.params import MachineParams
 from repro.common.records import Access, Barrier
@@ -87,14 +85,7 @@ class TestPartialPlacementAcrossEngines:
         backend must run the same late-first-touch fallback (the shared
         resolve_home helper) and land on identical results *and* an
         identically completed homes map."""
-        pytest.importorskip("numpy")  # for the vector leg below
-        from repro.sim import (
-            make_engine,
-            simulate_reference,
-            simulate_specialized,
-            simulate_vector,
-        )
-        from repro.sim.engine import simulate
+        from repro.sim import simulate, simulate_reference, simulate_specialized
         from tests.conftest import tiny_config
         from tests.property.test_runahead_differential import (
             assert_identical_results,
@@ -111,12 +102,7 @@ class TestPartialPlacementAcrossEngines:
             config = tiny_config(protocol)
             results = []
             completed = []
-            for run in (
-                simulate,
-                simulate_reference,
-                simulate_vector,
-                simulate_specialized,
-            ):
+            for run in (simulate, simulate_reference, simulate_specialized):
                 homes = dict(partial)
                 results.append(run(config, [list(t) for t in traces], homes))
                 completed.append(homes)
@@ -131,15 +117,13 @@ class TestPartialPlacementAcrossEngines:
     def test_engine_instances_share_the_caller_map(self):
         """make_engine must keep the caller's dict as the live homes map
         (first-touch adoptions visible to the caller), for every backend."""
-        from repro.sim import make_engine
+        from repro.sim.factory import ENGINES, make_engine
         from tests.conftest import tiny_config
 
-        for name in ("runahead", "reference", "specialized"):
+        for name in ENGINES:
             homes = {}
             engine = make_engine(
-                tiny_config("ccnuma", engine=name),
-                [[Access(0, True)], []],
-                homes,
+                tiny_config("ccnuma"), [[Access(0, True)], []], homes, name
             )
             engine.run()
             assert homes == {0: 0}, name

@@ -1,4 +1,4 @@
-"""Stats parity across all four engine backends.
+"""Stats parity across all three engine backends.
 
 The differential suites already pin ``exec_cycles`` and the aggregate
 result equality; this suite pins the *full statistics surface* — every
@@ -14,12 +14,11 @@ import pytest
 
 from repro.common.stats import NodeStats
 from repro.sim import simulate
+from repro.sim.factory import ENGINES
 
 from tests.conftest import tiny_config
 from tests.property.test_obs_differential import _traces
 from tests.property.test_runahead_differential import PROTOCOLS
-
-BASE_ENGINES = ("runahead", "reference", "specialized")
 
 STAT_FIELDS = tuple(f.name for f in dataclasses.fields(NodeStats))
 
@@ -32,16 +31,6 @@ def _per_field_stats(result):
     }
 
 
-def _payload(result):
-    """Serialized result minus the one legitimate difference: the
-    config records which backend produced it."""
-    payload = result.to_json_dict()
-    payload["config"] = {
-        k: v for k, v in payload["config"].items() if k != "engine"
-    }
-    return payload
-
-
 def _assert_parity(results):
     baseline_name, baseline = next(iter(results.items()))
     expected = _per_field_stats(baseline)
@@ -52,7 +41,7 @@ def _assert_parity(results):
                 f"{name} vs {baseline_name}: NodeStats.{field} diverged: "
                 f"{got[field]} != {expected[field]}"
             )
-        assert _payload(result) == _payload(baseline), (
+        assert result.to_json_dict() == baseline.to_json_dict(), (
             f"{name} vs {baseline_name}: serialized results diverged"
         )
 
@@ -60,19 +49,8 @@ def _assert_parity(results):
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_all_engines_agree_on_every_stat(protocol):
     results = {
-        engine: simulate(tiny_config(protocol, engine=engine), _traces())
-        for engine in BASE_ENGINES
-    }
-    _assert_parity(results)
-
-
-@pytest.mark.vector
-@pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_vector_engine_agrees_on_every_stat(protocol):
-    pytest.importorskip("numpy")
-    results = {
-        engine: simulate(tiny_config(protocol, engine=engine), _traces())
-        for engine in ("runahead", "vector")
+        engine: simulate(tiny_config(protocol), _traces(), engine=engine)
+        for engine in ENGINES
     }
     _assert_parity(results)
 
