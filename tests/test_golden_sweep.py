@@ -9,7 +9,9 @@ pins what the simulator computes instead: every unique job of
 
 keyed by app plus a label of its configuration, with the job's
 ``exec_cycles`` and the sha256 of its result payload (the payload
-without its ``config`` entry, hashed like the store's integrity hash).
+without its ``config`` entry, hashed like the store's integrity hash),
+plus the sha256 of the report the sweep prints (``report_sha256``), so
+a change to how the report is assembled cannot pass unnoticed either.
 The sweep runs once per production engine, and both must match the
 checked-in digest.
 
@@ -53,11 +55,12 @@ def config_label(config: dict) -> str:
     )
 
 
-def sweep_digest(engine: str, store: pathlib.Path) -> dict:
+def sweep_digest(engine: str, store: pathlib.Path) -> tuple:
     """Run the sweep under ``engine`` into the empty ``store`` (in a
     fresh interpreter, so nothing leaks into this process) and digest
-    every stored result: label -> ``{exec_cycles, sha256}``."""
-    subprocess.run(
+    it: ``(sha256 of the report on stdout, {label: {exec_cycles,
+    sha256}} for every stored result)``."""
+    proc = subprocess.run(
         [sys.executable, "-m", "repro", *SWEEP_ARGS,
          "--engine", engine, "--store", str(store)],
         cwd=ROOT,
@@ -74,16 +77,18 @@ def sweep_digest(engine: str, store: pathlib.Path) -> dict:
         label = f"{entry['app']} {config_label(result.pop('config'))}"
         assert label not in jobs, f"two jobs share the label {label!r}"
         jobs[label] = {"exec_cycles": result["exec_cycles"], "sha256": _sha256(result)}
-    return jobs
+    return hashlib.sha256(proc.stdout).hexdigest(), jobs
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_sweep_matches_the_golden_digest(engine, tmp_path):
-    golden = json.loads(GOLDEN.read_text())["jobs"]
-    got = sweep_digest(engine, tmp_path / "store")
+    pinned = json.loads(GOLDEN.read_text())
+    golden = pinned["jobs"]
+    report, got = sweep_digest(engine, tmp_path / "store")
     assert sorted(got) == sorted(golden), "the sweep's job set changed"
     moved = sorted(label for label, pin in golden.items() if got[label] != pin)
     assert not moved, f"{len(moved)} of {len(golden)} jobs moved, first: {moved[:3]}"
+    assert report == pinned["report_sha256"], "the rendered report changed"
 
 
 def main() -> None:
@@ -92,16 +97,21 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         runs = [sweep_digest(e, pathlib.Path(tmp) / e) for e in ENGINES]
     assert all(run == runs[0] for run in runs), "production engines disagree"
+    report, jobs = runs[0]
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(
         json.dumps(
-            {"command": "python -m repro " + " ".join(SWEEP_ARGS), "jobs": runs[0]},
+            {
+                "command": "python -m repro " + " ".join(SWEEP_ARGS),
+                "jobs": jobs,
+                "report_sha256": report,
+            },
             indent=1,
             sort_keys=True,
         )
         + "\n"
     )
-    print(f"wrote {len(runs[0])} jobs to {GOLDEN}")
+    print(f"wrote {len(jobs)} jobs and the report digest to {GOLDEN}")
 
 
 if __name__ == "__main__":
