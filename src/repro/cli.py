@@ -24,12 +24,13 @@ Commands
     Regenerate a paper figure.
 ``table {1,2,3,4}``
     Regenerate a paper table.
-``ablation {relocation,replacement,placement}``
+``ablation {placement,relocation,replacement}``
     Run one of the design-choice ablations.
 ``reproduce``
-    Regenerate every figure and table (plus the ablations and the
-    cluster-size, topology, and directory extensions) in one sweep,
-    fanned out over ``--jobs`` worker processes and backed by the
+    Regenerate every section of :data:`SECTIONS` (each figure and
+    table, plus the ablations and the cluster-size, topology, and
+    directory extensions) in one sweep, fanned out over ``--jobs``
+    worker processes and backed by the
     persistent result store, so a second invocation does near-zero
     simulation work.  ``--heartbeat`` streams per-job progress,
     ``--profile`` breaks down where the wall time went, and a run
@@ -58,7 +59,7 @@ import argparse
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.common.addressing import AddressSpace
 from repro.common.errors import ConfigurationError
@@ -113,13 +114,13 @@ from repro.experiments import (
 from repro.experiments.executor import (
     TMP_GC_AGE_S,
     Executor,
+    Job,
     JobFailure,
     ResultStore,
     SweepFailure,
     default_store_dir,
     job_from_failure,
 )
-from repro.experiments.runner import ResultCache
 from repro.interconnect.routing import routing_table_for
 from repro.interconnect.topology import TOPOLOGIES, topology_names
 from repro.sim.engine import simulate
@@ -133,19 +134,64 @@ _PROTOCOL_CONFIGS = {
     "rnuma": base_rnuma_config,
 }
 
-_FIGURES = {
-    "5": (figure5_jobs, compute_figure5, format_figure5),
-    "6": (figure6_jobs, compute_figure6, format_figure6),
-    "7": (figure7_jobs, compute_figure7, format_figure7),
-    "8": (figure8_jobs, compute_figure8, format_figure8),
-    "9": (figure9_jobs, compute_figure9, format_figure9),
-}
 
-_ABLATIONS = {
-    "relocation": (relocation_ablation_jobs, compute_relocation_ablation),
-    "replacement": (replacement_ablation_jobs, compute_replacement_ablation),
-    "placement": (placement_ablation_jobs, compute_placement_ablation),
-}
+class Section(NamedTuple):
+    """One report section, defined once: ``reproduce`` submits the
+    union of every section's ``jobs(scale, apps)`` and prints each
+    ``render(scale, apps, executor)`` in registry order; ``command``
+    (e.g. ``("figure", "6")``) is the sub-command that prints it alone."""
+
+    label: str
+    command: Optional[Tuple[str, str]]
+    jobs: Optional[Callable[..., List[Job]]]
+    render: Callable[..., str]
+
+
+def _computed(compute, fmt) -> Callable[..., str]:
+    """Render a section by computing it through the executor."""
+    return lambda scale, apps, executor: fmt(
+        compute(scale=scale, apps=apps, executor=executor)
+    )
+
+
+#: Every section of the ``reproduce`` report, in report order.  The
+#: ``compute_*``/``format_*`` names are bound here, at import.
+SECTIONS: Tuple[Section, ...] = (
+    Section("Table 1", ("table", "1"), None, lambda *_: format_table1()),
+    Section("Table 2", ("table", "2"), None, lambda *_: format_table2()),
+    Section("Table 3", ("table", "3"), None,
+            lambda scale, *_: format_table3(scale=scale)),
+    Section("Figure 5", ("figure", "5"), figure5_jobs,
+            _computed(compute_figure5, format_figure5)),
+    Section("Figure 6", ("figure", "6"), figure6_jobs,
+            _computed(compute_figure6, format_figure6)),
+    Section("Figure 7", ("figure", "7"), figure7_jobs,
+            _computed(compute_figure7, format_figure7)),
+    Section("Figure 8", ("figure", "8"), figure8_jobs,
+            _computed(compute_figure8, format_figure8)),
+    Section("Figure 9", ("figure", "9"), figure9_jobs,
+            _computed(compute_figure9, format_figure9)),
+    Section("Table 4", ("table", "4"), table4_jobs,
+            _computed(compute_table4, format_table4)),
+    Section("Ablation: placement", ("ablation", "placement"),
+            placement_ablation_jobs,
+            _computed(compute_placement_ablation, format_ablation)),
+    Section("Ablation: relocation", ("ablation", "relocation"),
+            relocation_ablation_jobs,
+            _computed(compute_relocation_ablation, format_ablation)),
+    Section("Ablation: replacement", ("ablation", "replacement"),
+            replacement_ablation_jobs,
+            _computed(compute_replacement_ablation, format_ablation)),
+    Section("Extension: cluster-size", None, scaling_jobs,
+            _computed(compute_scaling, format_scaling)),
+    Section("Extension: topology", None, topology_scaling_jobs,
+            _computed(compute_topology_scaling, format_topology_scaling)),
+    Section("Extension: directory", None, directory_scaling_jobs,
+            _computed(compute_directory_scaling, format_directory_scaling)),
+)
+
+#: ``(command, name)`` -> the section that command prints.
+_SECTION_COMMANDS = {s.command: s for s in SECTIONS if s.command is not None}
 
 
 def _positive_int(text: str) -> int:
@@ -225,6 +271,10 @@ def _add_executor_args(parser: argparse.ArgumentParser) -> None:
     parser.set_defaults(fail_fast=False)
 
 
+def _add_apps_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--apps", nargs="*", choices=workload_names(), default=None)
+
+
 def _make_executor(args: argparse.Namespace, engine: str = "runahead") -> Executor:
     store = None
     if not args.no_store:
@@ -242,10 +292,7 @@ def _make_executor(args: argparse.Namespace, engine: str = "runahead") -> Execut
         )
     except ConfigurationError as exc:
         raise SystemExit(f"repro: {exc}")
-    return Executor(
-        workers=args.jobs, cache=ResultCache(), store=store, retry=retry,
-        engine=engine,
-    )
+    return Executor(workers=args.jobs, store=store, retry=retry, engine=engine)
 
 
 def _print_failure_table(failures: Sequence[JobFailure]) -> None:
@@ -397,29 +444,28 @@ def build_parser() -> argparse.ArgumentParser:
     ts_p.add_argument("app", choices=workload_names())
     ts_p.add_argument("--scale", type=float, default=1.0)
 
-    fig_p = sub.add_parser("figure", help="regenerate a paper figure")
-    fig_p.add_argument("number", choices=sorted(_FIGURES))
-    fig_p.add_argument("--scale", type=float, default=1.0)
-    fig_p.add_argument("--apps", nargs="*", default=None)
-    _add_executor_args(fig_p)
-
-    tab_p = sub.add_parser("table", help="regenerate a paper table")
-    tab_p.add_argument("number", choices=["1", "2", "3", "4"])
-    tab_p.add_argument("--scale", type=float, default=1.0)
-    _add_executor_args(tab_p)
-
-    abl_p = sub.add_parser("ablation", help="run a design-choice ablation")
-    abl_p.add_argument("which", choices=sorted(_ABLATIONS))
-    abl_p.add_argument("--scale", type=float, default=1.0)
-    abl_p.add_argument("--apps", nargs="*", default=None)
-    _add_executor_args(abl_p)
+    for command, help_text in (
+        ("figure", "regenerate a paper figure"),
+        ("table", "regenerate a paper table"),
+        ("ablation", "run a design-choice ablation"),
+    ):
+        section_p = sub.add_parser(command, help=help_text)
+        section_p.add_argument(
+            "name", choices=[name for cmd, name in _SECTION_COMMANDS if cmd == command]
+        )
+        section_p.add_argument("--scale", type=float, default=1.0)
+        if command == "table":
+            section_p.set_defaults(apps=None)
+        else:
+            _add_apps_arg(section_p)
+        _add_executor_args(section_p)
 
     rep_p = sub.add_parser(
         "reproduce",
         help="regenerate every figure and table in one deduplicated sweep",
     )
     rep_p.add_argument("--scale", type=float, default=1.0)
-    rep_p.add_argument("--apps", nargs="*", default=None)
+    _add_apps_arg(rep_p)
     rep_p.add_argument(
         "--engine",
         choices=PRODUCTION_ENGINES,
@@ -669,31 +715,10 @@ def _cmd_trace_stats(args: argparse.Namespace) -> None:
               f"{per_ref:>10.1f}")
 
 
-def _cmd_figure(args: argparse.Namespace) -> None:
-    _, compute, render = _FIGURES[args.number]
-    result = compute(scale=args.scale, apps=args.apps, executor=_make_executor(args))
-    print(render(result))
-
-
-def _cmd_table(args: argparse.Namespace) -> None:
-    if args.number == "1":
-        print(format_table1())
-    elif args.number == "2":
-        print(format_table2())
-    elif args.number == "3":
-        print(format_table3(scale=args.scale))
-    else:
-        print(
-            format_table4(
-                compute_table4(scale=args.scale, executor=_make_executor(args))
-            )
-        )
-
-
-def _cmd_ablation(args: argparse.Namespace) -> None:
-    _, compute = _ABLATIONS[args.which]
-    result = compute(scale=args.scale, apps=args.apps, executor=_make_executor(args))
-    print(format_ablation(result))
+def _cmd_section(args: argparse.Namespace) -> None:
+    section = _SECTION_COMMANDS[args.command, args.name]
+    executor = _make_executor(args) if section.jobs is not None else None
+    print(section.render(args.scale, args.apps, executor))
 
 
 def _cmd_store(args: argparse.Namespace) -> int:
@@ -815,17 +840,12 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         return _resume_reproduce(args, executor)
     scale, apps = args.scale, args.apps
 
-    # Enumerate every figure/table/ablation/extension simulation up
-    # front so overlapping configurations are submitted exactly once.
-    jobs = []
-    for jobs_fn, _, _ in _FIGURES.values():
-        jobs += jobs_fn(scale, apps)
-    jobs += table4_jobs(scale, apps)
-    for jobs_fn, _ in _ABLATIONS.values():
-        jobs += jobs_fn(scale, apps)
-    jobs += scaling_jobs(scale, apps)
-    jobs += topology_scaling_jobs(scale, apps)
-    jobs += directory_scaling_jobs(scale, apps)
+    # Enumerate every section's simulations up front so overlapping
+    # configurations are submitted exactly once.
+    section_jobs = {
+        s.label: s.jobs(scale, apps) for s in SECTIONS if s.jobs is not None
+    }
+    jobs = [job for needed in section_jobs.values() for job in needed]
     unique = len({job.key for job in jobs})
     print(
         f"reproduce: {len(jobs)} simulations, {unique} unique after "
@@ -869,82 +889,21 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     # job (or crashing the report).
     failed_keys = executor.failed_keys
 
-    def _section(label: str, render_fn, section_jobs=None) -> str:
-        if section_jobs is not None and failed_keys:
-            blocked = {repr(j.key) for j in section_jobs} & failed_keys
-            if blocked:
-                return (
-                    f"{label}: skipped — {len(blocked)} required job(s) "
-                    "permanently failed (see failure table)"
-                )
-        try:
-            return render_fn()
-        except SweepFailure as exc:
-            return (
-                f"{label}: skipped — {len(exc.failures)} required job(s) "
-                "permanently failed (see failure table)"
-            )
+    def _render(section: Section) -> str:
+        needed = section_jobs.get(section.label, ()) if failed_keys else ()
+        blocked = {repr(job.key) for job in needed} & failed_keys
+        if not blocked:
+            try:
+                return section.render(scale, apps, executor)
+            except SweepFailure as exc:
+                blocked = exc.failures
+        return (
+            f"{section.label}: skipped — {len(blocked)} required job(s) "
+            "permanently failed (see failure table)"
+        )
 
     t0 = time.perf_counter()
-    sections = [format_table1(), format_table2(), format_table3(scale=scale)]
-    for number in sorted(_FIGURES):
-        jobs_fn, compute, render = _FIGURES[number]
-        sections.append(
-            _section(
-                f"Figure {number}",
-                lambda compute=compute, render=render: render(
-                    compute(scale=scale, apps=apps, executor=executor)
-                ),
-                jobs_fn(scale, apps),
-            )
-        )
-    sections.append(
-        _section(
-            "Table 4",
-            lambda: format_table4(
-                compute_table4(scale=scale, apps=apps, executor=executor)
-            ),
-            table4_jobs(scale, apps),
-        )
-    )
-    for which in sorted(_ABLATIONS):
-        jobs_fn, compute = _ABLATIONS[which]
-        sections.append(
-            _section(
-                f"Ablation: {which}",
-                lambda compute=compute: format_ablation(
-                    compute(scale=scale, apps=apps, executor=executor)
-                ),
-                jobs_fn(scale, apps),
-            )
-        )
-    sections.append(
-        _section(
-            "Extension: cluster-size",
-            lambda: format_scaling(
-                compute_scaling(scale=scale, apps=apps, executor=executor)
-            ),
-            scaling_jobs(scale, apps),
-        )
-    )
-    sections.append(
-        _section(
-            "Extension: topology",
-            lambda: format_topology_scaling(
-                compute_topology_scaling(scale=scale, apps=apps, executor=executor)
-            ),
-            topology_scaling_jobs(scale, apps),
-        )
-    )
-    sections.append(
-        _section(
-            "Extension: directory",
-            lambda: format_directory_scaling(
-                compute_directory_scaling(scale=scale, apps=apps, executor=executor)
-            ),
-            directory_scaling_jobs(scale, apps),
-        )
-    )
+    sections = [_render(section) for section in SECTIONS]
     print("\n\n".join(sections))
     # Render-phase cache misses may hit the store too; keep that I/O in
     # the store row, not the render row.
@@ -1019,12 +978,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             _cmd_run(args)
         elif args.command == "trace-stats":
             _cmd_trace_stats(args)
-        elif args.command == "figure":
-            _cmd_figure(args)
-        elif args.command == "table":
-            _cmd_table(args)
-        elif args.command == "ablation":
-            _cmd_ablation(args)
+        elif args.command in ("figure", "table", "ablation"):
+            _cmd_section(args)
         elif args.command == "reproduce":
             rc = _cmd_reproduce(args)
         elif args.command == "store":

@@ -9,11 +9,16 @@ which:
 2. satisfies what it can from its in-memory :class:`ResultCache` and
    its :class:`ResultStore` (JSON-per-key files under a cache
    directory);
-3. fans the remaining simulations out over ``workers`` processes
-   through a *supervised* dispatch loop — every worker attempt is
-   wrapped in an outcome envelope, so one crashing or hanging job can
-   never abort the sweep;
+3. runs the remaining simulations through one *supervised* dispatch
+   loop — every attempt is wrapped in an outcome envelope, so one
+   crashing or hanging job can never abort the sweep.  The loop fans
+   out over ``workers`` processes; with one slot and no per-job
+   deadline there is nothing to overlap or preempt, so each attempt
+   runs in this process instead;
 4. writes fresh results back to both layers as each job completes.
+
+:meth:`Executor.run_app` (one job, as the figure modules ask for their
+results) is a cache lookup in front of the same :meth:`Executor.run`.
 
 Simulations are deterministic, so a parallel run produces bit-identical
 results to a serial one, and a second ``python -m repro reproduce``
@@ -71,9 +76,11 @@ from typing import (
     Dict,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from repro.common.errors import ConfigurationError, FaultInjected, ReproError
@@ -225,15 +232,6 @@ def backoff_delay(policy: RetryPolicy, key: Tuple, attempt: int) -> float:
     return min(policy.backoff * (2.0 ** (attempt - 1)) * jitter, _BACKOFF_CAP_S)
 
 
-def _simulate_job(job: Job, engine: str = "runahead") -> SimulationResult:
-    """Serial execution body: build (or fetch the cached) compiled
-    program and simulate it on the named engine."""
-    program = build_program(
-        job.app, machine=job.config.machine, space=job.config.space, scale=job.scale
-    )
-    return simulate(job.config, program, engine=engine)
-
-
 def _job_payload(job: Job) -> Tuple[SystemConfig, object]:
     """What a worker needs to run ``job`` without regenerating anything:
     the config and the compiled program — packed trace columns (8 bytes
@@ -254,8 +252,9 @@ def _job_payload(job: Job) -> Tuple[SystemConfig, object]:
 
 
 def _run_supervised(payload: Tuple) -> Tuple:
-    """Worker body (top level so it pickles under every multiprocessing
-    start method), wrapped in an outcome envelope:
+    """The attempt body — the executor's one call to ``simulate`` — in
+    a pool worker or in process (top level so it pickles under every
+    multiprocessing start method), wrapped in an outcome envelope:
 
     ``(True, result, simulate_seconds, queue_wait_seconds)`` on
     success, ``(False, (kind, error, traceback), 0.0, queue_wait)``
@@ -294,27 +293,31 @@ def _run_supervised(payload: Tuple) -> Tuple:
         )
 
 
-def _attempt_inline(
-    job: Job, engine: str, index: int, attempt: int, faults_spec
-) -> Tuple:
-    """One in-process attempt, same envelope shape as the worker body."""
-    try:
-        injection.maybe_hang(
-            "worker-hang", spec=faults_spec, app=job.app, index=index, attempt=attempt
-        )
-        injection.maybe_crash(
-            "worker-raise", spec=faults_spec, app=job.app, index=index, attempt=attempt
-        )
-        t0 = time.perf_counter()
-        result = _simulate_job(job, engine)
-        return (True, result, time.perf_counter() - t0, 0.0)
-    except Exception as exc:
-        return (
-            False,
-            ("crash", f"{type(exc).__name__}: {exc}", traceback_module.format_exc()),
-            0.0,
-            0.0,
-        )
+class _ReadyHandle(NamedTuple):
+    """A finished in-process attempt, shaped like an ``AsyncResult``."""
+
+    envelope: Tuple
+
+    def ready(self) -> bool:
+        return True
+
+    def get(self) -> Tuple:
+        return self.envelope
+
+
+class _InProcessPool:
+    """The stand-in for ``multiprocessing.Pool`` when the dispatch loop
+    has one slot and no deadline: ``apply_async`` runs the attempt at
+    once and returns a ready handle, so there is no worker process to
+    feed and no completion to poll for."""
+
+    def apply_async(self, fn: Callable, args: Tuple) -> _ReadyHandle:
+        return _ReadyHandle(fn(*args))
+
+    def terminate(self) -> None:
+        """Nothing runs in the background, so nothing is stopped."""
+
+    join = terminate
 
 
 def payload_checksum(result_payload: Dict[str, Any]) -> str:
@@ -403,33 +406,7 @@ class ResultStore:
 
     def load(self, job: Job) -> Optional[SimulationResult]:
         """The stored result for ``job``, or None if absent/stale/corrupt."""
-        path = self.path_for(job)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError:
-            return None
-        if injection.should_inject("store-read-corruption", app=job.app):
-            text = text[: max(1, len(text) // 2)]
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError:
-            return None
-        if not isinstance(payload, dict):
-            return None
-        if payload.get("schema_version") != self.schema_version:
-            return None
-        if payload.get("key") != repr(job.key):
-            return None
-        if payload.get("payload_sha256") != payload_checksum(
-            payload.get("result", {})
-        ):
-            return None
-        try:
-            return SimulationResult.from_json_dict(payload["result"])
-        except (KeyError, TypeError, ValueError, ReproError):
-            # ReproError covers config validation rejecting tampered
-            # payloads (e.g. a negative node count).
-            return None
+        return self._check(self.path_for(job), job)[1]
 
     def save(self, job: Job, result: SimulationResult) -> None:
         result_payload = result.to_json_dict()
@@ -459,27 +436,44 @@ class ResultStore:
         """Why an entry is (un)usable: ``"ok"``, ``"stale-schema"``, or
         a corruption reason (``"corrupt-json"``, ``"missing-checksum"``,
         ``"checksum-mismatch"``, ``"invalid-result"``, ``"unreadable"``)."""
+        return self._check(path)[0]
+
+    def _check(
+        self, path: Path, job: Optional[Job] = None
+    ) -> Tuple[str, Optional[SimulationResult]]:
+        """``(reason, result)`` for the entry at ``path``: the
+        :meth:`classify_entry` reason, and the result when it is
+        ``"ok"``.  Loading for ``job`` also arms the
+        ``store-read-corruption`` point and rejects an entry stored
+        under another key (a hash collision) as ``"key-mismatch"``."""
         try:
             text = path.read_text(encoding="utf-8")
         except OSError:
-            return "unreadable"
+            return "unreadable", None
+        if job is not None and injection.should_inject(
+            "store-read-corruption", app=job.app
+        ):
+            text = text[: max(1, len(text) // 2)]
         try:
             payload = json.loads(text)
         except json.JSONDecodeError:
-            return "corrupt-json"
+            return "corrupt-json", None
         if not isinstance(payload, dict):
-            return "corrupt-json"
+            return "corrupt-json", None
         if payload.get("schema_version") != self.schema_version:
-            return "stale-schema"
+            return "stale-schema", None
+        if job is not None and payload.get("key") != repr(job.key):
+            return "key-mismatch", None
         if "payload_sha256" not in payload:
-            return "missing-checksum"
+            return "missing-checksum", None
         if payload["payload_sha256"] != payload_checksum(payload.get("result", {})):
-            return "checksum-mismatch"
+            return "checksum-mismatch", None
         try:
-            SimulationResult.from_json_dict(payload["result"])
+            return "ok", SimulationResult.from_json_dict(payload["result"])
         except (KeyError, TypeError, ValueError, ReproError):
-            return "invalid-result"
-        return "ok"
+            # ReproError covers config validation rejecting tampered
+            # payloads (e.g. a negative node count).
+            return "invalid-result", None
 
     def verify(self, quarantine: bool = True) -> Dict[str, Any]:
         """Fsck every entry; corrupt ones move to ``quarantine/``.
@@ -695,11 +689,11 @@ class Executor:
             result = self.store.load(job)
             self.store_read_seconds += time.perf_counter() - t0
             if result is not None:
-                self.cache.put(job.key, result)
+                self.cache[job.key] = result
         return result
 
     def _insert(self, job: Job, result: SimulationResult) -> None:
-        self.cache.put(job.key, result)
+        self.cache[job.key] = result
         if self.store is not None:
             t0 = time.perf_counter()
             self.store.save(job, result)
@@ -834,27 +828,26 @@ class Executor:
             try:
                 for job, outcome in outcomes:
                     done += 1
-                    if outcome[0] == "ok":
-                        _, result, simulate_s, queue_wait_s = outcome
-                        write_before = self.store_write_seconds
-                        self._insert(job, result)
-                        resolved[job.key] = result
-                        self._profile(
-                            job, "simulated",
-                            queue_wait_s=queue_wait_s,
-                            simulate_s=simulate_s,
-                            store_write_s=self.store_write_seconds - write_before,
-                        )
-                        self._notify(done, total, job, "simulated")
-                    else:
-                        failure = outcome[1]
-                        self._failed[failure.key] = failure
-                        self.failures.append(failure)
-                        failed_now.append(failure)
+                    if isinstance(outcome, JobFailure):
+                        self._failed[outcome.key] = outcome
+                        self.failures.append(outcome)
+                        failed_now.append(outcome)
                         self._profile(job, "failed")
                         self._notify(done, total, job, "failed")
                         if self.retry.fail_fast:
                             raise SweepFailure(failed_now)
+                        continue
+                    _, result, simulate_s, queue_wait_s = outcome
+                    write_before = self.store_write_seconds
+                    self._insert(job, result)
+                    resolved[job.key] = result
+                    self._profile(
+                        job, "simulated",
+                        queue_wait_s=queue_wait_s,
+                        simulate_s=simulate_s,
+                        store_write_s=self.store_write_seconds - write_before,
+                    )
+                    self._notify(done, total, job, "simulated")
             finally:
                 outcomes.close()
 
@@ -862,46 +855,14 @@ class Executor:
             raise SweepFailure(failed_now)
         return [resolved[job.key] for job in jobs]
 
-    def _execute(self, pending: Sequence[Job]) -> Iterator[Tuple[Job, Tuple]]:
-        """Yield ``(job, outcome)`` per pending job as each resolves
-        (completion order), where ``outcome`` is
-        ``("ok", result, simulate_s, queue_wait_s)`` or
-        ``("failed", JobFailure)``.
-
-        The in-process serial path is used only when it can honor the
-        policy: a ``job_timeout`` needs a preemptible worker, so it
-        forces the supervised pool even with one worker / one job.
-        """
-        serial = (
-            self.workers == 1 or len(pending) == 1
-        ) and self.retry.job_timeout is None
-        if serial:
-            return self._execute_serial(pending)
-        return self._execute_pool(pending)
-
-    def _execute_serial(self, pending: Sequence[Job]) -> Iterator[Tuple[Job, Tuple]]:
-        policy = self.retry
-        spec = injection.active_spec()
-        for index, job in enumerate(pending):
-            attempt = 0
-            while True:
-                attempt += 1
-                envelope = _attempt_inline(job, self.engine, index, attempt, spec)
-                if envelope[0]:
-                    _, result, simulate_s, queue_wait_s = envelope
-                    yield job, ("ok", result, simulate_s, queue_wait_s)
-                    break
-                kind, error, tb = envelope[1]
-                if kind == "crash" and attempt < policy.max_attempts:
-                    delay = backoff_delay(policy, job.key, attempt)
-                    if delay:
-                        time.sleep(delay)
-                    continue
-                yield job, ("failed", self._failure(job, attempt, kind, error, tb))
-                break
-
-    def _execute_pool(self, pending: Sequence[Job]) -> Iterator[Tuple[Job, Tuple]]:
-        """The supervised dispatch loop.
+    def _execute(
+        self, pending: Sequence[Job]
+    ) -> Iterator[Tuple[Job, Union[Tuple, JobFailure]]]:
+        """The supervised dispatch loop: yield ``(job, outcome)`` per
+        pending job as each resolves (completion order), where
+        ``outcome`` is the attempt's success envelope
+        ``(True, result, simulate_s, queue_wait_s)`` or a
+        :class:`JobFailure`.
 
         Each pending job is submitted through ``apply_async`` with a
         per-job deadline; the supervisor polls completions, retries
@@ -909,6 +870,11 @@ class Executor:
         workers by recycling the entire pool (a stuck worker cannot be
         preempted individually).  In-flight bystanders of a recycle are
         re-dispatched without being charged an attempt.
+
+        With one slot and no ``job_timeout`` there is nothing to overlap
+        or preempt, so attempts go to :class:`_InProcessPool` and run in
+        this process.  A deadline needs a preemptible worker, so it
+        forces a real pool even for one worker and one job.
 
         One caveat the envelope cannot cover: a worker killed from
         *outside* (SIGKILL, the OOM killer) loses its task silently —
@@ -923,7 +889,10 @@ class Executor:
         ready_at: Dict[int, float] = {}
         payloads: Dict[int, Tuple] = {}
         inflight: Dict[int, Tuple[Job, Any, Optional[float]]] = {}
-        pool = multiprocessing.Pool(processes=size)
+        if size == 1 and policy.job_timeout is None:
+            pool = _InProcessPool()
+        else:
+            pool = multiprocessing.Pool(processes=size)
         try:
             while queue or inflight:
                 now = time.monotonic()
@@ -975,8 +944,7 @@ class Executor:
                             0.0,
                         )
                     if envelope[0]:
-                        _, result, simulate_s, queue_wait_s = envelope
-                        yield job, ("ok", result, simulate_s, queue_wait_s)
+                        yield job, envelope
                         continue
                     kind, error, tb = envelope[1]
                     if kind == "crash" and attempts[index] < policy.max_attempts:
@@ -985,10 +953,7 @@ class Executor:
                         )
                         queue.append((index, job))
                     else:
-                        yield job, (
-                            "failed",
-                            self._failure(job, attempts[index], kind, error, tb),
-                        )
+                        yield job, self._failure(job, attempts[index], kind, error, tb)
 
                 # Reap hung workers: any in-flight job past its
                 # deadline costs the whole pool (there is no telling
@@ -1016,17 +981,14 @@ class Executor:
                                 queue.append((index, job))
                             else:
                                 assert policy.job_timeout is not None
-                                yield job, (
-                                    "failed",
-                                    self._failure(
-                                        job,
-                                        attempts[index],
-                                        "timeout",
-                                        "job exceeded --job-timeout "
-                                        f"({policy.job_timeout:g}s); "
-                                        "worker pool recycled",
-                                        "",
-                                    ),
+                                yield job, self._failure(
+                                    job,
+                                    attempts[index],
+                                    "timeout",
+                                    "job exceeded --job-timeout "
+                                    f"({policy.job_timeout:g}s); "
+                                    "worker pool recycled",
+                                    "",
                                 )
                         else:
                             attempts[index] -= 1
@@ -1041,30 +1003,17 @@ class Executor:
     def run_app(
         self, app: str, config: SystemConfig, scale: float = 1.0
     ) -> SimulationResult:
-        """One job through the same cache/store layers (serial path).
+        """One job: the cached result, or :meth:`run` of just that job.
 
         After :meth:`run` has warmed the executor with a module's job
-        set, this is a pure in-memory lookup.  A key this executor has
-        already recorded as permanently failed raises
-        :class:`SweepFailure` instead of re-simulating it.
+        set, this is a pure in-memory lookup; otherwise the job takes
+        the sweep's path — store, retry policy, fault injection and
+        failure records — and a permanent failure raises
+        :class:`SweepFailure`.
         """
         job = Job(app=app, config=config, scale=scale)
-        prior = self._failed.get(repr(job.key))
-        if prior is not None:
-            raise SweepFailure([prior])
-        result = self._lookup(job)
-        if result is None:
-            t0 = time.perf_counter()
-            result = _simulate_job(job, self.engine)
-            simulate_s = time.perf_counter() - t0
-            write_before = self.store_write_seconds
-            self._insert(job, result)
-            self._profile(
-                job, "simulated",
-                simulate_s=simulate_s,
-                store_write_s=self.store_write_seconds - write_before,
-            )
-        return result
+        result = self.cache.get(job.key)
+        return result if result is not None else self.run([job])[0]
 
     def write_manifest(
         self, jobs: Sequence[Job], extra: Optional[Dict[str, Any]] = None

@@ -1,11 +1,12 @@
-"""Run (application, configuration) pairs with memoization.
+"""Identity and memoization of (application, configuration) runs.
 
 The figures overlap heavily — the ideal baseline appears in every one,
 the base CC/S/R systems in several — so a shared :class:`ResultCache`
 avoids re-simulating.  Keys capture everything that affects a run.
 
-For parallel fan-out and a persistent on-disk store, see
-:mod:`repro.experiments.executor`, which layers on top of this cache.
+Simulations run in :mod:`repro.experiments.executor`, which fills this
+cache (and a persistent on-disk store); :func:`run_app` is one job
+through it.
 """
 
 from __future__ import annotations
@@ -14,9 +15,7 @@ from dataclasses import fields, is_dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.common.params import SystemConfig
-from repro.sim.engine import simulate
 from repro.sim.results import SimulationResult
-from repro.workloads.registry import build_program
 
 #: type -> names of its compared dataclass fields (``()`` for a leaf
 #: type), looked up once per type so a key costs one pass over values.
@@ -48,41 +47,9 @@ def run_key(app: str, config: SystemConfig, scale: float = 1.0) -> Tuple:
     return (app, scale, config_key(config))
 
 
-class ResultCache:
-    """Memoizes simulation results per (app, scale, config)."""
-
-    def __init__(self) -> None:
-        self._results: Dict[Tuple, SimulationResult] = {}
-
-    def run(
-        self, app: str, config: SystemConfig, scale: float = 1.0
-    ) -> SimulationResult:
-        key = run_key(app, config, scale)
-        result = self._results.get(key)
-        if result is None:
-            program = build_program(
-                app, machine=config.machine, space=config.space, scale=scale
-            )
-            # Hand the compiled program straight to the engine: its
-            # columns run without a conversion pass and its memoized
-            # first-touch map is shared across protocols.
-            result = simulate(config, program)
-            self._results[key] = result
-        return result
-
-    def get(self, key: Tuple) -> Optional[SimulationResult]:
-        """Look up a memoized result by its :func:`run_key`."""
-        return self._results.get(key)
-
-    def put(self, key: Tuple, result: SimulationResult) -> None:
-        """Insert a result computed elsewhere (executor fan-out, store)."""
-        self._results[key] = result
-
-    def __len__(self) -> int:
-        return len(self._results)
-
-    def clear(self) -> None:
-        self._results.clear()
+class ResultCache(Dict[Tuple, SimulationResult]):
+    """Simulation results per :func:`run_key`: a plain map the executor
+    fills with fresh simulations and store hits."""
 
 
 _default_cache = ResultCache()
@@ -94,10 +61,12 @@ def run_app(
     scale: float = 1.0,
     cache: Optional[ResultCache] = None,
 ) -> SimulationResult:
-    """Simulate one application under one configuration (memoized)."""
-    if cache is None:
-        cache = _default_cache
-    return cache.run(app, config, scale)
+    """Simulate one application under one configuration (memoized),
+    through a serial :class:`~repro.experiments.executor.Executor`
+    over ``cache`` (the process-wide default when None)."""
+    from repro.experiments.executor import ensure_executor
+
+    return ensure_executor(None, cache).run_app(app, config, scale)
 
 
 def default_cache() -> ResultCache:

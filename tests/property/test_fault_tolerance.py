@@ -148,8 +148,8 @@ class TestCrashRecovery:
         monkeypatch.delenv(injection.ENV_VAR)
         attempts = []
         monkeypatch.setattr(
-            "repro.experiments.executor._simulate_job",
-            lambda _job: attempts.append(1),
+            "repro.experiments.executor._run_supervised",
+            lambda _payload: attempts.append(1),
         )
         with pytest.raises(SweepFailure) as exc_info:
             exe.run([job])
@@ -158,6 +158,28 @@ class TestCrashRecovery:
             exe.run_app(APP, cc_config(), SCALE)
         assert attempts == []
         assert exe.missing([job]) == []
+
+
+    def test_run_app_follows_the_retry_policy(self, baseline, monkeypatch):
+        """A one-job lookup takes the sweep's path: a crash past the
+        budget is recorded and raised, one within it is invisible."""
+        monkeypatch.setenv(injection.ENV_VAR, "worker-raise")
+        exe = Executor(
+            workers=1, cache=ResultCache(), retry=RetryPolicy(backoff=0.0)
+        )
+        with pytest.raises(SweepFailure):
+            exe.run_app(APP, cc_config(), SCALE)
+        (failure,) = exe.failures
+        assert failure.kind == "crash" and failure.attempts == 1
+
+        monkeypatch.setenv(injection.ENV_VAR, "worker-raise:times=1")
+        exe = Executor(
+            workers=1,
+            cache=ResultCache(),
+            retry=RetryPolicy(retries=1, backoff=0.0),
+        )
+        assert_results_equal(baseline[1], exe.run_app(APP, cc_config(), SCALE))
+        assert exe.failures == []
 
 
 class TestHangRecovery:

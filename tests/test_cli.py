@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 import os
 import pathlib
@@ -8,7 +9,7 @@ import sys
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import SECTIONS, build_parser, main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -180,11 +181,55 @@ def test_store_filled_by_one_engine_serves_the_other(capsys, tmp_path, monkeypat
     def boom(*args):
         raise AssertionError("simulated despite a store filled by another engine")
 
-    monkeypatch.setattr("repro.experiments.executor._simulate_job", boom)
+    monkeypatch.setattr("repro.experiments.executor._run_supervised", boom)
     assert run_cli(capsys, *argv, "--engine", "specialized") == first
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
     assert manifest["engine"] == "specialized"
     assert manifest["failures"] == []
+
+
+def test_section_commands_print_what_the_sweep_prints(capsys, tmp_path):
+    """Each figure, ablation and table command prints its section of
+    the ``reproduce`` report verbatim, served from the sweep's store."""
+    common = ("--scale", "0.05", "--store", str(tmp_path))
+    report = run_cli(capsys, "reproduce", "--apps", "em3d", *common)
+    for command, names in (
+        ("figure", "56789"),
+        ("ablation", ("placement", "relocation", "replacement")),
+    ):
+        for name in names:
+            out = run_cli(capsys, command, name, "--apps", "em3d", *common)
+            assert out in report, (command, name)
+    for number in "123":
+        assert run_cli(capsys, "table", number, *common) in report, number
+
+
+def test_section_parsers_offer_the_registry_names():
+    (commands,) = [
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    for command in ("figure", "table", "ablation"):
+        (name,) = [a for a in commands.choices[command]._actions if a.dest == "name"]
+        assert list(name.choices) == [
+            s.command[1] for s in SECTIONS if s.command and s.command[0] == command
+        ]
+    assert len(SECTIONS) == len({s.label for s in SECTIONS}) == 15
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("reproduce", "--scale", "0.05"),
+        ("figure", "6"),
+        ("ablation", "placement", "--retries", "2"),
+    ],
+)
+def test_unknown_app_in_a_sweep_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc_info:
+        main([*argv, "--apps", "em3d", "linpack"])
+    assert exc_info.value.code == 2
+    assert "linpack" in capsys.readouterr().err
 
 
 def test_reproduce_offers_only_production_engines():

@@ -17,7 +17,6 @@ from repro.experiments.executor import (
     Executor,
     Job,
     ResultStore,
-    _simulate_job,
     backoff_delay,
     ensure_executor,
 )
@@ -37,7 +36,7 @@ APP = "em3d"
 
 @pytest.fixture(scope="module")
 def fresh_result():
-    return _simulate_job(Job(APP, cc_config(), SCALE))
+    return Executor().run_app(APP, cc_config(), SCALE)
 
 
 def assert_results_equal(a: SimulationResult, b: SimulationResult) -> None:
@@ -153,10 +152,10 @@ class TestExecutor:
             [job]
         )
 
-        def boom(_job):
+        def boom(_payload):
             raise AssertionError("simulated despite warm store")
 
-        monkeypatch.setattr("repro.experiments.executor._simulate_job", boom)
+        monkeypatch.setattr("repro.experiments.executor._run_supervised", boom)
         cold_cache = Executor(
             workers=1, cache=ResultCache(), store=ResultStore(tmp_path)
         )

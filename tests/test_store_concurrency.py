@@ -17,7 +17,7 @@ import pytest
 
 from repro.common.errors import FaultInjected
 from repro.experiments.config import cc_config
-from repro.experiments.executor import Job, ResultStore, _simulate_job
+from repro.experiments.executor import Executor, Job, ResultStore
 from repro.faults import injection
 
 SCALE = 0.1
@@ -26,7 +26,7 @@ APP = "em3d"
 
 @pytest.fixture(scope="module")
 def fresh_result():
-    return _simulate_job(Job(APP, cc_config(), SCALE))
+    return Executor().run_app(APP, cc_config(), SCALE)
 
 
 def _hammer_saves(root, job, result, iterations):

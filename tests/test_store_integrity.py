@@ -14,7 +14,6 @@ from repro.experiments.executor import (
     Executor,
     Job,
     ResultStore,
-    _simulate_job,
     payload_checksum,
 )
 from repro.experiments.runner import ResultCache
@@ -25,7 +24,7 @@ APP = "em3d"
 
 @pytest.fixture(scope="module")
 def fresh_result():
-    return _simulate_job(Job(APP, cc_config(), SCALE))
+    return Executor().run_app(APP, cc_config(), SCALE)
 
 
 @pytest.fixture
@@ -184,7 +183,7 @@ class TestStoreCli:
     def _populate(self, tmp_path):
         store = ResultStore(tmp_path)
         store.save(
-            Job(APP, cc_config(), SCALE), _simulate_job(Job(APP, cc_config(), SCALE))
+            Job(APP, cc_config(), SCALE), Executor().run_app(APP, cc_config(), SCALE)
         )
         return store
 
