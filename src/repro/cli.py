@@ -30,9 +30,9 @@ Commands
     Regenerate every section of :data:`SECTIONS` (each figure and
     table, plus the ablations and the cluster-size, topology, and
     directory extensions) in one sweep, fanned out over ``--jobs``
-    worker processes and backed by the
-    persistent result store, so a second invocation does near-zero
-    simulation work.  ``--heartbeat`` streams per-job progress,
+    worker processes and backed by the persistent result store, so a
+    second invocation does near-zero simulation work.
+    ``--heartbeat`` streams per-job progress,
     ``--profile`` breaks down where the wall time went, and a run
     manifest is written next to the stored results.  ``--engine``
     picks the production backend; the backends are bit-identical, so

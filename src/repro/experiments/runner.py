@@ -64,6 +64,7 @@ def run_app(
     """Simulate one application under one configuration (memoized),
     through a serial :class:`~repro.experiments.executor.Executor`
     over ``cache`` (the process-wide default when None)."""
+    # Imported here: the executor module imports this one.
     from repro.experiments.executor import ensure_executor
 
     return ensure_executor(None, cache).run_app(app, config, scale)

@@ -159,7 +159,6 @@ class TestCrashRecovery:
         assert attempts == []
         assert exe.missing([job]) == []
 
-
     def test_run_app_follows_the_retry_policy(self, baseline, monkeypatch):
         """A one-job lookup takes the sweep's path: a crash past the
         budget is recorded and raised, one within it is invisible."""

@@ -139,6 +139,18 @@ class TestExecutor:
         assert results[0] is results[1] is results[2]
         assert len(exe.cache) == 1
 
+    def test_one_slot_without_deadline_starts_no_pool(self, monkeypatch):
+        """One worker, or one pending job, runs its attempts in process."""
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("started a worker pool for one slot")
+
+        monkeypatch.setattr("multiprocessing.Pool", no_pool)
+        jobs = [Job(APP, cc_config(), SCALE), Job(APP, ideal(), SCALE)]
+        assert len(Executor(workers=1, cache=ResultCache()).run(jobs)) == 2
+        (result,) = Executor(workers=4, cache=ResultCache()).run(jobs[:1])
+        assert result.exec_cycles > 0
+
     def test_results_in_input_order(self):
         cc, sc = Job(APP, cc_config(), SCALE), Job(APP, scoma_config(), SCALE)
         exe = Executor(workers=1, cache=ResultCache())
