@@ -31,7 +31,7 @@ Failure model
 -------------
 Each job owns an attempt budget (:class:`repro.common.params.RetryPolicy`):
 
-- a **crash** (any exception in the worker body, including injected
+- a **crash** (any exception in the attempt body, including injected
   ones) consumes an attempt and is retried after a deterministic
   exponential backoff (:func:`backoff_delay` — jitter is derived from
   the run key, no global random state);
