@@ -12,9 +12,9 @@ which:
 3. runs the remaining simulations through one *supervised* dispatch
    loop — every attempt is wrapped in an outcome envelope, so one
    crashing or hanging job can never abort the sweep.  The loop fans
-   out over ``workers`` processes; with one slot and no per-job
-   deadline there is nothing to overlap or preempt, so each attempt
-   runs in this process instead;
+   out over ``workers`` processes, which push each finished attempt
+   back to it; with one slot and no per-job deadline there is nothing
+   to overlap or preempt, so each attempt runs in this process instead;
 4. writes fresh results back to both layers as each job completes.
 
 :meth:`Executor.run_app` (one job, as the figure modules ask for their
@@ -68,15 +68,16 @@ import time
 import traceback as traceback_module
 from collections import deque
 from dataclasses import asdict, dataclass, fields
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import count
 from pathlib import Path
+from queue import Empty, SimpleQueue
 from typing import (
     Any,
     Callable,
     Dict,
     Iterator,
     List,
-    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -129,10 +130,6 @@ QUARANTINE_DIR = "quarantine"
 #: Default age below which an orphan ``.tmp`` is presumed to belong to
 #: a live concurrent writer and must not be garbage-collected.
 TMP_GC_AGE_S = 3600.0
-
-#: Supervisor poll period while waiting on worker completions; job
-#: granularity is seconds, so 20 ms adds no measurable latency.
-_POLL_INTERVAL_S = 0.02
 
 #: Ceiling on any single computed backoff delay.
 _BACKOFF_CAP_S = 30.0
@@ -235,8 +232,8 @@ def backoff_delay(policy: RetryPolicy, key: Tuple, attempt: int) -> float:
 def _job_payload(job: Job) -> Tuple[SystemConfig, object]:
     """What a worker needs to run ``job`` without regenerating anything:
     the config and the compiled program — packed trace columns (8 bytes
-    per reference, cheap to pickle) with the first-touch map already
-    memoized on it.
+    per reference, cheap to pickle) with the first-touch map and the
+    per-CPU profile already memoized on it.
 
     Generation and placement happen once in the parent — the registry
     cache dedups across the protocols of a sweep — so workers do pure
@@ -246,8 +243,10 @@ def _job_payload(job: Job) -> Tuple[SystemConfig, object]:
     program = build_program(
         job.app, machine=job.config.machine, space=job.config.space, scale=job.scale
     )
-    # Warm the memoized placement map so it ships inside the pickle.
+    # Warm the memoized placement map and profile so they ship inside
+    # the pickle instead of being rescanned by every attempt.
     program.first_touch_homes(job.config.machine, job.config.space)
+    program.per_cpu_profile()
     return (job.config, program)
 
 
@@ -293,26 +292,32 @@ def _run_supervised(payload: Tuple) -> Tuple:
         )
 
 
-class _ReadyHandle(NamedTuple):
-    """A finished in-process attempt, shaped like an ``AsyncResult``."""
-
-    envelope: Tuple
-
-    def ready(self) -> bool:
-        return True
-
-    def get(self) -> Tuple:
-        return self.envelope
+def _post(completions: SimpleQueue, index: int, submission: int, outcome: Any) -> None:
+    """Completion callback of one submitted attempt (success and error
+    alike): put ``(index, submission, envelope)`` on the supervisor's
+    queue.  An error delivery is pool plumbing — the attempt body never
+    raises — such as a result that would not pickle, so it becomes a
+    ``crash`` envelope of that job."""
+    if isinstance(outcome, BaseException):
+        outcome = (
+            False,
+            ("crash", f"{type(outcome).__name__}: {outcome}", ""),
+            0.0,
+            0.0,
+        )
+    completions.put((index, submission, outcome))
 
 
 class _InProcessPool:
     """The stand-in for ``multiprocessing.Pool`` when the dispatch loop
-    has one slot and no deadline: ``apply_async`` runs the attempt at
-    once and returns a ready handle, so there is no worker process to
-    feed and no completion to poll for."""
+    has one slot and no deadline: ``apply_async`` runs the attempt and
+    calls its completion callback at once, so there is no worker
+    process to feed and nothing to wait for."""
 
-    def apply_async(self, fn: Callable, args: Tuple) -> _ReadyHandle:
-        return _ReadyHandle(fn(*args))
+    def apply_async(
+        self, fn: Callable, args: Tuple, callback: Callable, error_callback: Callable
+    ) -> None:
+        callback(fn(*args))
 
     def terminate(self) -> None:
         """Nothing runs in the background, so nothing is stopped."""
@@ -865,14 +870,21 @@ class Executor:
         :class:`JobFailure`.
 
         Each pending job is submitted through ``apply_async`` with a
-        per-job deadline; the supervisor polls completions, retries
+        per-job deadline and a completion callback that puts its
+        envelope on a queue; the supervisor blocks on that queue, retries
         crashed jobs after their deterministic backoff, and reaps hung
         workers by recycling the entire pool (a stuck worker cannot be
         preempted individually).  In-flight bystanders of a recycle are
-        re-dispatched without being charged an attempt.
+        re-dispatched without being charged an attempt, and whatever the
+        old pool still delivers for them is ignored: every submission
+        has its own number.
 
-        With one slot and no ``job_timeout`` there is nothing to overlap
-        or preempt, so attempts go to :class:`_InProcessPool` and run in
+        Without a ``job_timeout`` each worker has one attempt running and
+        one queued, so it starts its next job without a round trip
+        through the supervisor.  A deadline counts from submission, so
+        with one each worker gets only the attempt it runs.  With one
+        slot and no ``job_timeout`` there is nothing to overlap or
+        preempt, so attempts go to :class:`_InProcessPool` and run in
         this process.  A deadline needs a preemptible worker, so it
         forces a real pool even for one worker and one job.
 
@@ -888,18 +900,22 @@ class Executor:
         attempts: Dict[int, int] = {}
         ready_at: Dict[int, float] = {}
         payloads: Dict[int, Tuple] = {}
-        inflight: Dict[int, Tuple[Job, Any, Optional[float]]] = {}
+        # index -> (job, submission number, deadline)
+        inflight: Dict[int, Tuple[Job, int, Optional[float]]] = {}
+        completions: SimpleQueue = SimpleQueue()
+        submissions = count()
         if size == 1 and policy.job_timeout is None:
-            pool = _InProcessPool()
+            pool, depth = _InProcessPool(), 1
         else:
             pool = multiprocessing.Pool(processes=size)
+            depth = size if policy.job_timeout is not None else 2 * size
         try:
             while queue or inflight:
                 now = time.monotonic()
                 # Fill free slots with dispatchable (not backoff-gated)
                 # jobs, preserving deterministic first-seen order.
                 for _ in range(len(queue)):
-                    if len(inflight) >= size:
+                    if len(inflight) >= depth:
                         break
                     index, job = queue.popleft()
                     if ready_at.get(index, 0.0) > now:
@@ -919,58 +935,46 @@ class Executor:
                         if policy.job_timeout is not None
                         else None
                     )
-                    inflight[index] = (
-                        job,
-                        pool.apply_async(_run_supervised, (payload,)),
-                        deadline,
+                    submission = next(submissions)
+                    inflight[index] = (job, submission, deadline)
+                    post = partial(_post, completions, index, submission)
+                    pool.apply_async(
+                        _run_supervised,
+                        (payload,),
+                        callback=post,
+                        error_callback=post,
                     )
 
-                # Reap completions (the envelope means get() never
-                # raises worker exceptions; anything it does raise is
-                # pool plumbing, treated as a crash of that job).
-                progressed = False
-                for index, (job, handle, _) in list(inflight.items()):
-                    if not handle.ready():
+                # Block until a completion, the next deadline, or the
+                # next backoff expiry.  A backoff counts only while a
+                # slot is free to take its job; otherwise an expired one
+                # would turn every wait into a spin.
+                wakes = [d for _, _, d in inflight.values() if d is not None]
+                if len(inflight) < depth:
+                    wakes.extend(ready_at.get(index, 0.0) for index, _ in queue)
+                try:
+                    index, submission, envelope = completions.get(
+                        timeout=max(0.0, min(wakes) - time.monotonic())
+                        if wakes
+                        else None
+                    )
+                except Empty:
+                    # Reap hung workers: any in-flight job past its
+                    # deadline costs the whole pool (there is no
+                    # telling which worker process is the stuck one), so
+                    # terminate and rebuild it.  The hung job is charged
+                    # an attempt; innocent in-flight bystanders are not.
+                    now = time.monotonic()
+                    expired = [
+                        index
+                        for index, (_, _, deadline) in inflight.items()
+                        if deadline is not None and now >= deadline
+                    ]
+                    if not expired:
                         continue
-                    del inflight[index]
-                    progressed = True
-                    try:
-                        envelope = handle.get()
-                    except Exception as exc:
-                        envelope = (
-                            False,
-                            ("crash", f"{type(exc).__name__}: {exc}", ""),
-                            0.0,
-                            0.0,
-                        )
-                    if envelope[0]:
-                        yield job, envelope
-                        continue
-                    kind, error, tb = envelope[1]
-                    if kind == "crash" and attempts[index] < policy.max_attempts:
-                        ready_at[index] = time.monotonic() + backoff_delay(
-                            policy, job.key, attempts[index]
-                        )
-                        queue.append((index, job))
-                    else:
-                        yield job, self._failure(job, attempts[index], kind, error, tb)
-
-                # Reap hung workers: any in-flight job past its
-                # deadline costs the whole pool (there is no telling
-                # which worker process is the stuck one), so terminate
-                # and rebuild it.  The hung job is charged an attempt;
-                # innocent in-flight bystanders are not.
-                now = time.monotonic()
-                expired = [
-                    index
-                    for index, (_, handle, deadline) in inflight.items()
-                    if deadline is not None and now >= deadline and not handle.ready()
-                ]
-                if expired:
                     pool.terminate()
                     pool.join()
                     pool = multiprocessing.Pool(processes=size)
-                    progressed = True
                     for index, (job, _, _) in list(inflight.items()):
                         del inflight[index]
                         if index in expired:
@@ -993,9 +997,22 @@ class Executor:
                         else:
                             attempts[index] -= 1
                             queue.append((index, job))
+                    continue
 
-                if not progressed:
-                    time.sleep(_POLL_INTERVAL_S)
+                if inflight.get(index, (None, None))[1] != submission:
+                    continue  # an attempt of a pool recycled since
+                job = inflight.pop(index)[0]
+                if envelope[0]:
+                    yield job, envelope
+                    continue
+                kind, error, tb = envelope[1]
+                if kind == "crash" and attempts[index] < policy.max_attempts:
+                    ready_at[index] = time.monotonic() + backoff_delay(
+                        policy, job.key, attempts[index]
+                    )
+                    queue.append((index, job))
+                else:
+                    yield job, self._failure(job, attempts[index], kind, error, tb)
         finally:
             pool.terminate()
             pool.join()

@@ -6,6 +6,9 @@ paper's shapes.
 """
 
 import json
+import multiprocessing.pool
+import threading
+import time
 
 import pytest
 
@@ -185,6 +188,109 @@ class TestExecutor:
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
             Executor(workers=0)
+
+
+def _instant_attempt(payload):
+    """An attempt body that returns at once (module level, so it
+    pickles by name; forked workers inherit the patch)."""
+    return (True, "fresh", 0.0, 0.0)
+
+
+def _instant_jobs(n):
+    """``n`` distinct jobs."""
+    return [Job(APP, cc_config(), SCALE * (i + 1)) for i in range(n)]
+
+
+@pytest.fixture
+def instant_attempts(monkeypatch):
+    """Attempts that return at once, for payloads that build no program."""
+    monkeypatch.setattr(
+        "repro.experiments.executor._run_supervised", _instant_attempt
+    )
+    monkeypatch.setattr(
+        "repro.experiments.executor._job_payload", lambda job: (job.config, None)
+    )
+
+
+class TestDispatchLoop:
+    """The supervisor is woken by each completion, not by a timer, and
+    keeps each worker's next attempt queued unless a deadline forbids."""
+
+    def test_completions_are_pushed_not_polled(self, instant_attempts):
+        exe = Executor(workers=2, cache=ResultCache())
+        t0 = time.monotonic()
+        results = exe.run(_instant_jobs(200))
+        assert time.monotonic() - t0 < 1.0
+        assert results == ["fresh"] * 200
+
+    @pytest.mark.parametrize("job_timeout, depth", [(None, 4), (60.0, 2)])
+    def test_submitted_attempts_stay_within_depth(
+        self, instant_attempts, monkeypatch, job_timeout, depth
+    ):
+        """Two attempts per worker (one running, one queued) without a
+        deadline; one per worker with one, since a deadline counts from
+        submission."""
+        lock = threading.Lock()
+        outstanding = [0]
+        peaks = []
+
+        class CountingPool(multiprocessing.pool.Pool):
+            def apply_async(self, fn, args, callback, error_callback):
+                with lock:
+                    outstanding[0] += 1
+                    peaks.append(outstanding[0])
+
+                def finished(outcome):
+                    with lock:
+                        outstanding[0] -= 1
+                    callback(outcome)
+
+                return super().apply_async(
+                    fn, args, callback=finished, error_callback=finished
+                )
+
+        monkeypatch.setattr("multiprocessing.Pool", CountingPool)
+        exe = Executor(
+            workers=2, cache=ResultCache(), retry=RetryPolicy(job_timeout=job_timeout)
+        )
+        assert exe.run(_instant_jobs(40)) == ["fresh"] * 40
+        assert len(peaks) == 40 and max(peaks) == depth
+
+    def test_deliveries_from_a_recycled_pool_are_ignored(
+        self, instant_attempts, monkeypatch
+    ):
+        """Every attempt of the first pool hangs past its deadline; when
+        that pool is terminated it still delivers them.  Only the
+        retries' results may count."""
+        pools = []
+
+        class RecycledOnce:
+            def __init__(self, processes):
+                self.held = []
+                pools.append(self)
+
+            def apply_async(self, fn, args, callback, error_callback):
+                if len(pools) == 1:
+                    self.held.append(callback)
+                else:
+                    callback(fn(*args))
+
+            def terminate(self):
+                for callback in self.held:
+                    callback((True, "stale", 0.0, 0.0))
+                self.held = []
+
+            def join(self):
+                pass
+
+        monkeypatch.setattr("multiprocessing.Pool", RecycledOnce)
+        exe = Executor(
+            workers=2,
+            cache=ResultCache(),
+            retry=RetryPolicy(retries=1, job_timeout=0.05, backoff=0.0),
+        )
+        assert exe.run(_instant_jobs(2)) == ["fresh", "fresh"]
+        assert len(pools) == 2 and exe.failures == []
 
 
 class TestTelemetry:

@@ -12,8 +12,9 @@ keyed by app plus a label of its configuration, with the job's
 without its ``config`` entry, hashed like the store's integrity hash),
 plus the sha256 of the report the sweep prints (``report_sha256``), so
 a change to how the report is assembled cannot pass unnoticed either.
-The sweep runs once per production engine, and both must match the
-checked-in digest.
+The sweep runs once per production engine, and once more under
+run-ahead with ``--jobs 2`` for the worker-pool path; every run must
+match the checked-in digest.
 
 A change that moves simulated results on purpose regenerates the
 digest, and bumps the store schema, in the same change:
@@ -55,13 +56,13 @@ def config_label(config: dict) -> str:
     )
 
 
-def sweep_digest(engine: str, store: pathlib.Path) -> tuple:
-    """Run the sweep under ``engine`` into the empty ``store`` (in a
-    fresh interpreter, so nothing leaks into this process) and digest
-    it: ``(sha256 of the report on stdout, {label: {exec_cycles,
-    sha256}} for every stored result)``."""
+def sweep_digest(engine: str, store: pathlib.Path, workers: int = 1) -> tuple:
+    """Run the sweep under ``engine`` with ``workers`` processes into the
+    empty ``store`` (in a fresh interpreter, so nothing leaks into this
+    process) and digest it: ``(sha256 of the report on stdout, {label:
+    {exec_cycles, sha256}} for every stored result)``."""
     proc = subprocess.run(
-        [sys.executable, "-m", "repro", *SWEEP_ARGS,
+        [sys.executable, "-m", "repro", *SWEEP_ARGS, "--jobs", str(workers),
          "--engine", engine, "--store", str(store)],
         cwd=ROOT,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
@@ -80,15 +81,22 @@ def sweep_digest(engine: str, store: pathlib.Path) -> tuple:
     return hashlib.sha256(proc.stdout).hexdigest(), jobs
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_sweep_matches_the_golden_digest(engine, tmp_path):
+def assert_matches_golden(report: str, got: dict) -> None:
     pinned = json.loads(GOLDEN.read_text())
     golden = pinned["jobs"]
-    report, got = sweep_digest(engine, tmp_path / "store")
     assert sorted(got) == sorted(golden), "the sweep's job set changed"
     moved = sorted(label for label, pin in golden.items() if got[label] != pin)
     assert not moved, f"{len(moved)} of {len(golden)} jobs moved, first: {moved[:3]}"
     assert report == pinned["report_sha256"], "the rendered report changed"
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_sweep_matches_the_golden_digest(engine, tmp_path):
+    assert_matches_golden(*sweep_digest(engine, tmp_path / "store"))
+
+
+def test_pool_sweep_matches_the_golden_digest(tmp_path):
+    assert_matches_golden(*sweep_digest("runahead", tmp_path / "store", workers=2))
 
 
 def main() -> None:

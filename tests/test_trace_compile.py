@@ -338,7 +338,7 @@ class TestCrossProtocolReuse:
         for _, program in payloads[1:]:
             assert program is first_program
 
-    def test_payload_pickles_with_warm_placement(self):
+    def test_payload_pickles_with_warm_placement(self, monkeypatch):
         import pickle
 
         config, program = _job_payload(Job("em3d", cc_config(), 0.1))
@@ -347,6 +347,13 @@ class TestCrossProtocolReuse:
         )
         assert back_program.columns == program.columns
         assert back_program._homes_cache == program._homes_cache
+
+        # The per-CPU profile ships too: a worker never rescans columns.
+        def rescan(column):
+            raise AssertionError("a shipped program rescanned its columns")
+
+        monkeypatch.setattr("repro.workloads.compile.column_profile", rescan)
+        assert back_program.per_cpu_profile() == program.per_cpu_profile()
         result = simulate(back_config, back_program)
         assert result.exec_cycles > 0
 
