@@ -36,14 +36,10 @@ pre-columnar set/dict/object structures from :mod:`repro.sim.legacy`),
 so each speedup measures the scheduler and the state-layout overhaul
 together.
 
-Every scenario also times the per-config specialized miss path
-(:class:`~repro.sim.specialized.SpecializedEngine`) and records
-``specialized_refs_per_s`` /
-``specialized_speedup`` (vs reference) / ``specialized_vs_runahead``.
 ``--profile`` additionally runs the four miss-dominated scenarios under
-cProfile and records each engine's ``_miss`` share of run wall time in
-a ``profile`` section — the fraction of the run the specialization can
-actually touch, which bounds its possible win.
+cProfile and records the run-ahead engine's ``_miss`` share of run wall
+time in a ``profile`` section — the fraction of the run a miss-path
+optimisation can actually touch, which bounds its possible win.
 
 Results are also written as ``benchmarks/BENCH_engine.json`` by
 ``python -m benchmarks.bench_engine`` so the refs/sec trajectory is
@@ -70,7 +66,6 @@ from repro.experiments.executor import Executor, Job
 from repro.experiments.runner import ResultCache
 from repro.sim.engine import SimulationEngine, simulate
 from repro.sim.reference import ReferenceEngine
-from repro.sim.specialized import SpecializedEngine
 from repro.workloads.compile import CompiledProgram
 from repro.workloads.registry import build_program
 
@@ -263,15 +258,6 @@ def _compare(config, program, repeats: int) -> dict:
         ),
         "mean_run_length": refs / fast_sched["drains"] if fast_sched["drains"] else 0.0,
     }
-    spec_r, spec_dt, _spec_sched = _time_engine(
-        SpecializedEngine, config, program, repeats
-    )
-    assert _results_identical(spec_r, slow_r), (
-        "specialized and reference engines disagree — benchmark void"
-    )
-    row["specialized_refs_per_s"] = refs / spec_dt
-    row["specialized_speedup"] = slow_dt / spec_dt
-    row["specialized_vs_runahead"] = fast_dt / spec_dt
     return row
 
 
@@ -388,42 +374,6 @@ def assert_miss_path_floor(
     return measured
 
 
-#: scenarios the specialized-backend floor tracks: the issue's four
-#: acceptance scenarios (the end-to-end mix plus the three
-#: miss-dominated streams the specialization targets).
-SPECIALIZED_SCENARIOS = ("app", "miss_stream", "migratory", "page_thrash")
-
-
-def assert_specialized_floor(
-    numbers: dict, recorded: dict, tolerance: float = 0.9
-) -> float:
-    """CI gate: the specialized backend's standing vs run-ahead must
-    not regress >10% against the recorded ``BENCH_engine.json``.
-
-    Same geomean construction as :func:`assert_miss_path_floor`, over
-    ``specialized_vs_runahead`` for :data:`SPECIALIZED_SCENARIOS`.
-    Skips (returns 0.0) when the recorded JSON predates the specialized
-    columns.  Returns the measured geomean.
-    """
-    measured = 1.0
-    baseline = 1.0
-    for name in SPECIALIZED_SCENARIOS:
-        m = numbers["scenarios"][name].get("specialized_vs_runahead")
-        b = recorded["scenarios"][name].get("specialized_vs_runahead")
-        if m is None or b is None:
-            return 0.0
-        measured *= m
-        baseline *= b
-    measured **= 1 / len(SPECIALIZED_SCENARIOS)
-    baseline **= 1 / len(SPECIALIZED_SCENARIOS)
-    floor = tolerance * baseline
-    assert measured >= floor, (
-        f"specialized-engine speedup geomean {measured:.2f}x regressed below "
-        f"{floor:.2f}x (recorded {baseline:.2f}x - 10%)"
-    )
-    return measured
-
-
 def run_obs_overhead(scale: float = 0.1, repeats: int = 9) -> dict:
     """Cost of the *disabled* instrumentation layer on the miss path.
 
@@ -510,15 +460,15 @@ def assert_obs_off_floor(numbers: dict, tolerance: float = 0.02) -> float:
 def profile_miss_share(scale: float = 0.25) -> dict:
     """Per-scenario ``_miss`` share of run wall time, under cProfile.
 
-    For each of :data:`SPECIALIZED_SCENARIOS`, runs the run-ahead and
-    specialized engines once under the profiler and reports the
-    cumulative time spent in ``_miss`` (the interpreted method or the
-    generated closure — callees included) as a fraction of the whole
-    run.  That fraction bounds what miss-path specialization can win:
-    a scenario at 0.5 caps the end-to-end speedup at 2x even for a
-    free ``_miss``.  cProfile's per-call overhead inflates call-heavy
-    code, so these shares are for *attribution*, not for cross-engine
-    speedup claims — the wall-clock columns above are the comparison.
+    For the end-to-end app scenario and the three miss-dominated
+    streams, runs the run-ahead engine once under the profiler and
+    reports the cumulative time spent in ``_miss`` (callees included)
+    as a fraction of the whole run.  That fraction bounds what a
+    miss-path optimisation can win: a scenario at 0.5 caps the
+    end-to-end speedup at 2x even for a free ``_miss``.  cProfile's
+    per-call overhead inflates call-heavy code, so these shares are
+    for *attribution*, not for speedup claims — the wall-clock columns
+    above are the comparison.
     """
     import cProfile
     import pstats
@@ -536,29 +486,23 @@ def profile_miss_share(scale: float = 0.25) -> dict:
     }
     report = {}
     for name, (config, program) in cases.items():
-        row = {}
-        for label, engine_cls in (
-            ("runahead", SimulationEngine),
-            ("specialized", SpecializedEngine),
-        ):
-            engine = engine_cls(config, program)
-            profiler = cProfile.Profile()
-            profiler.enable()
-            engine.run()
-            profiler.disable()
-            stats = pstats.Stats(profiler)
-            total = stats.total_tt
-            miss = max(
-                (
-                    ct
-                    for (_fn, _line, func), (_cc, _nc, _tt, ct, _callers)
-                    in stats.stats.items()
-                    if func == "_miss"
-                ),
-                default=0.0,
-            )
-            row[f"{label}_miss_share"] = miss / total if total else 0.0
-        report[name] = row
+        engine = SimulationEngine(config, program)
+        profiler = cProfile.Profile()
+        profiler.enable()
+        engine.run()
+        profiler.disable()
+        stats = pstats.Stats(profiler)
+        total = stats.total_tt
+        miss = max(
+            (
+                ct
+                for (_fn, _line, func), (_cc, _nc, _tt, ct, _callers)
+                in stats.stats.items()
+                if func == "_miss"
+            ),
+            default=0.0,
+        )
+        report[name] = {"runahead_miss_share": miss / total if total else 0.0}
     return report
 
 
@@ -618,7 +562,7 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument(
         "--profile", action="store_true",
-        help="also record each engine's _miss share of wall time "
+        help="also record run-ahead's _miss share of wall time "
              "(cProfile) per miss scenario",
     )
     args = parser.parse_args(argv)
@@ -626,12 +570,6 @@ def main(argv=None) -> int:
 
     numbers = run_engine_comparison(scale=scale, repeats=args.repeats)
     assert_engine_win(numbers)
-    # Also record the smoke scale: a backend's standing vs run-ahead
-    # depends on run *length* (short runs amortize less of the
-    # per-engine setup), so CI's scale-0.1 measurement needs a
-    # scale-0.1 baseline to be compared against.
-    smoke = run_engine_comparison(scale=0.1, repeats=2)
-    numbers["smoke"] = {"scale": smoke["scale"], "scenarios": smoke["scenarios"]}
     # Record the disabled-instrumentation cost alongside (and gate it:
     # a BENCH refresh must not land a tax on the plain hot path).
     # More repeats than the engine comparison: the 2% tolerance needs
@@ -642,20 +580,17 @@ def main(argv=None) -> int:
         numbers["profile"] = profile_miss_share(scale=min(scale, 0.25))
     path = write_bench_json(numbers)
     for name, s in numbers["scenarios"].items():
-        line = (
+        print(
             f"{name:14s} {s['runahead_refs_per_s'] / 1e3:8.0f}k refs/s "
             f"(reference {s['reference_refs_per_s'] / 1e3:8.0f}k) "
             f"speedup {s['speedup']:.2f}x  heap_ops/ref {s['heap_ops_per_ref']:.4f}  "
             f"mean_run {s['mean_run_length']:.1f}  miss {s['miss_rate'] * 100:.1f}%"
         )
-        line += f"  specialized {s['specialized_vs_runahead']:.2f}x vs run-ahead"
-        print(line)
     if args.profile:
         for name, row in numbers["profile"].items():
             print(
                 f"{name:14s} _miss share: runahead "
-                f"{row['runahead_miss_share'] * 100:.0f}%  specialized "
-                f"{row['specialized_miss_share'] * 100:.0f}%"
+                f"{row['runahead_miss_share'] * 100:.0f}%"
             )
     print(f"wrote {path}")
     return 0

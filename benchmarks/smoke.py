@@ -61,10 +61,8 @@ def main() -> int:
     from benchmarks.bench_engine import (
         BENCH_JSON,
         MISS_SCENARIOS,
-        SPECIALIZED_SCENARIOS,
         assert_engine_win,
         assert_miss_path_floor,
-        assert_specialized_floor,
         measure_allocations,
         run_engine_comparison,
     )
@@ -89,23 +87,6 @@ def main() -> int:
             f"speedup {s['speedup']:.2f}x  miss {s['miss_rate'] * 100:.0f}%"
         )
     print(f"miss path ok  geomean speedup {geomean:.2f}x (gate: no >10% regression)")
-
-    # Specialized-backend floor: the partially evaluated miss path's
-    # standing vs run-ahead (geomean over the four acceptance
-    # scenarios) must not regress >10% vs the recorded JSON.
-    geomean = assert_specialized_floor(numbers, recorded.get("smoke", recorded))
-    for name in SPECIALIZED_SCENARIOS:
-        s = numbers["scenarios"][name]
-        print(
-            f"specialized ok {name:13s} "
-            f"{s['specialized_refs_per_s'] / 1e3:6.0f}k refs/s "
-            f"({s['specialized_vs_runahead']:.2f}x vs run-ahead)"
-        )
-    if geomean:
-        print(
-            f"specialized ok geomean {geomean:.2f}x vs run-ahead "
-            "(gate: no >10% regression)"
-        )
 
     # Disabled-instrumentation floor: with ObsParams off (the default),
     # dispatching through simulate() must cost <= 2% vs constructing

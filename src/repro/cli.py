@@ -124,7 +124,7 @@ from repro.experiments.executor import (
 from repro.interconnect.routing import routing_table_for
 from repro.interconnect.topology import TOPOLOGIES, topology_names
 from repro.sim.engine import simulate
-from repro.sim.factory import ENGINES, PRODUCTION_ENGINES, engine_backends
+from repro.sim.factory import ENGINES, engine_backends
 from repro.workloads.registry import APPLICATIONS, build_program, workload_names
 
 _PROTOCOL_CONFIGS = {
@@ -275,7 +275,7 @@ def _add_apps_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--apps", nargs="*", choices=workload_names(), default=None)
 
 
-def _make_executor(args: argparse.Namespace, engine: str = "runahead") -> Executor:
+def _make_executor(args: argparse.Namespace) -> Executor:
     store = None
     if not args.no_store:
         root = Path(args.store) if args.store else default_store_dir()
@@ -292,7 +292,7 @@ def _make_executor(args: argparse.Namespace, engine: str = "runahead") -> Execut
         )
     except ConfigurationError as exc:
         raise SystemExit(f"repro: {exc}")
-    return Executor(workers=args.jobs, store=store, retry=retry, engine=engine)
+    return Executor(workers=args.jobs, store=store, retry=retry)
 
 
 def _print_failure_table(failures: Sequence[JobFailure]) -> None:
@@ -468,12 +468,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_apps_arg(rep_p)
     rep_p.add_argument(
         "--engine",
-        choices=PRODUCTION_ENGINES,
+        choices=("runahead",),
         default="runahead",
         help=(
-            "engine backend for the whole sweep (default: runahead; "
-            "backends are bit-identical, so figures, tables and store "
-            "entries do not change — only wall time does)"
+            "selects nothing: a sweep always runs on runahead, the one "
+            "production engine; the flag stays so scripts that pass "
+            "--engine runahead keep working"
         ),
     )
     rep_p.add_argument(
@@ -823,7 +823,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     """Full paper sweep: one deduplicated job set, one executor."""
     import time
 
-    executor = _make_executor(args, engine=args.engine)
+    executor = _make_executor(args)
     if args.heartbeat:
         start = time.perf_counter()
 
@@ -991,6 +991,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         # failures here; reproduce handles its own (partial render).
         _print_failure_table(exc.failures)
         return 1
+    except ConfigurationError as exc:
+        # A configuration the chosen engine refuses (the reference
+        # engine on a directory that can overflow) is a usage error.
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
     return rc
 
 

@@ -140,8 +140,7 @@ def compute_placement_ablation(
 
     Round-robin homes are outside the run-key space (the key does not
     capture a user-supplied home map), so those runs are simulated
-    directly, on the executor's engine, rather than through its
-    cache/store.
+    directly rather than through the executor's cache/store.
     """
     apps = list(apps or DEFAULT_ABLATION_APPS)
     exe = ensure_executor(executor, cache)
@@ -156,7 +155,7 @@ def compute_placement_ablation(
         cfg = cc_config()
         program = build_program(app, machine=cfg.machine, space=cfg.space, scale=scale)
         homes = round_robin_homes(program, cfg.machine, cfg.space)
-        round_robin = simulate(cfg, program, dict(homes), engine=exe.engine)
+        round_robin = simulate(cfg, program, dict(homes))
         out.normalized[app] = {
             "CC first-touch": first_touch.normalized_to(base),
             "CC round-robin": round_robin.normalized_to(base),

@@ -22,10 +22,7 @@ results) is a cache lookup in front of the same :meth:`Executor.run`.
 
 Simulations are deterministic, so a parallel run produces bit-identical
 results to a serial one, and a second ``python -m repro reproduce``
-against a warm store does near-zero simulation work.  The engine
-backends are bit-identical too, so the executor's ``engine`` is no
-part of a job's key: a store filled by one backend serves them all,
-and the run manifest records which one ran.
+against a warm store does near-zero simulation work.
 
 Failure model
 -------------
@@ -84,7 +81,7 @@ from typing import (
     Union,
 )
 
-from repro.common.errors import ConfigurationError, FaultInjected, ReproError
+from repro.common.errors import FaultInjected, ReproError
 from repro.common.params import (
     RetryPolicy,
     SystemConfig,
@@ -94,7 +91,6 @@ from repro.common.params import (
 from repro.experiments.runner import ResultCache, default_cache, run_key
 from repro.faults import injection
 from repro.sim.engine import simulate
-from repro.sim.factory import ENGINES
 from repro.sim.results import SimulationResult
 from repro.workloads.registry import build_program
 
@@ -267,7 +263,7 @@ def _run_supervised(payload: Tuple) -> Tuple:
     processes.  ``faults_spec`` travels in the payload too: injection
     must not depend on environment inheritance across start methods.
     """
-    config, program, engine, submitted_at, faults_spec, app, index, attempt = payload
+    config, program, submitted_at, faults_spec, app, index, attempt = payload
     queue_wait = max(0.0, time.time() - submitted_at)
     try:
         injection.maybe_hang(
@@ -277,7 +273,7 @@ def _run_supervised(payload: Tuple) -> Tuple:
             "worker-raise", spec=faults_spec, app=app, index=index, attempt=attempt
         )
         t0 = time.perf_counter()
-        result = simulate(config, program, engine=engine)
+        result = simulate(config, program)
         return (True, result, time.perf_counter() - t0, queue_wait)
     except Exception as exc:
         return (
@@ -631,17 +627,10 @@ class Executor:
         store: Optional[ResultStore] = None,
         progress: Optional[Callable[[int, int, Job, str], None]] = None,
         retry: Optional[RetryPolicy] = None,
-        engine: str = "runahead",
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if engine not in ENGINES:
-            raise ConfigurationError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}"
-            )
         self.workers = workers
-        #: Engine backend every simulation of this executor runs on.
-        self.engine = engine
         self.cache = cache if cache is not None else ResultCache()
         self.store = store
         #: Failure policy: per-job retries, deadline, backoff, fail-fast.
@@ -927,9 +916,7 @@ class Executor:
                     if base is None:
                         base = _job_payload(job)
                         payloads[index] = base
-                    payload = base + (
-                        self.engine, time.time(), spec, job.app, index, attempt
-                    )
+                    payload = base + (time.time(), spec, job.app, index, attempt)
                     deadline = (
                         now + policy.job_timeout
                         if policy.job_timeout is not None
@@ -1052,7 +1039,7 @@ class Executor:
         manifest: Dict[str, Any] = {
             "schema_version": self.store.schema_version,
             "provenance": provenance_block(),
-            "engine": self.engine,
+            "engine": "runahead",
             "workers": self.workers,
             "retry_policy": {
                 "retries": self.retry.retries,

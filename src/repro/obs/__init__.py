@@ -14,7 +14,7 @@ simulator.  Three design rules govern everything in it:
 2. **Observational only when on.**  The hooks read simulator state and
    forward return values untouched; a traced run produces bit-identical
    :class:`~repro.sim.results.SimulationResult`\\ s to an untraced one
-   (pinned across all three engine backends by
+   (pinned across both engine backends by
    ``tests/property/test_obs_differential.py``).
 3. **Stable, validated formats.**  Traces are Chrome-trace-event JSON
    (Perfetto-loadable), metrics are JSONL; both have checked-in schemas

@@ -9,23 +9,20 @@ place instrumentation touches the hot path.  The contract it exploits:
   and installing nothing leaves the engine byte-identical to an
   uninstrumented build (the zero-cost-off invariant).
 * The hook's calling convention is declared by the ``_MISS_HOOK`` class
-  attribute: ``"columnar"`` for the 5-argument
-  ``(cpu, b, w, st, now) -> lat`` form shared by the run-ahead and
-  specialized engines (the specialized engine binds its generated
-  closure as an *instance* attribute with the same signature, which the
-  wrapper captures transparently), and ``"legacy"`` for the reference
-  engine's 7-argument ``(cpu, node, l1, b, w, st, now) -> lat`` form.
+  attribute: ``"columnar"`` for the run-ahead engine's 5-argument
+  ``(cpu, b, w, st, now) -> lat`` form, and ``"legacy"`` for the
+  reference engine's 7-argument ``(cpu, node, l1, b, w, st, now) -> lat``
+  form.
 * Every stat mutation a miss performs on behalf of the requester —
   including those made inside the osint page services and the
   protocol policies — lands on the requesting node's ``NodeStats``.
   Snapshotting the node's live counters around the inner call therefore
-  classifies the transaction without knowing which engine (or which
-  generated specialization) executed it.
+  classifies the transaction without knowing which engine executed it.
 
 The wrapper is observational only: it forwards arguments and the
 returned latency untouched and mutates no simulator state, so traced
 runs are bit-identical to untraced ones (pinned by
-``tests/property/test_obs_differential.py`` across all three engines).
+``tests/property/test_obs_differential.py`` across both engines).
 """
 
 from __future__ import annotations
@@ -242,7 +239,7 @@ class _Observer:
 def _install(engine: Any, observer: _Observer) -> None:
     """Replace ``engine._miss`` with the observing wrapper."""
     hook = getattr(type(engine), "_MISS_HOOK", None)
-    inner = engine._miss  # instance attr (specialized) or bound method
+    inner = engine._miss
     snapshot = TRACKED_COUNTERS
     shift = engine._block_page_shift
     if hook == "columnar":

@@ -2,28 +2,24 @@
 model with per-processor clocks, contention, and barrier synchronization,
 and produces a :class:`SimulationResult`.
 
-Three schedulers share one miss-path contract, selected by name (see
+Two schedulers share one miss-path contract, selected by name (see
 :mod:`repro.sim.factory`): the run-ahead engine (:func:`simulate`'s
-default, the production path), the per-config partially evaluated miss
-path (:func:`simulate_specialized`), and the classic
-one-event-per-reference loop (:func:`simulate_reference`, the
-differential-testing oracle and benchmark baseline).
+default, the production path) and the classic one-event-per-reference
+loop (:func:`simulate_reference`, the differential-testing oracle and
+benchmark baseline).
 """
 
 from repro.sim.engine import SimulationEngine, simulate
 from repro.sim.factory import engine_backends, make_engine
 from repro.sim.reference import ReferenceEngine, simulate_reference
 from repro.sim.results import SimulationResult
-from repro.sim.specialized import SpecializedEngine, simulate_specialized
 
 __all__ = [
     "ReferenceEngine",
     "SimulationEngine",
     "SimulationResult",
-    "SpecializedEngine",
     "engine_backends",
     "make_engine",
     "simulate",
     "simulate_reference",
-    "simulate_specialized",
 ]

@@ -134,8 +134,7 @@ class SimulationEngine:
 
     #: Calling convention of ``_miss``, for :mod:`repro.obs.attach`:
     #: ``"columnar"`` is the 5-argument ``(cpu, b, w, st, now) -> lat``
-    #: form.  Engines that bind a same-signature closure as an instance
-    #: attribute (the specialized backend) inherit this declaration.
+    #: form.
     _MISS_HOOK = "columnar"
 
     def __init__(

@@ -1,23 +1,18 @@
 """Engine backends, selected by name.
 
-Three interchangeable schedulers drive the same machine model and miss
+Two interchangeable schedulers drive the same machine model and miss
 path:
 
 ``runahead``
     The drain-loop scheduler (:class:`~repro.sim.engine.SimulationEngine`),
-    the production default.
+    the production engine: every sweep runs on it.
 ``reference``
     The frozen classic loop over the pre-columnar structures
     (:class:`~repro.sim.reference.ReferenceEngine`), the differential
     oracle.  It models only the exact full-map directory and refuses a
     configuration whose directory can overflow.
-``specialized``
-    The per-config partially evaluated miss path
-    (:class:`~repro.sim.specialized.SpecializedEngine`): run-ahead's
-    scheduler with a ``_miss`` generated, compiled, and cached per
-    configuration.
 
-All three produce bit-identical :class:`SimulationResult`\\ s — the
+Both produce bit-identical :class:`SimulationResult`\\ s — the
 differential property suites pin the contract — so the backend is a
 run-time argument, not part of a configuration or of a result's
 identity.
@@ -38,24 +33,14 @@ def _reference(config, traces, homes):
     return ReferenceEngine(config, traces, homes)
 
 
-def _specialized(config, traces, homes):
-    from repro.sim.specialized import SpecializedEngine
-
-    return SpecializedEngine(config, traces, homes)
-
-
 #: backend name -> (constructor taking (config, traces, homes), summary).
 _BACKENDS = {
     "runahead": (SimulationEngine, "drain-loop scheduler (production default)"),
     "reference": (_reference, "classic per-reference loop (differential oracle)"),
-    "specialized": (_specialized, "per-config partially evaluated miss path"),
 }
 
 #: Every backend name.
 ENGINES = tuple(_BACKENDS)
-#: The backends a reproduction sweep may run on (the oracle is for
-#: differential checks and single runs).
-PRODUCTION_ENGINES = ("runahead", "specialized")
 
 
 def engine_backends() -> List[Dict[str, str]]:

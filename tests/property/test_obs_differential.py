@@ -28,7 +28,7 @@ from repro.sim.factory import make_engine
 from tests.conftest import tiny_config
 from tests.property.test_runahead_differential import assert_identical_results
 
-ENGINES = ("runahead", "reference", "specialized")
+ENGINES = ("runahead", "reference")
 
 
 def _traces():
@@ -194,11 +194,7 @@ def test_disabled_obs_is_structurally_absent():
 
 def test_disabled_obs_installs_no_wrapper():
     """With obs disabled nothing touches the engine: ``_miss`` stays
-    the plain class method (run-ahead) or the engine's own generated
-    closure (specialized), with no observing wrapper in between."""
+    the plain class method, with no observing wrapper in between."""
     config = tiny_config("ccnuma")
     engine = make_engine(config, _traces())
     assert "_miss" not in engine.__dict__
-    spec = make_engine(config, _traces(), engine="specialized")
-    assert spec._miss.__name__ == "_miss"
-    assert "observer" not in (spec._miss.__code__.co_freevars or ())

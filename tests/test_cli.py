@@ -172,22 +172,6 @@ def test_reproduce_no_store(capsys):
     assert "Figure 6" in out
 
 
-def test_store_filled_by_one_engine_serves_the_other(capsys, tmp_path, monkeypatch):
-    """The engine is not part of result identity: a store filled under
-    run-ahead answers a specialized sweep with zero simulations."""
-    argv = ("reproduce", "--scale", "0.05", "--apps", "em3d", "--store", str(tmp_path))
-    first = run_cli(capsys, *argv, "--engine", "runahead")
-
-    def boom(*args):
-        raise AssertionError("simulated despite a store filled by another engine")
-
-    monkeypatch.setattr("repro.experiments.executor._run_supervised", boom)
-    assert run_cli(capsys, *argv, "--engine", "specialized") == first
-    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
-    assert manifest["engine"] == "specialized"
-    assert manifest["failures"] == []
-
-
 def test_section_commands_print_what_the_sweep_prints(capsys, tmp_path):
     """Each figure, ablation and table command prints its section of
     the ``reproduce`` report verbatim, served from the sweep's store."""
@@ -232,16 +216,37 @@ def test_unknown_app_in_a_sweep_is_a_usage_error(capsys, argv):
     assert "linpack" in capsys.readouterr().err
 
 
-def test_reproduce_offers_only_production_engines():
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["reproduce", "--engine", "reference"])
+def test_reproduce_accepts_only_the_runahead_engine(capsys):
+    """The benchmark passes ``--engine runahead`` on every sample, so it
+    must parse; no other backend can run a sweep."""
+    args = build_parser().parse_args(["reproduce", "--engine", "runahead"])
+    assert args.engine == "runahead"
+    for name in ("specialized", "reference"):
+        with pytest.raises(SystemExit) as exc_info:
+            build_parser().parse_args(["reproduce", "--engine", name])
+        assert exc_info.value.code == 2
+        assert name in capsys.readouterr().err
     assert build_parser().parse_args(["run", "em3d", "--engine", "reference"])
 
 
 def test_engines_listing(capsys):
     out = run_cli(capsys, "engines")
-    for name in ("runahead", "reference", "specialized"):
-        assert name in out
+    names = [line.split()[0] for line in out.splitlines()[1:]]
+    assert names == ["runahead", "reference"]
+
+
+def test_reference_engine_refusal_is_a_usage_error(capsys):
+    """The oracle models only the full-map directory; asking it to run
+    one that can overflow is an error message, not a traceback."""
+    code = main([
+        "run", "em3d", "--scale", "0.05", "--engine", "reference",
+        "--directory", "limited", "--dir-pointers", "2",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro: error: ")
+    assert "full-map" in err
+    assert "Traceback" not in err
 
 
 def test_importing_the_cli_leaves_numpy_unimported():

@@ -1,7 +1,7 @@
 """Engine-backend selection: the backend is a run-time argument passed
-by name (``simulate(..., engine=)``, ``Executor(engine=)``,
-``--engine``), never a field of :class:`SystemConfig`, and the factory
-builds each backend.
+by name (``simulate(..., engine=)``, ``run --engine``), never a field
+of :class:`SystemConfig`, and the factory builds each backend.  A sweep
+has no choice to make: the executor always runs on run-ahead.
 """
 
 import dataclasses
@@ -18,15 +18,12 @@ from repro.common.params import (
     config_to_dict,
 )
 from repro.common.records import Access
-from repro.experiments.config import cc_config
 from repro.experiments.executor import (
     Executor,
-    Job,
     JobFailure,
     ResultStore,
     job_from_failure,
 )
-from repro.experiments.runner import ResultCache
 from repro.sim import factory
 from repro.sim.engine import SimulationEngine, simulate
 from repro.sim.reference import ReferenceEngine
@@ -46,26 +43,18 @@ def _traces():
 class TestConfigField:
     """The engine is chosen per run, not stored in the config."""
 
-    def test_default_resolves_to_runahead(self):
+    def test_default_resolves_to_runahead(self, tmp_path):
         assert type(factory.make_engine(tiny_config("ccnuma"), _traces())) is (
             SimulationEngine
         )
-        assert Executor().engine == "runahead"
-
-    def test_explicit_engine_is_kept(self, tmp_path):
-        exe = Executor(
-            cache=ResultCache(), store=ResultStore(tmp_path), engine="reference"
-        )
-        jobs = [Job("em3d", cc_config(), 0.05)]
-        exe.run(jobs)
-        manifest = json.loads(exe.write_manifest(jobs).read_text())
-        assert manifest["engine"] == "reference"
+        with pytest.raises(TypeError):
+            Executor(engine="runahead")
+        manifest = Executor(store=ResultStore(tmp_path)).write_manifest([])
+        assert json.loads(manifest.read_text())["engine"] == "runahead"
 
     def test_unknown_engine_is_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown engine"):
             simulate(tiny_config("ccnuma"), _traces(), engine="vector")
-        with pytest.raises(ConfigurationError, match="unknown engine"):
-            Executor(engine="warp")
 
     def test_engine_is_not_a_config_field(self):
         assert "engine" not in {f.name for f in dataclasses.fields(SystemConfig)}
@@ -88,16 +77,10 @@ class TestConfigField:
 
 class TestFactory:
     def test_builds_each_backend(self):
-        from repro.sim.specialized import SpecializedEngine
-
         cfg = tiny_config("ccnuma")
         assert type(factory.make_engine(cfg, [[], []])) is SimulationEngine
         assert isinstance(
             factory.make_engine(cfg, [[], []], engine="reference"), ReferenceEngine
-        )
-        assert isinstance(
-            factory.make_engine(cfg, [[], []], engine="specialized"),
-            SpecializedEngine,
         )
 
     def test_backend_listing_shape(self):
@@ -105,11 +88,8 @@ class TestFactory:
         assert [r["name"] for r in rows] == list(factory.ENGINES) == [
             "runahead",
             "reference",
-            "specialized",
         ]
         assert all(set(row) == {"name", "summary"} for row in rows)
-        assert set(factory.PRODUCTION_ENGINES) < set(factory.ENGINES)
-        assert "reference" not in factory.PRODUCTION_ENGINES
 
     def test_runahead_and_reference_survive_missing_numpy(self, monkeypatch):
         monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy fails
@@ -117,12 +97,6 @@ class TestFactory:
         fast = simulate(cfg, _traces())
         slow = simulate(cfg, _traces(), engine="reference")
         assert fast.exec_cycles == slow.exec_cycles > 0
-
-    def test_specialized_survives_missing_numpy(self, monkeypatch):
-        monkeypatch.setitem(sys.modules, "numpy", None)
-        cfg = tiny_config("rnuma")
-        fast = simulate(cfg, _traces(), engine="specialized")
-        assert fast.exec_cycles == simulate(cfg, _traces()).exec_cycles > 0
 
 
 class TestSimulateDispatch:
@@ -158,7 +132,7 @@ class TestReferenceScope:
         config = tiny_config("ccnuma", directory=directory)
         with pytest.raises(ConfigurationError, match="full-map"):
             simulate(config, _traces(), engine="reference")
-        # The production backends model it.
+        # The production backend models it.
         assert simulate(config, _traces()).exec_cycles > 0
 
     @pytest.mark.parametrize(

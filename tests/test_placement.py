@@ -85,7 +85,7 @@ class TestPartialPlacementAcrossEngines:
         backend must run the same late-first-touch fallback (the shared
         resolve_home helper) and land on identical results *and* an
         identically completed homes map."""
-        from repro.sim import simulate, simulate_reference, simulate_specialized
+        from repro.sim import simulate, simulate_reference
         from tests.conftest import tiny_config
         from tests.property.test_runahead_differential import (
             assert_identical_results,
@@ -102,7 +102,7 @@ class TestPartialPlacementAcrossEngines:
             config = tiny_config(protocol)
             results = []
             completed = []
-            for run in (simulate, simulate_reference, simulate_specialized):
+            for run in (simulate, simulate_reference):
                 homes = dict(partial)
                 results.append(run(config, [list(t) for t in traces], homes))
                 completed.append(homes)

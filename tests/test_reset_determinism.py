@@ -140,37 +140,6 @@ class TestEngineReset:
         engine.reset()
         assert _snapshot(engine.run()) == first
 
-    def test_specialized_engine_resets_on_an_app(self):
-        # The generated closure captures machine containers by reference
-        # at construction; reset() must leave every one of them (and the
-        # dense mirror columns) pointing at live state.
-        from repro.sim.specialized import SpecializedEngine
-
-        program = build_program("em3d", scale=0.05)
-        for config in (ideal(), cc_config(), scoma_config(), rnuma_config()):
-            engine = SpecializedEngine(config, program)
-            first = _snapshot(engine.run())
-            engine.reset()
-            second = _snapshot(engine.run())
-            assert second == first, f"reset drifted for {config.protocol}"
-
-    def test_specialized_engine_resets_on_tiny_conflict_traces(self):
-        from repro.sim.specialized import SpecializedEngine
-
-        traces = [
-            [Access(a * 64, is_write=a % 3 == 0, think=1) for a in range(120)]
-            + [Barrier(0)],
-            [Access((a * 64 + 512) % 4096, think=0) for a in range(120)]
-            + [Barrier(0)],
-        ]
-        for protocol in PROTOCOLS:
-            config = tiny_config(protocol)
-            engine = SpecializedEngine(config, [list(t) for t in traces])
-            first = _snapshot(engine.run())
-            engine.reset()
-            second = _snapshot(engine.run())
-            assert second == first, f"reset drifted for {protocol}"
-
 
 def second_equal(engine, first) -> bool:
     return _snapshot(engine.run()) == first

@@ -1,4 +1,4 @@
-"""Stats parity across all three engine backends.
+"""Stats parity across both engine backends.
 
 The differential suites already pin ``exec_cycles`` and the aggregate
 result equality; this suite pins the *full statistics surface* — every
