@@ -244,7 +244,7 @@ def _compare(config, program, repeats: int) -> dict:
     )
     refs = fast_sched["refs"]
     heap_ops = fast_sched["heap_pops"] + fast_sched["heap_pushes"]
-    row = {
+    return {
         "refs": refs,
         "miss_rate": fast_r.total("l1_misses") / refs if refs else 0.0,
         "runahead_refs_per_s": refs / fast_dt,
@@ -258,7 +258,6 @@ def _compare(config, program, repeats: int) -> dict:
         ),
         "mean_run_length": refs / fast_sched["drains"] if fast_sched["drains"] else 0.0,
     }
-    return row
 
 
 def run_engine_comparison(scale: float = 1.0, repeats: int = 3) -> dict:
