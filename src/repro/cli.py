@@ -35,8 +35,8 @@ Commands
     ``--heartbeat`` streams per-job progress,
     ``--profile`` breaks down where the wall time went, and a run
     manifest is written next to the stored results.  ``--engine``
-    picks the production backend; the backends are bit-identical, so
-    one store serves them all.  The sweep is fault-tolerant: a crashed
+    accepts only ``runahead``, the one production backend, and selects
+    nothing.  The sweep is fault-tolerant: a crashed
     or hung job is retried (``--retries``, ``--job-timeout``,
     ``--backoff``) and, if
     it permanently fails, recorded in the manifest while the rest of
@@ -56,6 +56,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -201,6 +202,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (0 < value < math.inf):
+        raise argparse.ArgumentTypeError("must be a finite number > 0")
+    return value
+
+
 def _add_executor_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs",
@@ -337,9 +345,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(_PROTOCOL_CONFIGS) + ["all"],
         default="all",
     )
-    run_p.add_argument("--scale", type=float, default=1.0)
+    run_p.add_argument("--scale", type=_positive_float, default=1.0)
     run_p.add_argument(
-        "--threshold", type=int, default=64, help="R-NUMA relocation threshold"
+        "--threshold",
+        type=_positive_int,
+        default=64,
+        help="R-NUMA relocation threshold",
     )
     run_p.add_argument(
         "--topology",
@@ -442,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace-stats", help="inspect an application's compiled trace"
     )
     ts_p.add_argument("app", choices=workload_names())
-    ts_p.add_argument("--scale", type=float, default=1.0)
+    ts_p.add_argument("--scale", type=_positive_float, default=1.0)
 
     for command, help_text in (
         ("figure", "regenerate a paper figure"),
@@ -453,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
         section_p.add_argument(
             "name", choices=[name for cmd, name in _SECTION_COMMANDS if cmd == command]
         )
-        section_p.add_argument("--scale", type=float, default=1.0)
+        section_p.add_argument("--scale", type=_positive_float, default=1.0)
         if command == "table":
             section_p.set_defaults(apps=None)
         else:
@@ -464,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
         "reproduce",
         help="regenerate every figure and table in one deduplicated sweep",
     )
-    rep_p.add_argument("--scale", type=float, default=1.0)
+    rep_p.add_argument("--scale", type=_positive_float, default=1.0)
     _add_apps_arg(rep_p)
     rep_p.add_argument(
         "--engine",

@@ -269,7 +269,8 @@ class ObsParams:
     (the default) the instrumentation layer is structurally absent: no
     hook is installed, no obs module is imported, and the engines run
     the exact same code they run without this class existing — a
-    contract gated by ``benchmarks/bench_engine.assert_obs_off_floor``.
+    contract timed by the ``timing`` test in
+    ``tests/property/test_obs_differential.py``.
 
     ``trace_path``
         Destination for a Chrome-trace-event JSON file (loadable in

@@ -9,8 +9,9 @@ simulator.  Three design rules govern everything in it:
    contain no tracing branches; enabling tracing *wraps* the shared
    miss hook at engine-construction time (:mod:`repro.obs.attach`),
    and disabling it leaves the engine byte-for-byte the code it was
-   before this package existed.  ``benchmarks/bench_engine.py`` gates
-   the disabled-path cost (``assert_obs_off_floor``).
+   before this package existed.  A ``timing`` test in
+   ``tests/property/test_obs_differential.py`` gates the disabled-path
+   cost.
 2. **Observational only when on.**  The hooks read simulator state and
    forward return values untouched; a traced run produces bit-identical
    :class:`~repro.sim.results.SimulationResult`\\ s to an untraced one
@@ -36,8 +37,8 @@ Modules
 ``report``
     Summaries of emitted trace/metrics files (``python -m repro report``).
 ``provenance``
-    Git/host/timestamp provenance blocks shared by the benchmarks and
-    the experiment executor's run manifests.
+    Git/host/timestamp provenance blocks shared by perfbench, the
+    trace and metrics writers, and the executor's run manifests.
 """
 
 from repro.obs.provenance import provenance_block

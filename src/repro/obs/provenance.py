@@ -1,6 +1,6 @@
 """Provenance blocks: who produced a result file, where, and from what.
 
-Benchmarks (``BENCH_*.json``), run manifests, and metrics streams all
+Run manifests, trace and metrics files, and perfbench results all
 embed the same block so any recorded number can be traced back to a
 commit, a host, and a moment in time.  Everything degrades gracefully:
 outside a git checkout the git fields read ``"unknown"`` rather than
@@ -71,9 +71,7 @@ def provenance_block() -> Dict[str, Any]:
 
     Keys: ``git_commit``, ``git_describe``, ``timestamp_utc``,
     ``python``, ``implementation``, ``numpy`` (version or
-    ``"absent"``), ``platform``, ``host_cpus``.  The interpreter/host
-    keys match what ``benchmarks/bench_engine.py`` has recorded since
-    PR 7, so old and new ``BENCH_*.json`` files stay comparable.
+    ``"absent"``), ``platform``, ``host_cpus``.
     """
     try:
         import numpy

@@ -5,8 +5,7 @@ and produces a :class:`SimulationResult`.
 Two schedulers share one miss-path contract, selected by name (see
 :mod:`repro.sim.factory`): the run-ahead engine (:func:`simulate`'s
 default, the production path) and the classic one-event-per-reference
-loop (:func:`simulate_reference`, the differential-testing oracle and
-benchmark baseline).
+loop (:func:`simulate_reference`, the differential-testing oracle).
 """
 
 from repro.sim.engine import SimulationEngine, simulate

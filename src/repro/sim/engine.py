@@ -127,8 +127,8 @@ class SimulationEngine:
     per-CPU Access/Barrier sequences.
 
     After :meth:`run`, ``sched_stats`` holds scheduler-level counters
-    (references executed, heap pops/pushes, drain count) that the
-    engine benchmarks report as heap-ops-per-reference and mean
+    (references executed, heap pops/pushes, drain count) from which
+    the scheduler tests derive heap-ops-per-reference and mean
     run-ahead length.
     """
 

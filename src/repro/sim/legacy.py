@@ -7,8 +7,8 @@ the same role :class:`repro.sim.reference.ReferenceEngine` plays for
 the scheduler: the new layouts are correct precisely when they are
 observationally identical to these under any operation stream (see
 ``tests/property/test_memory_layout_differential.py``), and the
-reference engine runs on these structures so the engine benchmarks
-measure the real structure win, not just the scheduler's.
+reference engine runs on these structures so the engine-level
+differential covers the structure layouts, not just the scheduler.
 
 Do not optimize this file.  Its value is being obviously equivalent to
 the semantics the packed layouts must preserve.

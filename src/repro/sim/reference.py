@@ -15,9 +15,9 @@ engine optimized away:
 It is the differential-testing oracle: the columnar engine is correct
 precisely when it produces bit-identical
 :class:`~repro.sim.results.SimulationResult`s to this loop on every
-input (see ``tests/property/test_runahead_differential.py``), and the
-honest baseline for ``benchmarks/bench_engine.py``'s speedup numbers —
-the ratio measures the scheduler *and* the state-layout overhaul.
+input (see ``tests/property/test_runahead_differential.py``).  Because
+it also keeps the pre-columnar structures, that equality covers the
+scheduler *and* the state-layout overhaul.
 
 The legacy directory is the exact full map, so the engine refuses a
 directory configuration that can overflow (a ``limited`` one with

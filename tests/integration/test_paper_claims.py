@@ -1,16 +1,26 @@
 """Full-scale integration tests of the paper's headline claims.
 
 These run the real experiment suite (scale 1.0) and assert the *shapes*
-the paper reports.  They are the slowest tests in the repository
-(roughly a minute together); everything else runs in seconds.
+the paper reports; at smaller scales several of them no longer hold.
+The unmarked tests are the slowest in tier-1; Figure 5 and Table 4 add
+no simulation to Figure 6's.  The ``full_scale`` tests need about a
+hundred more scale-1.0 simulations and run as their own tier:
+``python -m pytest -m full_scale``.
 """
 
 import pytest
 
 from repro.experiments import (
+    compute_figure5,
     compute_figure6,
+    compute_figure7,
     compute_figure8,
     compute_figure9,
+    compute_placement_ablation,
+    compute_relocation_ablation,
+    compute_replacement_ablation,
+    compute_scaling,
+    compute_table4,
 )
 from repro.experiments.runner import ResultCache
 
@@ -118,3 +128,140 @@ class TestFigure9Claims:
         )
         for app in ("em3d", "fmm", "radix", "moldyn"):
             assert fig.rnuma_degradation(app) <= 1.45, app
+
+
+@pytest.fixture(scope="module")
+def figure5(cache):
+    return compute_figure5(scale=1.0, apps=APPS, cache=cache)
+
+
+@pytest.fixture(scope="module")
+def table4(cache):
+    return compute_table4(scale=1.0, apps=APPS, cache=cache)
+
+
+class TestFigure5Claims:
+    def test_some_apps_concentrate_refetches_on_hot_pages(self, figure5):
+        # Paper: several apps put >80% of their refetches in <=10% of
+        # the remote pages (we require half).
+        concentrated = [
+            app
+            for app, curve in figure5.curves.items()
+            if curve and figure5.refetch_share(app, 0.10) >= 0.5
+        ]
+        assert len(concentrated) >= 2, concentrated
+
+    def test_radix_refetches_are_nearly_uniform(self, figure5):
+        assert figure5.refetch_share("radix", 0.10) <= 0.45
+
+
+class TestTable4Claims:
+    def test_refetches_go_mostly_to_read_write_pages(self, table4):
+        rw_heavy = [
+            app
+            for app, row in table4.rows.items()
+            if row.rw_page_refetch_fraction >= 0.8
+        ]
+        assert len(rw_heavy) >= 4, rw_heavy
+
+    def test_raytrace_refetches_its_read_only_scene(self, table4):
+        assert table4.rows["raytrace"].rw_page_refetch_fraction <= 0.3
+
+    def test_rnuma_nearly_eliminates_scoma_replacements(self, table4):
+        repl = [
+            row.rnuma_replacement_pct
+            for row in table4.rows.values()
+            if row.rnuma_replacement_pct is not None
+        ]
+        assert repl and min(repl) <= 10.0
+
+
+@pytest.mark.full_scale
+class TestFigure7Claims:
+    @pytest.fixture(scope="class")
+    def fig(self, cache):
+        return compute_figure7(scale=1.0, cache=cache)
+
+    def test_ccnuma_is_sensitive_to_block_cache_size(self, fig):
+        assert any(fig.cc_sensitivity(app) >= 1.3 for app in fig.normalized)
+
+    def test_rnuma_recovers_with_a_bigger_block_cache(self, fig):
+        # radix and fmm in the paper.
+        assert any(
+            row["R b=128,p=320K"] / row["R b=32K,p=320K"] >= 1.2
+            for row in fig.normalized.values()
+        )
+
+    def test_a_40mb_page_cache_never_hurts(self, fig):
+        for app, row in fig.normalized.items():
+            assert row["R b=128,p=40M"] <= row["R b=128,p=320K"] * 1.02, app
+
+
+@pytest.mark.full_scale
+class TestFigure8AllApps:
+    @pytest.fixture(scope="class")
+    def fig(self, cache):
+        return compute_figure8(scale=1.0, apps=APPS, cache=cache)
+
+    def test_fft_is_threshold_insensitive(self, fig):
+        assert fig.variation("fft") <= 0.05
+
+    def test_most_apps_favor_a_low_threshold(self, fig):
+        low_wins = [app for app in APPS if fig.best_threshold(app) <= 64]
+        assert len(low_wins) >= 5, low_wins
+
+
+@pytest.mark.full_scale
+class TestFigure9AllApps:
+    @pytest.fixture(scope="class")
+    def fig(self, cache):
+        return compute_figure9(scale=1.0, apps=APPS, cache=cache)
+
+    def test_scoma_degrades_more_than_rnuma_at_worst(self, fig):
+        scoma_worst = max(fig.scoma_degradation(app) for app in APPS)
+        rnuma_worst = max(fig.rnuma_degradation(app) for app in APPS)
+        assert scoma_worst > rnuma_worst
+
+    def test_scoma_worst_degradation_is_large(self, fig):
+        assert max(fig.scoma_degradation(app) for app in APPS) >= 1.3
+
+
+@pytest.mark.full_scale
+class TestAblationClaims:
+    @pytest.fixture(scope="class")
+    def flush_home_penalties(self, cache):
+        # Flush-home relocation (C_relocate ~ C_allocate) against the
+        # aggressive local move.
+        result = compute_relocation_ablation(scale=1.0, cache=cache)
+        return [
+            result.penalty(app, "R-NUMA flush-home", "R-NUMA local-move")
+            for app in result.normalized
+        ]
+
+    def test_flush_home_relocation_never_beats_local_move(
+        self, flush_home_penalties
+    ):
+        assert all(p >= 0.99 for p in flush_home_penalties), flush_home_penalties
+
+    def test_flush_home_relocation_hurts_somewhere(self, flush_home_penalties):
+        assert max(flush_home_penalties) >= 1.02
+
+    def test_lrm_is_competitive_with_lru(self, cache):
+        # The paper's argument for building the cheap policy.
+        result = compute_replacement_ablation(scale=1.0, cache=cache)
+        for app in result.normalized:
+            assert result.penalty(app, "S-COMA lrm", "S-COMA lru") <= 1.30, app
+
+    def test_first_touch_beats_round_robin_somewhere(self, cache):
+        # The paper's justification for assuming first-touch throughout.
+        result = compute_placement_ablation(scale=1.0, cache=cache)
+        gains = [
+            result.penalty(app, "CC round-robin", "CC first-touch")
+            for app in result.normalized
+        ]
+        assert max(gains) >= 1.15
+
+
+@pytest.mark.full_scale
+def test_rnuma_stays_stable_across_cluster_sizes(cache):
+    assert compute_scaling(scale=1.0, cache=cache).stability_bound() <= 1.6

@@ -194,6 +194,59 @@ class TestConservativeOverflow:
                 rep.check(block)
 
 
+SHARED_BLOCKS = 64
+
+
+def _sharer_heavy_stream(nodes):
+    """(op, block, node): a quarter of the machine reads each block,
+    spread across it, then one node writes and half the readers come
+    back; odd rounds end with a flush.  Deterministic, and the worst
+    case for every inexact representation."""
+    readers = max(2, nodes // 4)
+    stride = max(1, nodes // readers)
+    stream = []
+    for r in range(4):
+        for block in range(SHARED_BLOCKS):
+            for k in range(readers):
+                stream.append(("read", block, (k * stride + r + block) % nodes))
+            stream.append(("write", block, (r + block) % nodes))
+            for k in range(readers // 2):
+                stream.append(("read", block, (k * stride + r + block) % nodes))
+            if r % 2:
+                stream.append(("flush", block, (r + block) % nodes))
+    return stream
+
+
+@pytest.mark.parametrize("nodes", (64, 256, 1024))
+def test_sharer_heavy_stream_on_large_machines(nodes):
+    """The contract beyond the 8-node hypothesis streams: the
+    capacity-equivalent parameterizations report exactly the full
+    map's invalidations, the inexact ones at least as many (saturated
+    broadcast strictly more), and every entry passes check()."""
+    reps = {
+        "fullmap": Directory(),
+        "limited-exact": LimitedPointerDirectory(nodes, nodes, "broadcast"),
+        "coarse-exact": CoarseVectorDirectory(nodes, 1),
+        "limited-bcast": LimitedPointerDirectory(nodes, 4, "broadcast"),
+        "limited-evict": LimitedPointerDirectory(nodes, 4, "evict"),
+        "coarse-4": CoarseVectorDirectory(nodes, 4),
+    }
+    stream = _sharer_heavy_stream(nodes)
+    invals = dict.fromkeys(reps, 0)
+    for name, rep in reps.items():
+        for op, block, node in stream:
+            out = _apply(rep, op, block, node)
+            if out is not None:
+                invals[name] += out_inval_mask(out).bit_count()
+        for block in range(SHARED_BLOCKS):
+            rep.check(block)
+    base = invals["fullmap"]
+    assert invals["limited-exact"] == invals["coarse-exact"] == base
+    for name in ("limited-bcast", "limited-evict", "coarse-4"):
+        assert invals[name] >= base, name
+    assert invals["limited-bcast"] > base
+
+
 class TestCheckCatchesCorruption:
     def test_fullmap_owner_outside_sharers(self):
         d = Directory()

@@ -10,20 +10,28 @@ The obs contract has two sides, and each gets pinned here:
 * **Structurally zero-cost when off** — a disabled-obs run never
   imports the obs hook module and never installs a ``_miss`` wrapper
   on the engine, so the hot path is byte-identical to a build without
-  the package.
+  the package.  A ``timing`` gate (``python -m pytest -m timing``) also
+  times it: dispatching through ``simulate()`` may cost at most 2% over
+  constructing the engine directly.
 """
 
 import json
+import math
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
-from repro.common.params import ObsParams
+from repro.common.addressing import AddressSpace
+from repro.common.params import CacheParams, MachineParams, ObsParams, SystemConfig
+from repro.common.records import Access, Barrier
 from repro.obs.schema import validate_metrics_file, validate_trace_file
 from repro.sim import simulate
+from repro.sim.engine import SimulationEngine
 from repro.sim.factory import make_engine
+from repro.workloads.compile import CompiledProgram
 
 from tests.conftest import tiny_config
 from tests.property.test_runahead_differential import assert_identical_results
@@ -35,8 +43,6 @@ def _traces():
     """A deterministic little rnuma workload: two CPUs fighting over
     one remote page hard enough to cross the tiny threshold (2) and
     relocate, plus private pages for ordinary misses."""
-    from repro.common.records import Access, Barrier
-
     from tests.conftest import TINY_SPACE
 
     page = TINY_SPACE.page_size
@@ -198,3 +204,157 @@ def test_disabled_obs_installs_no_wrapper():
     config = tiny_config("ccnuma")
     engine = make_engine(config, _traces())
     assert "_miss" not in engine.__dict__
+
+
+# ----------------------------------------------------------------------
+# The disabled-obs dispatch gate: three miss-dominated scenarios on the
+# paper's 8-node x 4-processor machine.
+# ----------------------------------------------------------------------
+
+SPACE = AddressSpace()
+PAPER_MACHINE = MachineParams()
+
+
+def _miss_stream_program(n: int) -> CompiledProgram:
+    """One cpu misses on every reference; 31 park at the barrier."""
+    stride = SPACE.block_size
+    span = 4 * 1024 * 1024
+    t = [Access((i * stride * 7) % span, think=1) for i in range(n)]
+    traces = [t + [Barrier(0)]]
+    traces += [[Barrier(0)] for _ in range(1, PAPER_MACHINE.total_cpus)]
+    return CompiledProgram("gate-miss-stream", traces=traces)
+
+
+def _migratory_program(n: int) -> CompiledProgram:
+    """A 256-block region migrates processor to processor, phase by
+    phase; every access is a write miss on lines the previous owner
+    still holds (intra-node hand-offs between slots, inter-node
+    ownership steals every cpus_per_node phases)."""
+    region_blocks = 256
+    total = PAPER_MACHINE.total_cpus
+    phases = max(total, n // region_blocks)
+    traces = [[] for _ in range(total)]
+    blk = SPACE.block_size
+    for p in range(phases):
+        tr = traces[p % total]
+        for i in range(region_blocks):
+            tr.append(Access(i * blk, is_write=True, think=0))
+        barrier = Barrier(p)
+        for t in traces:
+            t.append(barrier)
+    return CompiledProgram("gate-migratory", traces=traces)
+
+
+#: page_thrash geometry: frames per node / private pages per cpu.
+_THRASH_FRAMES = 8
+_THRASH_PAGES_PER_CPU = 16
+
+
+def _page_thrash_program(n: int) -> CompiledProgram:
+    """Relocation-heavy sweeps: every cpu's private pages live on a
+    *remote* home (a foreign cpu first-touches them), are refetched
+    past the relocation threshold by conflict-stride sweeps, and fight
+    over a page cache with too few frames — so pages relocate to
+    S-COMA, get evicted, remap CC-NUMA, and relocate again."""
+    total = PAPER_MACHINE.total_cpus
+    pages_per_cpu = _THRASH_PAGES_PER_CPU
+    offsets = (0, 16, 32, 48)  # conflict stride inside each page
+    page = SPACE.page_size
+    blk = SPACE.block_size
+
+    def base(c: int, p: int) -> int:
+        return (c * pages_per_cpu + p) * page
+
+    traces = [[] for _ in range(total)]
+    # First-touch each cpu's region from another node so its home is
+    # remote (refetch detection only fires at a remote home).
+    for c in range(total):
+        toucher = (c + PAPER_MACHINE.cpus_per_node) % total
+        for p in range(pages_per_cpu):
+            traces[toucher].append(Access(base(c, p), think=0))
+    barrier = Barrier(0)
+    for t in traces:
+        t.append(barrier)
+    sweeps = max(2, n // (total * pages_per_cpu * len(offsets)))
+    for c in range(total):
+        tr = traces[c]
+        for _ in range(sweeps):
+            for p in range(pages_per_cpu):
+                for off in offsets:
+                    tr.append(
+                        Access(base(c, p) + off * blk, is_write=off == 0, think=0)
+                    )
+        tr.append(Barrier(1))
+    return CompiledProgram("gate-page-thrash", traces=traces)
+
+
+def _gate_scenarios():
+    cc = SystemConfig(
+        protocol="ccnuma", machine=PAPER_MACHINE, caches=CacheParams(), space=SPACE
+    )
+    thrash = SystemConfig(
+        protocol="rnuma",
+        machine=PAPER_MACHINE,
+        caches=CacheParams(
+            block_cache_size=128,
+            page_cache_size=_THRASH_FRAMES * SPACE.page_size,
+        ),
+        space=SPACE,
+        relocation_threshold=4,
+    )
+    return {
+        "miss_stream": (cc, _miss_stream_program(5000)),
+        "migratory": (cc, _migratory_program(10000)),
+        "page_thrash": (thrash, _page_thrash_program(10000)),
+    }
+
+
+def _time_direct(config, program):
+    # Construction inside the clock: simulate() necessarily builds the
+    # engine too, so both halves time construct + run.
+    t0 = time.perf_counter()
+    SimulationEngine(config, program).run()
+    return time.perf_counter() - t0
+
+
+def _time_dispatch(config, program):
+    t0 = time.perf_counter()
+    simulate(config, program)
+    return time.perf_counter() - t0
+
+
+@pytest.mark.timing
+def test_disabled_obs_dispatch_costs_at_most_two_percent():
+    """The zero-cost-off claim, timed.  Per scenario, interleaved
+    best-of-9 wall times of the same simulation run two ways: the
+    run-ahead engine constructed directly (the pre-obs code path) and
+    ``simulate()`` with the default disabled ObsParams (the path every
+    caller takes).  Both halves run in this process on the same warm
+    program, so host speed cancels; the geomean of direct/dispatch
+    over the three scenarios must stay >= 0.98."""
+    repeats = 9
+    ratios = {}
+    for name, (config, program) in _gate_scenarios().items():
+        assert not config.obs.enabled
+        # Warm the program and page maps, and check the scenario still
+        # stresses the miss path.
+        engine = SimulationEngine(config, program)
+        misses = engine.run().total("l1_misses")
+        assert misses / engine.sched_stats["refs"] > 0.9, name
+        direct = dispatch = math.inf
+        for i in range(repeats):
+            # Alternate which half goes first so cache/allocator drift
+            # cannot systematically favor one side.
+            if i % 2:
+                dispatch = min(dispatch, _time_dispatch(config, program))
+                direct = min(direct, _time_direct(config, program))
+            else:
+                direct = min(direct, _time_direct(config, program))
+                dispatch = min(dispatch, _time_dispatch(config, program))
+        ratios[name] = direct / dispatch
+    geomean = math.prod(ratios.values()) ** (1 / len(ratios))
+    print(f"obs-off dispatch: paired ratio geomean {geomean:.3f} {ratios}")
+    assert geomean >= 0.98, (
+        f"disabled instrumentation taxes the miss path: paired ratio "
+        f"geomean {geomean:.3f} < 0.98 ({ratios})"
+    )

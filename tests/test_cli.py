@@ -277,6 +277,38 @@ def test_nonpositive_jobs_rejected():
         build_parser().parse_args(["reproduce", "--jobs", "0"])
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("run", "em3d"),
+        ("trace-stats", "em3d"),
+        ("figure", "5"),
+        ("table", "4"),
+        ("ablation", "placement"),
+        ("reproduce",),
+    ],
+    ids=lambda command: command[0],
+)
+def test_scale_must_be_finite_and_positive(capsys, command, value):
+    with pytest.raises(SystemExit) as exc_info:
+        main([*command, "--scale", value])
+    assert exc_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--scale" in captured.err
+
+
+def test_nonpositive_threshold_is_a_usage_error(capsys):
+    """Rejected while parsing, before any protocol runs and prints."""
+    with pytest.raises(SystemExit) as exc_info:
+        main(["run", "em3d", "--scale", "0.05", "--threshold", "0"])
+    assert exc_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--threshold" in captured.err
+
+
 def test_store_path_collision_rejected(tmp_path):
     not_a_dir = tmp_path / "occupied"
     not_a_dir.write_text("")

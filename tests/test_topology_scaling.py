@@ -7,6 +7,7 @@ from repro.experiments import (
 )
 from repro.experiments.runner import ResultCache
 from repro.experiments.topology_scaling import TopologyScalingResult
+from repro.interconnect.topology import topology_names
 
 
 def test_jobs_enumerate_protocols_by_topology_and_size():
@@ -33,24 +34,23 @@ def test_baseline_dedups_with_cluster_size_extension():
 
 
 def test_topology_scaling_small():
+    topologies = topology_names()
     result = compute_topology_scaling(
         scale=0.12,
         apps=("em3d",),
         cache=ResultCache(),
-        topologies=("uniform", "ring", "fattree"),
+        topologies=topologies,
         node_counts=(4, 8),
     )
     assert set(result.normalized) == {
-        ("em3d", topo, nodes)
-        for topo in ("uniform", "ring", "fattree")
-        for nodes in (4, 8)
+        ("em3d", topo, nodes) for topo in topologies for nodes in (4, 8)
     }
     for row in result.normalized.values():
         assert set(row) == {"CC-NUMA", "S-COMA", "R-NUMA"}
         assert all(v > 0 for v in row.values())
     # Non-negative per-hop costs: a linked fabric can only slow a
     # protocol down relative to its own uniform run.
-    for topo in ("ring", "fattree"):
+    for topo in topologies:
         for nodes in (4, 8):
             for protocol in ("CC-NUMA", "S-COMA", "R-NUMA"):
                 assert (
