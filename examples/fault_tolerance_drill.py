@@ -30,7 +30,6 @@ from repro.experiments.executor import (
     SweepFailure,
     job_from_failure,
 )
-from repro.experiments.runner import ResultCache
 from repro.faults.injection import ENV_VAR
 
 
@@ -43,7 +42,7 @@ def main() -> None:
     ]
 
     print(f"1. fault-free sweep of {app!r} at scale {scale} ...")
-    baseline = Executor(workers=1, cache=ResultCache()).run(jobs)
+    baseline = Executor(workers=1).run(jobs)
     for job, result in zip(jobs, baseline):
         print(f"   {job.config.protocol:<8} {result.exec_cycles:>12,} cycles")
 
@@ -52,7 +51,6 @@ def main() -> None:
     try:
         retried = Executor(
             workers=1,
-            cache=ResultCache(),
             retry=RetryPolicy(retries=2, backoff=0.05),
         ).run(jobs)
     finally:
@@ -67,7 +65,6 @@ def main() -> None:
         store = ResultStore(tmp)
         exe = Executor(
             workers=1,
-            cache=ResultCache(),
             store=store,
             retry=RetryPolicy(retries=1, backoff=0.05),
         )
@@ -85,7 +82,7 @@ def main() -> None:
             del os.environ[ENV_VAR]
 
         print("   resume-style re-run of the one dead job ...")
-        healed = Executor(workers=1, cache=ResultCache(), store=store)
+        healed = Executor(workers=1, store=store)
         (recovered,) = healed.run([job_from_failure(dead)])
         match = recovered.exec_cycles == baseline[1].exec_cycles
         print(

@@ -12,7 +12,6 @@ Run:  python examples/protocol_comparison.py [scale] [app ...]
 import sys
 
 from repro.experiments import compute_figure6, format_figure6
-from repro.experiments.runner import ResultCache
 
 
 def main() -> None:
@@ -21,7 +20,7 @@ def main() -> None:
 
     print(f"simulating {', '.join(apps)} at scale {scale} "
           "(3 protocols + ideal baseline each) ...\n")
-    result = compute_figure6(scale=scale, apps=apps, cache=ResultCache())
+    result = compute_figure6(scale=scale, apps=apps)
     print(format_figure6(result))
 
     print("\nReading the chart: em3d is a communication workload "

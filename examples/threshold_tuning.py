@@ -13,8 +13,7 @@ Run:  python examples/threshold_tuning.py [app] [scale]
 import sys
 
 from repro.common.params import BASE_COSTS
-from repro.experiments import rnuma_config, ideal
-from repro.experiments.runner import ResultCache, run_app
+from repro.experiments import Executor, ideal, rnuma_config
 from repro.model.competitive import CompetitiveModel, ModelParameters
 
 
@@ -32,14 +31,12 @@ def main() -> None:
     print(f"  worst-case bound at T* = {model.bound_at_optimum:.2f}x\n")
 
     # --- simulation ---------------------------------------------------
-    cache = ResultCache()
-    base = run_app(app, ideal(), scale=scale, cache=cache)
+    executor = Executor()
+    base = executor.run_app(app, ideal(), scale=scale)
     print(f"simulated sweep on {app!r} (normalized to ideal CC-NUMA):")
     print(f"  {'T':>6} {'norm time':>10} {'relocations':>12} {'replacements':>13}")
     for threshold in (8, 16, 32, 64, 128, 256, 1024):
-        result = run_app(
-            app, rnuma_config(threshold=threshold), scale=scale, cache=cache
-        )
+        result = executor.run_app(app, rnuma_config(threshold=threshold), scale=scale)
         print(
             f"  {threshold:>6} {result.normalized_to(base):>10.3f} "
             f"{result.total('relocations'):>12,} "

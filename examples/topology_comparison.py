@@ -23,7 +23,6 @@ from repro.experiments import (
     compute_topology_scaling,
     format_topology_scaling,
 )
-from repro.experiments.runner import ResultCache
 from repro.interconnect.topology import topology_names
 
 
@@ -42,7 +41,6 @@ def main() -> None:
         apps=apps,
         topologies=topologies,
         node_counts=sizes,
-        cache=ResultCache(),
     )
     print(format_topology_scaling(result))
 

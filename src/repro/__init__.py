@@ -14,8 +14,8 @@ Quickstart::
     result = simulate(base_rnuma_config(), program.traces)
     print(result.exec_cycles, result.summary())
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-figure reproduction results.
+See ``docs/architecture.md`` for the system inventory and
+``docs/reproducing.md`` for regenerating the paper's figures.
 """
 
 from repro.common.addressing import AddressSpace

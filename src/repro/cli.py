@@ -86,12 +86,12 @@ from repro.experiments import (
     compute_scaling,
     compute_table4,
     compute_topology_scaling,
-    directory_scaling_jobs,
-    figure5_jobs,
-    figure6_jobs,
-    figure7_jobs,
-    figure8_jobs,
-    figure9_jobs,
+    directory_scaling_grid,
+    figure5_grid,
+    figure6_grid,
+    figure7_grid,
+    figure8_grid,
+    figure9_grid,
     format_ablation,
     format_directory_scaling,
     format_figure5,
@@ -105,23 +105,24 @@ from repro.experiments import (
     format_table3,
     format_table4,
     format_topology_scaling,
-    placement_ablation_jobs,
-    relocation_ablation_jobs,
-    replacement_ablation_jobs,
-    scaling_jobs,
-    table4_jobs,
-    topology_scaling_jobs,
+    grid_jobs,
+    placement_ablation_grid,
+    relocation_ablation_grid,
+    replacement_ablation_grid,
+    scaling_grid,
+    table4_grid,
+    topology_scaling_grid,
 )
 from repro.experiments.executor import (
     TMP_GC_AGE_S,
     Executor,
-    Job,
     JobFailure,
     ResultStore,
     SweepFailure,
     default_store_dir,
     job_from_failure,
 )
+from repro.experiments.runner import Grid
 from repro.interconnect.routing import routing_table_for
 from repro.interconnect.topology import TOPOLOGIES, topology_names
 from repro.sim.engine import simulate
@@ -138,13 +139,13 @@ _PROTOCOL_CONFIGS = {
 
 class Section(NamedTuple):
     """One report section, defined once: ``reproduce`` submits the
-    union of every section's ``jobs(scale, apps)`` and prints each
+    union of every section's ``grid(scale, apps)`` jobs and prints each
     ``render(scale, apps, executor)`` in registry order; ``command``
     (e.g. ``("figure", "6")``) is the sub-command that prints it alone."""
 
     label: str
     command: Optional[Tuple[str, str]]
-    jobs: Optional[Callable[..., List[Job]]]
+    grid: Optional[Callable[..., Grid]]
     render: Callable[..., str]
 
 
@@ -162,32 +163,32 @@ SECTIONS: Tuple[Section, ...] = (
     Section("Table 2", ("table", "2"), None, lambda *_: format_table2()),
     Section("Table 3", ("table", "3"), None,
             lambda scale, *_: format_table3(scale=scale)),
-    Section("Figure 5", ("figure", "5"), figure5_jobs,
+    Section("Figure 5", ("figure", "5"), figure5_grid,
             _computed(compute_figure5, format_figure5)),
-    Section("Figure 6", ("figure", "6"), figure6_jobs,
+    Section("Figure 6", ("figure", "6"), figure6_grid,
             _computed(compute_figure6, format_figure6)),
-    Section("Figure 7", ("figure", "7"), figure7_jobs,
+    Section("Figure 7", ("figure", "7"), figure7_grid,
             _computed(compute_figure7, format_figure7)),
-    Section("Figure 8", ("figure", "8"), figure8_jobs,
+    Section("Figure 8", ("figure", "8"), figure8_grid,
             _computed(compute_figure8, format_figure8)),
-    Section("Figure 9", ("figure", "9"), figure9_jobs,
+    Section("Figure 9", ("figure", "9"), figure9_grid,
             _computed(compute_figure9, format_figure9)),
-    Section("Table 4", ("table", "4"), table4_jobs,
+    Section("Table 4", ("table", "4"), table4_grid,
             _computed(compute_table4, format_table4)),
     Section("Ablation: placement", ("ablation", "placement"),
-            placement_ablation_jobs,
+            placement_ablation_grid,
             _computed(compute_placement_ablation, format_ablation)),
     Section("Ablation: relocation", ("ablation", "relocation"),
-            relocation_ablation_jobs,
+            relocation_ablation_grid,
             _computed(compute_relocation_ablation, format_ablation)),
     Section("Ablation: replacement", ("ablation", "replacement"),
-            replacement_ablation_jobs,
+            replacement_ablation_grid,
             _computed(compute_replacement_ablation, format_ablation)),
-    Section("Extension: cluster-size", None, scaling_jobs,
+    Section("Extension: cluster-size", None, scaling_grid,
             _computed(compute_scaling, format_scaling)),
-    Section("Extension: topology", None, topology_scaling_jobs,
+    Section("Extension: topology", None, topology_scaling_grid,
             _computed(compute_topology_scaling, format_topology_scaling)),
-    Section("Extension: directory", None, directory_scaling_jobs,
+    Section("Extension: directory", None, directory_scaling_grid,
             _computed(compute_directory_scaling, format_directory_scaling)),
 )
 
@@ -206,6 +207,13 @@ def _positive_float(text: str) -> float:
     value = float(text)
     if not (0 < value < math.inf):
         raise argparse.ArgumentTypeError("must be a finite number > 0")
+    return value
+
+
+def _non_negative_float(text: str) -> float:
+    value = float(text)
+    if not (0 <= value < math.inf):
+        raise argparse.ArgumentTypeError("must be a finite number >= 0")
     return value
 
 
@@ -547,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_store_dir(gc_p)
     gc_p.add_argument(
         "--tmp-age",
-        type=float,
+        type=_non_negative_float,
         default=TMP_GC_AGE_S,
         metavar="SECONDS",
         help=(
@@ -728,7 +736,7 @@ def _cmd_trace_stats(args: argparse.Namespace) -> None:
 
 def _cmd_section(args: argparse.Namespace) -> None:
     section = _SECTION_COMMANDS[args.command, args.name]
-    executor = _make_executor(args) if section.jobs is not None else None
+    executor = _make_executor(args) if section.grid is not None else None
     print(section.render(args.scale, args.apps, executor))
 
 
@@ -854,7 +862,9 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     # Enumerate every section's simulations up front so overlapping
     # configurations are submitted exactly once.
     section_jobs = {
-        s.label: s.jobs(scale, apps) for s in SECTIONS if s.jobs is not None
+        s.label: grid_jobs(s.grid(scale, apps))
+        for s in SECTIONS
+        if s.grid is not None
     }
     jobs = [job for needed in section_jobs.values() for job in needed]
     unique = len({job.key for job in jobs})

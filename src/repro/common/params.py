@@ -29,6 +29,7 @@ more expensive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, Optional, Tuple
 
@@ -269,8 +270,8 @@ class ObsParams:
     (the default) the instrumentation layer is structurally absent: no
     hook is installed, no obs module is imported, and the engines run
     the exact same code they run without this class existing — a
-    contract timed by the ``timing`` test in
-    ``tests/property/test_obs_differential.py``.
+    contract ``tests/property/test_obs_differential.py`` gates by
+    counting the bytecode ``simulate()`` adds to a direct engine run.
 
     ``trace_path``
         Destination for a Chrome-trace-event JSON file (loadable in
@@ -362,10 +363,10 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.retries < 0:
             raise ConfigurationError("retries must be non-negative")
-        if self.job_timeout is not None and self.job_timeout <= 0:
-            raise ConfigurationError("job_timeout must be positive")
-        if self.backoff < 0:
-            raise ConfigurationError("backoff must be non-negative")
+        if self.job_timeout is not None and not 0 < self.job_timeout < math.inf:
+            raise ConfigurationError("job_timeout must be a finite number > 0")
+        if not 0 <= self.backoff < math.inf:
+            raise ConfigurationError("backoff must be a finite number >= 0")
 
     @property
     def max_attempts(self) -> int:

@@ -1,7 +1,8 @@
 """Experiment harness: one module per paper table/figure.
 
-Every ``compute_*`` function enumerates its simulations up front (the
-``*_jobs`` functions) and submits them through an
+Every computed section declares its simulations once, as a grid of
+:class:`~repro.experiments.runner.Job` values (the ``*_grid``
+functions); its ``compute_*`` function runs that grid through an
 :class:`~repro.experiments.executor.Executor`, which deduplicates
 overlapping configurations, fans them out across worker processes, and
 persists results in an on-disk :class:`ResultStore`; every ``format_*``
@@ -17,48 +18,44 @@ from repro.experiments.config import (
 )
 from repro.experiments.executor import (
     Executor,
-    Job,
     ResultStore,
     STORE_SCHEMA_VERSION,
     default_store_dir,
-    ensure_executor,
 )
 from repro.experiments.runner import (
-    ResultCache,
-    clear_default_cache,
-    default_cache,
-    run_app,
+    Job,
+    grid_jobs,
+    run_grid,
     run_key,
-    set_default_cache,
 )
 from repro.experiments.ablations import (
     compute_placement_ablation,
     compute_relocation_ablation,
     compute_replacement_ablation,
     format_ablation,
-    placement_ablation_jobs,
-    relocation_ablation_jobs,
-    replacement_ablation_jobs,
+    placement_ablation_grid,
+    relocation_ablation_grid,
+    replacement_ablation_grid,
 )
 from repro.experiments.extension_scaling import (
     compute_scaling,
     format_scaling,
-    scaling_jobs,
+    scaling_grid,
 )
 from repro.experiments.topology_scaling import (
     compute_directory_scaling,
     compute_topology_scaling,
-    directory_scaling_jobs,
+    directory_scaling_grid,
     format_directory_scaling,
     format_topology_scaling,
-    topology_scaling_jobs,
+    topology_scaling_grid,
 )
-from repro.experiments.figure5 import compute_figure5, figure5_jobs, format_figure5
-from repro.experiments.figure6 import compute_figure6, figure6_jobs, format_figure6
-from repro.experiments.figure7 import compute_figure7, figure7_jobs, format_figure7
-from repro.experiments.figure8 import compute_figure8, figure8_jobs, format_figure8
-from repro.experiments.figure9 import compute_figure9, figure9_jobs, format_figure9
-from repro.experiments.table4 import compute_table4, format_table4, table4_jobs
+from repro.experiments.figure5 import compute_figure5, figure5_grid, format_figure5
+from repro.experiments.figure6 import compute_figure6, figure6_grid, format_figure6
+from repro.experiments.figure7 import compute_figure7, figure7_grid, format_figure7
+from repro.experiments.figure8 import compute_figure8, figure8_grid, format_figure8
+from repro.experiments.figure9 import compute_figure9, figure9_grid, format_figure9
+from repro.experiments.table4 import compute_table4, format_table4, table4_grid
 from repro.experiments.tables import (
     format_table1,
     format_table2,
@@ -69,11 +66,9 @@ __all__ = [
     "EXPERIMENT_APPS",
     "Executor",
     "Job",
-    "ResultCache",
     "ResultStore",
     "STORE_SCHEMA_VERSION",
     "cc_config",
-    "clear_default_cache",
     "compute_directory_scaling",
     "compute_figure5",
     "compute_placement_ablation",
@@ -81,10 +76,8 @@ __all__ = [
     "compute_replacement_ablation",
     "compute_scaling",
     "compute_topology_scaling",
-    "default_cache",
     "default_store_dir",
-    "directory_scaling_jobs",
-    "ensure_executor",
+    "directory_scaling_grid",
     "format_ablation",
     "format_directory_scaling",
     "format_scaling",
@@ -94,11 +87,11 @@ __all__ = [
     "compute_figure8",
     "compute_figure9",
     "compute_table4",
-    "figure5_jobs",
-    "figure6_jobs",
-    "figure7_jobs",
-    "figure8_jobs",
-    "figure9_jobs",
+    "figure5_grid",
+    "figure6_grid",
+    "figure7_grid",
+    "figure8_grid",
+    "figure9_grid",
     "format_figure5",
     "format_figure6",
     "format_figure7",
@@ -108,16 +101,16 @@ __all__ = [
     "format_table2",
     "format_table3",
     "format_table4",
+    "grid_jobs",
     "ideal",
-    "placement_ablation_jobs",
-    "relocation_ablation_jobs",
-    "replacement_ablation_jobs",
+    "placement_ablation_grid",
+    "relocation_ablation_grid",
+    "replacement_ablation_grid",
     "rnuma_config",
-    "run_app",
+    "run_grid",
     "run_key",
-    "scaling_jobs",
+    "scaling_grid",
     "scoma_config",
-    "set_default_cache",
-    "table4_jobs",
-    "topology_scaling_jobs",
+    "table4_grid",
+    "topology_scaling_grid",
 ]

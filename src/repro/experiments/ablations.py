@@ -1,4 +1,4 @@
-"""Ablation studies for the design choices DESIGN.md calls out.
+"""Ablation studies of three of the paper's design choices.
 
 Three ablations, each grounded in a specific passage of the paper:
 
@@ -19,12 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from dataclasses import replace as dc_replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from repro.experiments.config import EXPERIMENT_APPS, cc_config, ideal, rnuma_config, scoma_config
-from repro.experiments.executor import Executor, Job, ensure_executor
+from repro.experiments.config import cc_config, ideal, rnuma_config, scoma_config
+from repro.experiments.executor import Executor
 from repro.experiments.reporting import render_table
-from repro.experiments.runner import ResultCache
+from repro.experiments.runner import Grid, app_grid, normalized, run_grid
 from repro.osint.placement import round_robin_homes
 from repro.sim.engine import simulate
 from repro.workloads.registry import build_program
@@ -46,119 +46,92 @@ class AblationResult:
         return row[variant] / row[baseline]
 
 
-def _flush_rnuma_config():
-    return dc_replace(rnuma_config(), relocation_mode="flush")
-
-
-def relocation_ablation_jobs(
+def relocation_ablation_grid(
     scale: float = 1.0, apps: Optional[Sequence[str]] = None
-) -> List[Job]:
-    apps = list(apps or DEFAULT_ABLATION_APPS)
-    configs = (ideal(), rnuma_config(), _flush_rnuma_config())
-    return [Job(app, cfg, scale) for app in apps for cfg in configs]
+) -> Grid:
+    """R-NUMA relocating by local block moves and by flushing home."""
+    systems = {
+        "ideal": ideal(),
+        "R-NUMA local-move": rnuma_config(),
+        "R-NUMA flush-home": dc_replace(rnuma_config(), relocation_mode="flush"),
+    }
+    return app_grid(systems, scale, apps or DEFAULT_ABLATION_APPS)
 
 
 def compute_relocation_ablation(
     scale: float = 1.0,
     apps: Optional[Sequence[str]] = None,
-    cache: Optional[ResultCache] = None,
     executor: Optional[Executor] = None,
 ) -> AblationResult:
     """R-NUMA with local block moves vs. flush-home relocation."""
-    apps = list(apps or DEFAULT_ABLATION_APPS)
-    exe = ensure_executor(executor, cache)
-    exe.run(relocation_ablation_jobs(scale, apps))
-    out = AblationResult(
+    rows = run_grid(relocation_ablation_grid(scale, apps), executor)
+    return AblationResult(
         title="Ablation: relocation implementation (Section 3.2)",
+        normalized={app: normalized(row) for app, row in rows.items()},
         variants=("R-NUMA local-move", "R-NUMA flush-home"),
     )
-    for app in apps:
-        base = exe.run_app(app, ideal(), scale=scale)
-        local = exe.run_app(app, rnuma_config(), scale=scale)
-        flush = exe.run_app(app, _flush_rnuma_config(), scale=scale)
-        out.normalized[app] = {
-            "R-NUMA local-move": local.normalized_to(base),
-            "R-NUMA flush-home": flush.normalized_to(base),
-        }
-    return out
 
 
-def _scoma_policy_config(policy: str):
-    cfg = scoma_config()
-    return dc_replace(cfg, caches=dc_replace(cfg.caches, page_replacement=policy))
-
-
-def replacement_ablation_jobs(
+def replacement_ablation_grid(
     scale: float = 1.0, apps: Optional[Sequence[str]] = None
-) -> List[Job]:
-    apps = list(apps or DEFAULT_ABLATION_APPS)
-    configs = [ideal()] + [
-        _scoma_policy_config(p) for p in ("lrm", "lru", "fifo")
-    ]
-    return [Job(app, cfg, scale) for app in apps for cfg in configs]
+) -> Grid:
+    """S-COMA under each page-replacement policy."""
+    cfg = scoma_config()
+    systems = {"ideal": ideal()}
+    for policy in ("lrm", "lru", "fifo"):
+        caches = dc_replace(cfg.caches, page_replacement=policy)
+        systems[f"S-COMA {policy}"] = dc_replace(cfg, caches=caches)
+    return app_grid(systems, scale, apps or DEFAULT_ABLATION_APPS)
 
 
 def compute_replacement_ablation(
     scale: float = 1.0,
     apps: Optional[Sequence[str]] = None,
-    cache: Optional[ResultCache] = None,
     executor: Optional[Executor] = None,
 ) -> AblationResult:
     """S-COMA under LRM (paper), LRU, and FIFO page replacement."""
-    apps = list(apps or DEFAULT_ABLATION_APPS)
-    exe = ensure_executor(executor, cache)
-    exe.run(replacement_ablation_jobs(scale, apps))
-    out = AblationResult(
+    rows = run_grid(replacement_ablation_grid(scale, apps), executor)
+    return AblationResult(
         title="Ablation: page-cache replacement policy (Section 4)",
+        normalized={app: normalized(row) for app, row in rows.items()},
         variants=("S-COMA lrm", "S-COMA lru", "S-COMA fifo"),
     )
-    for app in apps:
-        base = exe.run_app(app, ideal(), scale=scale)
-        row = {}
-        for policy in ("lrm", "lru", "fifo"):
-            result = exe.run_app(app, _scoma_policy_config(policy), scale=scale)
-            row[f"S-COMA {policy}"] = result.normalized_to(base)
-        out.normalized[app] = row
-    return out
 
 
-def placement_ablation_jobs(
+def placement_ablation_grid(
     scale: float = 1.0, apps: Optional[Sequence[str]] = None
-) -> List[Job]:
-    apps = list(apps or DEFAULT_ABLATION_APPS)
-    configs = (ideal(), cc_config())
-    return [Job(app, cfg, scale) for app in apps for cfg in configs]
+) -> Grid:
+    """CC-NUMA with first-touch placement; the round-robin runs are not
+    in the grid (see :func:`compute_placement_ablation`)."""
+    systems = {"ideal": ideal(), "CC first-touch": cc_config()}
+    return app_grid(systems, scale, apps or DEFAULT_ABLATION_APPS)
 
 
 def compute_placement_ablation(
     scale: float = 1.0,
     apps: Optional[Sequence[str]] = None,
-    cache: Optional[ResultCache] = None,
     executor: Optional[Executor] = None,
 ) -> AblationResult:
     """CC-NUMA with first-touch vs. round-robin page placement.
 
     Round-robin homes are outside the run-key space (the key does not
-    capture a user-supplied home map), so those runs are simulated
-    directly rather than through the executor's cache/store.
+    capture a user-supplied home map), so those runs simulate the
+    first-touch cell's config directly rather than through the
+    executor's cache/store.
     """
-    apps = list(apps or DEFAULT_ABLATION_APPS)
-    exe = ensure_executor(executor, cache)
-    exe.run(placement_ablation_jobs(scale, apps))
+    grid = placement_ablation_grid(scale, apps)
     out = AblationResult(
         title="Ablation: page placement (Section 2.1, first-touch migration)",
         variants=("CC first-touch", "CC round-robin"),
     )
-    for app in apps:
-        base = exe.run_app(app, ideal(), scale=scale)
-        first_touch = exe.run_app(app, cc_config(), scale=scale)
-        cfg = cc_config()
+    for app, row in run_grid(grid, executor).items():
+        cfg = grid[app]["CC first-touch"].config
         program = build_program(app, machine=cfg.machine, space=cfg.space, scale=scale)
         homes = round_robin_homes(program, cfg.machine, cfg.space)
         round_robin = simulate(cfg, program, dict(homes))
         out.normalized[app] = {
-            "CC first-touch": first_touch.normalized_to(base),
-            "CC round-robin": round_robin.normalized_to(base),
+            **normalized(row),
+            "CC round-robin": round_robin.normalized_to(row["ideal"]),
         }
     return out
 

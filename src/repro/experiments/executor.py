@@ -1,13 +1,13 @@
 """Parallel experiment execution with a persistent on-disk result store.
 
-The figure/table modules enumerate their simulations up front as
-:class:`Job` values and hand the whole set to an :class:`Executor`,
-which:
+The figure/table modules declare their simulations as grids of
+:class:`Job` values (:func:`repro.experiments.runner.run_grid`) and
+hand each whole grid to an :class:`Executor`, which:
 
 1. deduplicates jobs by :func:`repro.experiments.runner.run_key`
    (the ideal baseline and base CC/S/R systems recur across figures);
-2. satisfies what it can from its in-memory :class:`ResultCache` and
-   its :class:`ResultStore` (JSON-per-key files under a cache
+2. satisfies what it can from its in-memory cache (a dict it owns)
+   and its :class:`ResultStore` (JSON-per-key files under a cache
    directory);
 3. runs the remaining simulations through one *supervised* dispatch
    loop — every attempt is wrapped in an outcome envelope, so one
@@ -17,8 +17,8 @@ which:
    to overlap or preempt, so each attempt runs in this process instead;
 4. writes fresh results back to both layers as each job completes.
 
-:meth:`Executor.run_app` (one job, as the figure modules ask for their
-results) is a cache lookup in front of the same :meth:`Executor.run`.
+:meth:`Executor.run_app` (one job) is a cache lookup in front of the
+same :meth:`Executor.run`.
 
 Simulations are deterministic, so a parallel run produces bit-identical
 results to a serial one, and a second ``python -m repro reproduce``
@@ -65,7 +65,7 @@ import time
 import traceback as traceback_module
 from collections import deque
 from dataclasses import asdict, dataclass, fields
-from functools import cached_property, partial
+from functools import partial
 from itertools import count
 from pathlib import Path
 from queue import Empty, SimpleQueue
@@ -88,7 +88,7 @@ from repro.common.params import (
     config_from_dict,
     config_to_dict,
 )
-from repro.experiments.runner import ResultCache, default_cache, run_key
+from repro.experiments.runner import Job
 from repro.faults import injection
 from repro.sim.engine import simulate
 from repro.sim.results import SimulationResult
@@ -137,20 +137,6 @@ def default_store_dir() -> Path:
     if env:
         return Path(env).expanduser()
     return Path("~/.cache/repro-rnuma").expanduser()
-
-
-@dataclass(frozen=True)
-class Job:
-    """One simulation to run: an application under a configuration."""
-
-    app: str
-    config: SystemConfig
-    scale: float = 1.0
-
-    @cached_property
-    def key(self) -> Tuple:
-        # Every sweep phase looks a job up several times; derive once.
-        return run_key(self.app, self.config, self.scale)
 
 
 @dataclass
@@ -623,7 +609,6 @@ class Executor:
     def __init__(
         self,
         workers: int = 1,
-        cache: Optional[ResultCache] = None,
         store: Optional[ResultStore] = None,
         progress: Optional[Callable[[int, int, Job, str], None]] = None,
         retry: Optional[RetryPolicy] = None,
@@ -631,7 +616,8 @@ class Executor:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = workers
-        self.cache = cache if cache is not None else ResultCache()
+        #: Results by run key: fresh simulations and store hits.
+        self.cache: Dict[Tuple, SimulationResult] = {}
         self.store = store
         #: Failure policy: per-job retries, deadline, backoff, fail-fast.
         self.retry = retry if retry is not None else RetryPolicy()
@@ -1058,16 +1044,3 @@ class Executor:
             manifest.update(extra)
         return self.store.write_manifest_payload(manifest)
 
-
-def ensure_executor(
-    executor: Optional[Executor] = None, cache: Optional[ResultCache] = None
-) -> Executor:
-    """Resolve the executor a compute function should use.
-
-    Experiment modules accept either a full ``executor`` or (for
-    backward compatibility) a bare ``cache``; with neither, they share
-    the process-wide default cache through a serial executor.
-    """
-    if executor is not None:
-        return executor
-    return Executor(workers=1, cache=cache if cache is not None else default_cache())

@@ -17,13 +17,13 @@ the winner at every size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.common.params import MachineParams
 from repro.experiments.config import cc_config, ideal, rnuma_config, scoma_config
-from repro.experiments.executor import Executor, Job, ensure_executor
+from repro.experiments.executor import Executor
 from repro.experiments.reporting import render_table
-from repro.experiments.runner import ResultCache
+from repro.experiments.runner import Grid, Job, normalized, run_grid
 
 DEFAULT_SCALING_APPS = ("em3d", "moldyn", "barnes")
 NODE_COUNTS = (4, 8, 16)
@@ -48,53 +48,46 @@ class ScalingResult:
         )
 
 
-def _scaling_configs(nodes: int):
+def cluster_row(app: str, nodes: int, scale: float, **overrides) -> Dict[str, Job]:
+    """One grid row on ``nodes`` nodes x 4 CPUs: the ideal machine (the
+    baseline, left at the default topology and directory), then CC-NUMA,
+    S-COMA and R-NUMA with ``overrides`` applied."""
     machine = MachineParams(nodes=nodes, cpus_per_node=4)
-    return (
-        replace(ideal(), machine=machine),
-        {
-            "CC-NUMA": replace(cc_config(), machine=machine),
-            "S-COMA": replace(scoma_config(), machine=machine),
-            "R-NUMA": replace(rnuma_config(), machine=machine),
-        },
-    )
+    systems = {
+        "CC-NUMA": cc_config(),
+        "S-COMA": scoma_config(),
+        "R-NUMA": rnuma_config(),
+    }
+    row = {"ideal": Job(app, replace(ideal(), machine=machine), scale)}
+    for name, cfg in systems.items():
+        row[name] = Job(app, replace(cfg, machine=machine, **overrides), scale)
+    return row
 
 
-def scaling_jobs(
+def scaling_grid(
     scale: float = 1.0,
     apps: Optional[Sequence[str]] = None,
     node_counts: Sequence[int] = NODE_COUNTS,
-) -> List[Job]:
-    apps = list(apps or DEFAULT_SCALING_APPS)
-    jobs = []
-    for nodes in node_counts:
-        base_cfg, configs = _scaling_configs(nodes)
-        for app in apps:
-            jobs.append(Job(app, base_cfg, scale))
-            jobs.extend(Job(app, cfg, scale) for cfg in configs.values())
-    return jobs
+) -> Grid:
+    """Rows ``(app, nodes)``: the base systems at each cluster size."""
+    return {
+        (app, nodes): cluster_row(app, nodes, scale)
+        for nodes in node_counts
+        for app in apps or DEFAULT_SCALING_APPS
+    }
 
 
 def compute_scaling(
     scale: float = 1.0,
     apps: Optional[Sequence[str]] = None,
-    cache: Optional[ResultCache] = None,
     node_counts: Sequence[int] = NODE_COUNTS,
     executor: Optional[Executor] = None,
 ) -> ScalingResult:
-    apps = list(apps or DEFAULT_SCALING_APPS)
-    exe = ensure_executor(executor, cache)
-    exe.run(scaling_jobs(scale, apps, node_counts))
-    out = ScalingResult(node_counts=tuple(node_counts))
-    for nodes in node_counts:
-        base_cfg, configs = _scaling_configs(nodes)
-        for app in apps:
-            base = exe.run_app(app, base_cfg, scale=scale)
-            out.normalized[(app, nodes)] = {
-                name: exe.run_app(app, cfg, scale=scale).normalized_to(base)
-                for name, cfg in configs.items()
-            }
-    return out
+    rows = run_grid(scaling_grid(scale, apps, node_counts), executor)
+    return ScalingResult(
+        normalized={point: normalized(row) for point, row in rows.items()},
+        node_counts=tuple(node_counts),
+    )
 
 
 def format_scaling(result: ScalingResult) -> str:

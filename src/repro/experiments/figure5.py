@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.config import EXPERIMENT_APPS, cc_config
-from repro.experiments.executor import Executor, Job, ensure_executor
-from repro.experiments.runner import ResultCache
+from repro.experiments.executor import Executor
+from repro.experiments.runner import Grid, app_grid, run_grid
 from repro.experiments.reporting import render_table
 
 #: the paper omits fft from this figure
@@ -50,27 +50,21 @@ class Figure5Result:
         return curve[-1][1]
 
 
-def figure5_jobs(
-    scale: float = 1.0, apps: Optional[Sequence[str]] = None
-) -> List[Job]:
-    """Every simulation Figure 5 needs, enumerated up front."""
-    apps = [a for a in (apps or EXPERIMENT_APPS) if a not in OMITTED]
-    return [Job(app, cc_config(), scale) for app in apps]
+def figure5_grid(scale: float = 1.0, apps: Optional[Sequence[str]] = None) -> Grid:
+    """Figure 5's simulations: CC-NUMA (32-KB block cache) per app."""
+    apps = [app for app in apps or EXPERIMENT_APPS if app not in OMITTED]
+    return app_grid({"CC-NUMA": cc_config()}, scale, apps)
 
 
 def compute_figure5(
     scale: float = 1.0,
     apps: Optional[Sequence[str]] = None,
-    cache: Optional[ResultCache] = None,
     executor: Optional[Executor] = None,
 ) -> Figure5Result:
     """Run CC-NUMA (32-KB block cache) per app and build the CDFs."""
-    apps = [a for a in (apps or EXPERIMENT_APPS) if a not in OMITTED]
-    exe = ensure_executor(executor, cache)
-    exe.run(figure5_jobs(scale, apps))
     out = Figure5Result()
-    for app in apps:
-        result = exe.run_app(app, cc_config(), scale=scale)
+    for app, row in run_grid(figure5_grid(scale, apps), executor).items():
+        result = row["CC-NUMA"]
         by_page = result.refetches_by_page()
         total = sum(by_page.values())
         remote_pages = result.remote_pages_touched

@@ -14,7 +14,7 @@ worse than the other.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.experiments.config import (
     EXPERIMENT_APPS,
@@ -23,8 +23,8 @@ from repro.experiments.config import (
     rnuma_config,
     scoma_config,
 )
-from repro.experiments.executor import Executor, Job, ensure_executor
-from repro.experiments.runner import ResultCache
+from repro.experiments.executor import Executor
+from repro.experiments.runner import Grid, app_grid, normalized, run_grid
 from repro.experiments.reporting import render_bar_chart, render_table
 
 PROTOCOLS = ("CC-NUMA", "S-COMA", "R-NUMA")
@@ -65,42 +65,24 @@ class Figure6Result:
         }
 
 
-def _figure6_configs():
-    return {
+def figure6_grid(scale: float = 1.0, apps: Optional[Sequence[str]] = None) -> Grid:
+    """Figure 6's simulations: the base systems and the ideal baseline."""
+    systems = {
+        "ideal": ideal(),
         "CC-NUMA": cc_config(),
         "S-COMA": scoma_config(),
         "R-NUMA": rnuma_config(),
     }
-
-
-def figure6_jobs(
-    scale: float = 1.0, apps: Optional[Sequence[str]] = None
-) -> List[Job]:
-    """Every simulation Figure 6 needs, enumerated up front."""
-    apps = list(apps or EXPERIMENT_APPS)
-    configs = [ideal()] + list(_figure6_configs().values())
-    return [Job(app, cfg, scale) for app in apps for cfg in configs]
+    return app_grid(systems, scale, apps or EXPERIMENT_APPS)
 
 
 def compute_figure6(
     scale: float = 1.0,
     apps: Optional[Sequence[str]] = None,
-    cache: Optional[ResultCache] = None,
     executor: Optional[Executor] = None,
 ) -> Figure6Result:
-    apps = list(apps or EXPERIMENT_APPS)
-    exe = ensure_executor(executor, cache)
-    exe.run(figure6_jobs(scale, apps))
-    configs = _figure6_configs()
-    out = Figure6Result()
-    for app in apps:
-        base = exe.run_app(app, ideal(), scale=scale)
-        row = {}
-        for name, cfg in configs.items():
-            result = exe.run_app(app, cfg, scale=scale)
-            row[name] = result.normalized_to(base)
-        out.normalized[app] = row
-    return out
+    rows = run_grid(figure6_grid(scale, apps), executor)
+    return Figure6Result(normalized={app: normalized(row) for app, row in rows.items()})
 
 
 def format_figure6(result: Figure6Result, chart: bool = True) -> str:

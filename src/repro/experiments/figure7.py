@@ -18,7 +18,7 @@ cache or the 40-MB page cache.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.experiments.config import (
     EXPERIMENT_APPS,
@@ -32,8 +32,8 @@ from repro.experiments.config import (
     ideal,
     rnuma_config,
 )
-from repro.experiments.executor import Executor, Job, ensure_executor
-from repro.experiments.runner import ResultCache
+from repro.experiments.executor import Executor
+from repro.experiments.runner import Grid, app_grid, normalized, run_grid
 from repro.experiments.reporting import render_table
 
 SYSTEMS = (
@@ -60,43 +60,27 @@ class Figure7Result:
         return row["R b=128,p=320K"] / row["R b=128,p=40M"]
 
 
-def _figure7_configs():
-    return {
+def figure7_grid(scale: float = 1.0, apps: Optional[Sequence[str]] = None) -> Grid:
+    """Figure 7's simulations: the five cache-size points and the ideal
+    baseline."""
+    systems = {
+        "ideal": ideal(),
         "CC b=1K": cc_config(FIG7_CC_SMALL),
         "CC b=32K": cc_config(FIG7_CC_LARGE),
         "R b=128,p=320K": rnuma_config(FIG7_R_SMALL_BLOCK, FIG7_R_BASE_PAGE),
         "R b=32K,p=320K": rnuma_config(FIG7_R_LARGE_BLOCK, FIG7_R_BASE_PAGE),
         "R b=128,p=40M": rnuma_config(FIG7_R_SMALL_BLOCK, FIG7_R_HUGE_PAGE),
     }
-
-
-def figure7_jobs(
-    scale: float = 1.0, apps: Optional[Sequence[str]] = None
-) -> List[Job]:
-    """Every simulation Figure 7 needs, enumerated up front."""
-    apps = list(apps or EXPERIMENT_APPS)
-    configs = [ideal()] + list(_figure7_configs().values())
-    return [Job(app, cfg, scale) for app in apps for cfg in configs]
+    return app_grid(systems, scale, apps or EXPERIMENT_APPS)
 
 
 def compute_figure7(
     scale: float = 1.0,
     apps: Optional[Sequence[str]] = None,
-    cache: Optional[ResultCache] = None,
     executor: Optional[Executor] = None,
 ) -> Figure7Result:
-    apps = list(apps or EXPERIMENT_APPS)
-    exe = ensure_executor(executor, cache)
-    exe.run(figure7_jobs(scale, apps))
-    configs = _figure7_configs()
-    out = Figure7Result()
-    for app in apps:
-        base = exe.run_app(app, ideal(), scale=scale)
-        out.normalized[app] = {
-            name: exe.run_app(app, cfg, scale=scale).normalized_to(base)
-            for name, cfg in configs.items()
-        }
-    return out
+    rows = run_grid(figure7_grid(scale, apps), executor)
+    return Figure7Result(normalized={app: normalized(row) for app, row in rows.items()})
 
 
 def format_figure7(result: Figure7Result) -> str:

@@ -10,11 +10,11 @@ favouring the low threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.experiments.config import EXPERIMENT_APPS, FIG8_THRESHOLDS, rnuma_config
-from repro.experiments.executor import Executor, Job, ensure_executor
-from repro.experiments.runner import ResultCache
+from repro.experiments.executor import Executor
+from repro.experiments.runner import Grid, app_grid, normalized, run_grid
 from repro.experiments.reporting import render_table
 
 BASE_THRESHOLD = 64
@@ -36,40 +36,30 @@ class Figure8Result:
         return min(row, key=row.get)
 
 
-def figure8_jobs(
+def figure8_grid(
     scale: float = 1.0,
     apps: Optional[Sequence[str]] = None,
     thresholds: Sequence[int] = FIG8_THRESHOLDS,
-) -> List[Job]:
-    """Every simulation Figure 8 needs, enumerated up front."""
-    apps = list(apps or EXPERIMENT_APPS)
-    all_thresholds = dict.fromkeys([BASE_THRESHOLD, *thresholds])
-    return [
-        Job(app, rnuma_config(threshold=t), scale)
-        for app in apps
-        for t in all_thresholds
-    ]
+) -> Grid:
+    """Figure 8's simulations: R-NUMA at the T=64 baseline (column
+    ``"base"``), then at each threshold."""
+    systems = {"base": rnuma_config(threshold=BASE_THRESHOLD)}
+    for t in thresholds:
+        systems[t] = rnuma_config(threshold=t)
+    return app_grid(systems, scale, apps or EXPERIMENT_APPS)
 
 
 def compute_figure8(
     scale: float = 1.0,
     apps: Optional[Sequence[str]] = None,
-    cache: Optional[ResultCache] = None,
     thresholds: Sequence[int] = FIG8_THRESHOLDS,
     executor: Optional[Executor] = None,
 ) -> Figure8Result:
-    apps = list(apps or EXPERIMENT_APPS)
-    exe = ensure_executor(executor, cache)
-    exe.run(figure8_jobs(scale, apps, thresholds))
-    out = Figure8Result(thresholds=tuple(thresholds))
-    for app in apps:
-        base = exe.run_app(app, rnuma_config(threshold=BASE_THRESHOLD), scale=scale)
-        row = {}
-        for t in thresholds:
-            result = exe.run_app(app, rnuma_config(threshold=t), scale=scale)
-            row[t] = result.normalized_to(base)
-        out.normalized[app] = row
-    return out
+    rows = run_grid(figure8_grid(scale, apps, thresholds), executor)
+    return Figure8Result(
+        normalized={app: normalized(row, base="base") for app, row in rows.items()},
+        thresholds=tuple(thresholds),
+    )
 
 
 def format_figure8(result: Figure8Result) -> str:

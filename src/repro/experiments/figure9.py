@@ -14,7 +14,7 @@ the critical path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.experiments.config import (
     EXPERIMENT_APPS,
@@ -24,8 +24,8 @@ from repro.experiments.config import (
     scoma_config,
     scoma_soft_config,
 )
-from repro.experiments.executor import Executor, Job, ensure_executor
-from repro.experiments.runner import ResultCache
+from repro.experiments.executor import Executor
+from repro.experiments.runner import Grid, app_grid, normalized, run_grid
 from repro.experiments.reporting import render_table
 
 SYSTEMS = ("S-COMA", "S-COMA-SOFT", "R-NUMA", "R-NUMA-SOFT")
@@ -44,42 +44,26 @@ class Figure9Result:
         return row["R-NUMA-SOFT"] / row["R-NUMA"]
 
 
-def _figure9_configs():
-    return {
+def figure9_grid(scale: float = 1.0, apps: Optional[Sequence[str]] = None) -> Grid:
+    """Figure 9's simulations: S-COMA and R-NUMA under base and SOFT
+    costs, and the ideal baseline."""
+    systems = {
+        "ideal": ideal(),
         "S-COMA": scoma_config(),
         "S-COMA-SOFT": scoma_soft_config(),
         "R-NUMA": rnuma_config(),
         "R-NUMA-SOFT": rnuma_soft_config(),
     }
-
-
-def figure9_jobs(
-    scale: float = 1.0, apps: Optional[Sequence[str]] = None
-) -> List[Job]:
-    """Every simulation Figure 9 needs, enumerated up front."""
-    apps = list(apps or EXPERIMENT_APPS)
-    configs = [ideal()] + list(_figure9_configs().values())
-    return [Job(app, cfg, scale) for app in apps for cfg in configs]
+    return app_grid(systems, scale, apps or EXPERIMENT_APPS)
 
 
 def compute_figure9(
     scale: float = 1.0,
     apps: Optional[Sequence[str]] = None,
-    cache: Optional[ResultCache] = None,
     executor: Optional[Executor] = None,
 ) -> Figure9Result:
-    apps = list(apps or EXPERIMENT_APPS)
-    exe = ensure_executor(executor, cache)
-    exe.run(figure9_jobs(scale, apps))
-    configs = _figure9_configs()
-    out = Figure9Result()
-    for app in apps:
-        base = exe.run_app(app, ideal(), scale=scale)
-        out.normalized[app] = {
-            name: exe.run_app(app, cfg, scale=scale).normalized_to(base)
-            for name, cfg in configs.items()
-        }
-    return out
+    rows = run_grid(figure9_grid(scale, apps), executor)
+    return Figure9Result(normalized={app: normalized(row) for app, row in rows.items()})
 
 
 def format_figure9(result: Figure9Result) -> str:

@@ -1,21 +1,37 @@
-"""Identity and memoization of (application, configuration) runs.
+"""Identity of (application, configuration) runs, and experiment grids.
 
-The figures overlap heavily — the ideal baseline appears in every one,
-the base CC/S/R systems in several — so a shared :class:`ResultCache`
-avoids re-simulating.  Keys capture everything that affects a run.
+Keys capture everything that affects a run, so the executor and its
+on-disk store serve each run once however many figures need it (the
+ideal baseline appears in nearly all of them).
 
-Simulations run in :mod:`repro.experiments.executor`, which fills this
-cache (and a persistent on-disk store); :func:`run_app` is one job
-through it.
+Every computed report section declares its simulations once, as a grid
+``{row: {column: Job}}``: the figure's rows (applications, or
+application x machine points) by its named systems, baseline included.
+:func:`grid_jobs` flattens a grid for the up-front union ``reproduce``
+submits; :func:`run_grid` reads the results back in the grid's shape.
 """
 
 from __future__ import annotations
 
-from dataclasses import fields, is_dataclass
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import dataclass, fields, is_dataclass
+from functools import cached_property
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
 from repro.common.params import SystemConfig
 from repro.sim.results import SimulationResult
+
+if TYPE_CHECKING:
+    from repro.experiments.executor import Executor
 
 #: type -> names of its compared dataclass fields (``()`` for a leaf
 #: type), looked up once per type so a key costs one pass over values.
@@ -47,47 +63,71 @@ def run_key(app: str, config: SystemConfig, scale: float = 1.0) -> Tuple:
     return (app, scale, config_key(config))
 
 
-class ResultCache(Dict[Tuple, SimulationResult]):
-    """Simulation results per :func:`run_key`: a plain map the executor
-    fills with fresh simulations and store hits."""
+@dataclass(frozen=True)
+class Job:
+    """One simulation to run: an application under a configuration."""
+
+    app: str
+    config: SystemConfig
+    scale: float = 1.0
+
+    @cached_property
+    def key(self) -> Tuple:
+        # Every sweep phase looks a job up several times; derive once.
+        return run_key(self.app, self.config, self.scale)
 
 
-_default_cache = ResultCache()
+#: ``{row: {column: job}}``, rows and columns in report order.
+Grid = Dict[Hashable, Dict[Hashable, Job]]
 
 
-def run_app(
-    app: str,
-    config: SystemConfig,
-    scale: float = 1.0,
-    cache: Optional[ResultCache] = None,
-) -> SimulationResult:
-    """Simulate one application under one configuration (memoized),
-    through a serial :class:`~repro.experiments.executor.Executor`
-    over ``cache`` (the process-wide default when None)."""
-    # Imported here: the executor module imports this one.
-    from repro.experiments.executor import ensure_executor
-
-    return ensure_executor(None, cache).run_app(app, config, scale)
+def app_grid(
+    systems: Mapping[Hashable, SystemConfig], scale: float, apps: Iterable[str]
+) -> Grid:
+    """One row per app, one column per named system."""
+    return {
+        app: {name: Job(app, cfg, scale) for name, cfg in systems.items()}
+        for app in apps
+    }
 
 
-def default_cache() -> ResultCache:
-    """The process-wide cache used when callers pass ``cache=None``."""
-    return _default_cache
+def grid_jobs(grid: Grid) -> List[Job]:
+    """Every distinct job of ``grid`` once, in first-seen order (rows
+    often share a baseline job)."""
+    unique: Dict[Tuple, Job] = {}
+    for row in grid.values():
+        for job in row.values():
+            unique.setdefault(job.key, job)
+    return list(unique.values())
 
 
-def set_default_cache(cache: ResultCache) -> ResultCache:
-    """Replace the process-wide cache; returns the previous one.
+def run_grid(
+    grid: Grid, executor: Optional[Executor] = None
+) -> Dict[Hashable, Dict[Hashable, SimulationResult]]:
+    """Run ``grid`` in one :meth:`Executor.run` call (on a fresh serial
+    executor when None) and return ``{row: {column: result}}``; cells
+    that share a job share its result object."""
+    if executor is None:
+        # Imported here: the executor module imports this one.
+        from repro.experiments.executor import Executor
 
-    Long-lived processes (and test suites sharing a process) can swap in
-    a fresh cache instead of letting the module-level one grow without
-    bound or leak results across unrelated runs.
-    """
-    global _default_cache
-    previous = _default_cache
-    _default_cache = cache
-    return previous
+        executor = Executor()
+    jobs = [job for row in grid.values() for job in row.values()]
+    results = iter(executor.run(jobs))
+    return {
+        name: {column: next(results) for column in row}
+        for name, row in grid.items()
+    }
 
 
-def clear_default_cache() -> None:
-    """Drop every memoized result from the process-wide cache."""
-    _default_cache.clear()
+def normalized(
+    row: Mapping[Hashable, SimulationResult], base: Hashable = "ideal"
+) -> Dict[Hashable, float]:
+    """Every column of ``row`` but ``base``, as execution time relative
+    to the ``base`` column's run."""
+    baseline = row[base]
+    return {
+        column: result.normalized_to(baseline)
+        for column, result in row.items()
+        if column != base
+    }

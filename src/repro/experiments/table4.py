@@ -14,7 +14,7 @@ The paper omits fft (no capacity misses, almost no replacements).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.experiments.config import (
     EXPERIMENT_APPS,
@@ -22,8 +22,8 @@ from repro.experiments.config import (
     rnuma_config,
     scoma_config,
 )
-from repro.experiments.executor import Executor, Job, ensure_executor
-from repro.experiments.runner import ResultCache
+from repro.experiments.executor import Executor
+from repro.experiments.runner import Grid, app_grid, run_grid
 from repro.experiments.reporting import render_table
 
 OMITTED = ("fft",)
@@ -41,29 +41,25 @@ class Table4Result:
     rows: Dict[str, Table4Row] = field(default_factory=dict)
 
 
-def table4_jobs(
-    scale: float = 1.0, apps: Optional[Sequence[str]] = None
-) -> List[Job]:
-    """Every simulation Table 4 needs, enumerated up front."""
-    apps = [a for a in (apps or EXPERIMENT_APPS) if a not in OMITTED]
-    configs = (cc_config(), scoma_config(), rnuma_config())
-    return [Job(app, cfg, scale) for app in apps for cfg in configs]
+def table4_grid(scale: float = 1.0, apps: Optional[Sequence[str]] = None) -> Grid:
+    """Table 4's simulations: the three base systems per app."""
+    systems = {
+        "CC-NUMA": cc_config(),
+        "S-COMA": scoma_config(),
+        "R-NUMA": rnuma_config(),
+    }
+    apps = [app for app in apps or EXPERIMENT_APPS if app not in OMITTED]
+    return app_grid(systems, scale, apps)
 
 
 def compute_table4(
     scale: float = 1.0,
     apps: Optional[Sequence[str]] = None,
-    cache: Optional[ResultCache] = None,
     executor: Optional[Executor] = None,
 ) -> Table4Result:
-    apps = [a for a in (apps or EXPERIMENT_APPS) if a not in OMITTED]
-    exe = ensure_executor(executor, cache)
-    exe.run(table4_jobs(scale, apps))
     out = Table4Result()
-    for app in apps:
-        cc = exe.run_app(app, cc_config(), scale=scale)
-        sc = exe.run_app(app, scoma_config(), scale=scale)
-        rn = exe.run_app(app, rnuma_config(), scale=scale)
+    for app, row in run_grid(table4_grid(scale, apps), executor).items():
+        cc, sc, rn = row["CC-NUMA"], row["S-COMA"], row["R-NUMA"]
 
         by_page = cc.refetches_by_page()
         total = sum(by_page.values())

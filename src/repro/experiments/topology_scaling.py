@@ -19,14 +19,14 @@ node count makes the shift visible in the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.common.params import DirectoryParams, MachineParams
-from repro.experiments.config import cc_config, ideal, rnuma_config, scoma_config
-from repro.experiments.executor import Executor, Job, ensure_executor
+from repro.common.params import DirectoryParams
+from repro.experiments.executor import Executor
+from repro.experiments.extension_scaling import cluster_row
 from repro.experiments.reporting import render_table
-from repro.experiments.runner import ResultCache
+from repro.experiments.runner import Grid, normalized, run_grid
 from repro.interconnect.routing import routing_table_for
 from repro.interconnect.topology import topology_names
 
@@ -70,69 +70,38 @@ class TopologyScalingResult:
         return max(self.rnuma_vs_best(*key) for key in self.normalized)
 
 
-def _topology_configs(topology: str, nodes: int):
-    machine = MachineParams(nodes=nodes, cpus_per_node=4)
-    return {
-        "CC-NUMA": replace(cc_config(), machine=machine, topology=topology),
-        "S-COMA": replace(scoma_config(), machine=machine, topology=topology),
-        "R-NUMA": replace(rnuma_config(), machine=machine, topology=topology),
-    }
-
-
-def _baseline_config(nodes: int):
-    """The uniform-fabric ideal machine: normalizing against it at each
-    node count isolates what the topology adds (and coincides with the
-    cluster-size extension's baseline, so the job dedups across both
-    sweeps)."""
-    return replace(ideal(), machine=MachineParams(nodes=nodes, cpus_per_node=4))
-
-
-def topology_scaling_jobs(
+def topology_scaling_grid(
     scale: float = 1.0,
     apps: Optional[Sequence[str]] = None,
     topologies: Optional[Sequence[str]] = None,
     node_counts: Sequence[int] = TOPOLOGY_NODE_COUNTS,
-) -> List[Job]:
-    apps = list(apps or DEFAULT_TOPOLOGY_APPS)
-    topologies = list(topologies or topology_names())
-    jobs = []
-    for nodes in node_counts:
-        base_cfg = _baseline_config(nodes)
-        for app in apps:
-            jobs.append(Job(app, base_cfg, scale))
-        for topology in topologies:
-            configs = _topology_configs(topology, nodes)
-            for app in apps:
-                jobs.extend(Job(app, cfg, scale) for cfg in configs.values())
-    return jobs
+) -> Grid:
+    """Rows ``(app, topology, nodes)``: the base systems on each fabric,
+    against the uniform-fabric ideal machine at that node count.  That
+    baseline isolates what the topology adds, and is the cluster-size
+    extension's, so the job dedups across both sweeps."""
+    return {
+        (app, topology, nodes): cluster_row(app, nodes, scale, topology=topology)
+        for nodes in node_counts
+        for topology in topologies or topology_names()
+        for app in apps or DEFAULT_TOPOLOGY_APPS
+    }
 
 
 def compute_topology_scaling(
     scale: float = 1.0,
     apps: Optional[Sequence[str]] = None,
-    cache: Optional[ResultCache] = None,
     topologies: Optional[Sequence[str]] = None,
     node_counts: Sequence[int] = TOPOLOGY_NODE_COUNTS,
     executor: Optional[Executor] = None,
 ) -> TopologyScalingResult:
-    apps = list(apps or DEFAULT_TOPOLOGY_APPS)
-    topologies = list(topologies or topology_names())
-    exe = ensure_executor(executor, cache)
-    exe.run(topology_scaling_jobs(scale, apps, topologies, node_counts))
-    out = TopologyScalingResult(
-        topologies=tuple(topologies), node_counts=tuple(node_counts)
+    grid = topology_scaling_grid(scale, apps, topologies, node_counts)
+    rows = run_grid(grid, executor)
+    return TopologyScalingResult(
+        normalized={point: normalized(row) for point, row in rows.items()},
+        topologies=tuple(topologies or topology_names()),
+        node_counts=tuple(node_counts),
     )
-    for nodes in node_counts:
-        base_cfg = _baseline_config(nodes)
-        for topology in topologies:
-            configs = _topology_configs(topology, nodes)
-            for app in apps:
-                base = exe.run_app(app, base_cfg, scale=scale)
-                out.normalized[(app, topology, nodes)] = {
-                    name: exe.run_app(app, cfg, scale=scale).normalized_to(base)
-                    for name, cfg in configs.items()
-                }
-    return out
 
 
 def format_topology_scaling(result: TopologyScalingResult) -> str:
@@ -228,69 +197,46 @@ class DirectoryScalingResult:
         return worst
 
 
-def _directory_configs(topology: str, nodes: int, rep: DirectoryParams):
-    configs = _topology_configs(topology, nodes)
-    return {
-        name: replace(cfg, directory=rep) for name, cfg in configs.items()
-    }
-
-
-def directory_scaling_jobs(
+def directory_scaling_grid(
     scale: float = 1.0,
     apps: Optional[Sequence[str]] = None,
     topologies: Sequence[str] = DIRECTORY_TOPOLOGIES,
     node_counts: Sequence[int] = DIRECTORY_NODE_COUNTS,
     representations: Optional[Dict[str, DirectoryParams]] = None,
-) -> List[Job]:
-    apps = list(apps or DEFAULT_TOPOLOGY_APPS)
+) -> Grid:
+    """Rows ``(app, topology, nodes, representation)``.  The default
+    ``DirectoryParams()`` makes the fullmap rows the topology sweep's
+    jobs, so they dedup in the result store."""
     reps = representations or DIRECTORY_REPRESENTATIONS
-    jobs = []
-    for nodes in node_counts:
-        base_cfg = _baseline_config(nodes)
-        for app in apps:
-            jobs.append(Job(app, base_cfg, scale))
-        for topology in topologies:
-            for rep in reps.values():
-                # The default DirectoryParams() makes the fullmap jobs
-                # identical to the topology sweep's — they dedup in the
-                # result store.
-                for cfg in _directory_configs(topology, nodes, rep).values():
-                    for app in apps:
-                        jobs.append(Job(app, cfg, scale))
-    return jobs
+    return {
+        (app, topology, nodes, name): cluster_row(
+            app, nodes, scale, topology=topology, directory=rep
+        )
+        for nodes in node_counts
+        for topology in topologies
+        for name, rep in reps.items()
+        for app in apps or DEFAULT_TOPOLOGY_APPS
+    }
 
 
 def compute_directory_scaling(
     scale: float = 1.0,
     apps: Optional[Sequence[str]] = None,
-    cache: Optional[ResultCache] = None,
     topologies: Sequence[str] = DIRECTORY_TOPOLOGIES,
     node_counts: Sequence[int] = DIRECTORY_NODE_COUNTS,
     representations: Optional[Dict[str, DirectoryParams]] = None,
     executor: Optional[Executor] = None,
 ) -> DirectoryScalingResult:
-    apps = list(apps or DEFAULT_TOPOLOGY_APPS)
-    reps = representations or DIRECTORY_REPRESENTATIONS
-    exe = ensure_executor(executor, cache)
-    exe.run(directory_scaling_jobs(scale, apps, topologies, node_counts, reps))
+    grid = directory_scaling_grid(scale, apps, topologies, node_counts, representations)
     out = DirectoryScalingResult(
-        representations=tuple(reps), node_counts=tuple(node_counts)
+        representations=tuple(representations or DIRECTORY_REPRESENTATIONS),
+        node_counts=tuple(node_counts),
     )
-    for nodes in node_counts:
-        base_cfg = _baseline_config(nodes)
-        for topology in topologies:
-            for rep_name, rep in reps.items():
-                configs = _directory_configs(topology, nodes, rep)
-                for app in apps:
-                    base = exe.run_app(app, base_cfg, scale=scale)
-                    row = {}
-                    for protocol, cfg in configs.items():
-                        res = exe.run_app(app, cfg, scale=scale)
-                        row[protocol] = (
-                            res.normalized_to(base),
-                            res.total("invalidations_sent"),
-                        )
-                    out.points[(app, topology, nodes, rep_name)] = row
+    for point, row in run_grid(grid, executor).items():
+        out.points[point] = {
+            protocol: (norm, row[protocol].total("invalidations_sent"))
+            for protocol, norm in normalized(row).items()
+        }
     return out
 
 

@@ -5,9 +5,9 @@ Each application module builds a :class:`Program` — one trace per
 processor with barriers — by *running* a miniature version of the real
 computation (LU elimination order, FFT transpose, radix scatter, n-body
 tree walks, stencil sweeps, ...) over a laid-out shared address space.
-The kernels are scaled per DESIGN.md: sharing type, working-set size
+Scaling a kernel preserves its sharing type, working-set size
 relative to the paper's cache sizes, page-level density, and load
-imbalance are preserved; absolute instruction counts are not.
+imbalance; absolute instruction counts are not preserved.
 """
 
 from repro.workloads.base import Program, TraceBuilder

@@ -22,7 +22,7 @@ from repro.experiments import (
     compute_scaling,
     compute_table4,
 )
-from repro.experiments.runner import ResultCache
+from repro.experiments.executor import Executor
 
 APPS = (
     "barnes",
@@ -39,13 +39,13 @@ APPS = (
 
 
 @pytest.fixture(scope="module")
-def cache():
-    return ResultCache()
+def executor():
+    return Executor()
 
 
 @pytest.fixture(scope="module")
-def figure6(cache):
-    return compute_figure6(scale=1.0, apps=APPS, cache=cache)
+def figure6(executor):
+    return compute_figure6(scale=1.0, apps=APPS, executor=executor)
 
 
 class TestFigure6Claims:
@@ -100,11 +100,13 @@ class TestFigure6Claims:
 
 
 class TestFigure8Claims:
-    def test_threshold_sensitivity_shape(self, cache):
+    def test_threshold_sensitivity_shape(self, executor):
         # Paper: communication apps are threshold-insensitive; apps with
         # many reuse pages favour *low* thresholds (relocate sooner) and
         # degrade as the threshold grows.
-        fig = compute_figure8(scale=1.0, apps=("em3d", "moldyn", "barnes"), cache=cache)
+        fig = compute_figure8(
+            scale=1.0, apps=("em3d", "moldyn", "barnes"), executor=executor
+        )
         assert fig.variation("em3d") <= 0.05
         for app in ("moldyn", "barnes"):
             row = fig.normalized[app]
@@ -113,31 +115,31 @@ class TestFigure8Claims:
 
 
 class TestFigure9Claims:
-    def test_scoma_more_sensitive_to_page_costs_than_rnuma(self, cache):
+    def test_scoma_more_sensitive_to_page_costs_than_rnuma(self, executor):
         fig = compute_figure9(
-            scale=1.0, apps=("em3d", "fmm", "radix", "moldyn"), cache=cache
+            scale=1.0, apps=("em3d", "fmm", "radix", "moldyn"), executor=executor
         )
         # Where S-COMA replaces heavily, tripling page costs hurts it
         # far more than R-NUMA.
         for app in ("em3d", "fmm", "radix"):
             assert fig.scoma_degradation(app) > fig.rnuma_degradation(app), app
 
-    def test_rnuma_soft_degradation_small(self, cache):
+    def test_rnuma_soft_degradation_small(self, executor):
         fig = compute_figure9(
-            scale=1.0, apps=("em3d", "fmm", "radix", "moldyn"), cache=cache
+            scale=1.0, apps=("em3d", "fmm", "radix", "moldyn"), executor=executor
         )
         for app in ("em3d", "fmm", "radix", "moldyn"):
             assert fig.rnuma_degradation(app) <= 1.45, app
 
 
 @pytest.fixture(scope="module")
-def figure5(cache):
-    return compute_figure5(scale=1.0, apps=APPS, cache=cache)
+def figure5(executor):
+    return compute_figure5(scale=1.0, apps=APPS, executor=executor)
 
 
 @pytest.fixture(scope="module")
-def table4(cache):
-    return compute_table4(scale=1.0, apps=APPS, cache=cache)
+def table4(executor):
+    return compute_table4(scale=1.0, apps=APPS, executor=executor)
 
 
 class TestFigure5Claims:
@@ -179,8 +181,8 @@ class TestTable4Claims:
 @pytest.mark.full_scale
 class TestFigure7Claims:
     @pytest.fixture(scope="class")
-    def fig(self, cache):
-        return compute_figure7(scale=1.0, cache=cache)
+    def fig(self, executor):
+        return compute_figure7(scale=1.0, executor=executor)
 
     def test_ccnuma_is_sensitive_to_block_cache_size(self, fig):
         assert any(fig.cc_sensitivity(app) >= 1.3 for app in fig.normalized)
@@ -200,8 +202,8 @@ class TestFigure7Claims:
 @pytest.mark.full_scale
 class TestFigure8AllApps:
     @pytest.fixture(scope="class")
-    def fig(self, cache):
-        return compute_figure8(scale=1.0, apps=APPS, cache=cache)
+    def fig(self, executor):
+        return compute_figure8(scale=1.0, apps=APPS, executor=executor)
 
     def test_fft_is_threshold_insensitive(self, fig):
         assert fig.variation("fft") <= 0.05
@@ -214,8 +216,8 @@ class TestFigure8AllApps:
 @pytest.mark.full_scale
 class TestFigure9AllApps:
     @pytest.fixture(scope="class")
-    def fig(self, cache):
-        return compute_figure9(scale=1.0, apps=APPS, cache=cache)
+    def fig(self, executor):
+        return compute_figure9(scale=1.0, apps=APPS, executor=executor)
 
     def test_scoma_degrades_more_than_rnuma_at_worst(self, fig):
         scoma_worst = max(fig.scoma_degradation(app) for app in APPS)
@@ -229,10 +231,10 @@ class TestFigure9AllApps:
 @pytest.mark.full_scale
 class TestAblationClaims:
     @pytest.fixture(scope="class")
-    def flush_home_penalties(self, cache):
+    def flush_home_penalties(self, executor):
         # Flush-home relocation (C_relocate ~ C_allocate) against the
         # aggressive local move.
-        result = compute_relocation_ablation(scale=1.0, cache=cache)
+        result = compute_relocation_ablation(scale=1.0, executor=executor)
         return [
             result.penalty(app, "R-NUMA flush-home", "R-NUMA local-move")
             for app in result.normalized
@@ -246,15 +248,15 @@ class TestAblationClaims:
     def test_flush_home_relocation_hurts_somewhere(self, flush_home_penalties):
         assert max(flush_home_penalties) >= 1.02
 
-    def test_lrm_is_competitive_with_lru(self, cache):
+    def test_lrm_is_competitive_with_lru(self, executor):
         # The paper's argument for building the cheap policy.
-        result = compute_replacement_ablation(scale=1.0, cache=cache)
+        result = compute_replacement_ablation(scale=1.0, executor=executor)
         for app in result.normalized:
             assert result.penalty(app, "S-COMA lrm", "S-COMA lru") <= 1.30, app
 
-    def test_first_touch_beats_round_robin_somewhere(self, cache):
+    def test_first_touch_beats_round_robin_somewhere(self, executor):
         # The paper's justification for assuming first-touch throughout.
-        result = compute_placement_ablation(scale=1.0, cache=cache)
+        result = compute_placement_ablation(scale=1.0, executor=executor)
         gains = [
             result.penalty(app, "CC round-robin", "CC first-touch")
             for app in result.normalized
@@ -263,5 +265,5 @@ class TestAblationClaims:
 
 
 @pytest.mark.full_scale
-def test_rnuma_stays_stable_across_cluster_sizes(cache):
-    assert compute_scaling(scale=1.0, cache=cache).stability_bound() <= 1.6
+def test_rnuma_stays_stable_across_cluster_sizes(executor):
+    assert compute_scaling(scale=1.0, executor=executor).stability_bound() <= 1.6

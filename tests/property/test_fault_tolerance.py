@@ -23,7 +23,6 @@ from repro.experiments.executor import (
     SweepFailure,
     job_from_failure,
 )
-from repro.experiments.runner import ResultCache
 from repro.faults import injection
 
 SCALE = 0.1
@@ -53,7 +52,7 @@ def assert_results_equal(a, b):
 @pytest.fixture(scope="module")
 def baseline():
     """The fault-free sweep every faulted run is compared against."""
-    return Executor(workers=1, cache=ResultCache()).run(sweep_jobs())
+    return Executor(workers=1).run(sweep_jobs())
 
 
 class TestCrashRecovery:
@@ -63,7 +62,6 @@ class TestCrashRecovery:
         monkeypatch.setenv(injection.ENV_VAR, "worker-raise:times=2")
         faulted = Executor(
             workers=1,
-            cache=ResultCache(),
             retry=RetryPolicy(retries=2, backoff=0.01),
         ).run(sweep_jobs())
         assert len(faulted) == len(baseline)
@@ -74,7 +72,6 @@ class TestCrashRecovery:
         monkeypatch.setenv(injection.ENV_VAR, "worker-raise:times=1")
         faulted = Executor(
             workers=2,
-            cache=ResultCache(),
             retry=RetryPolicy(retries=1, backoff=0.01),
         ).run(sweep_jobs())
         for a, b in zip(baseline, faulted):
@@ -89,7 +86,6 @@ class TestCrashRecovery:
         store = ResultStore(tmp_path)
         exe = Executor(
             workers=1,
-            cache=ResultCache(),
             store=store,
             retry=RetryPolicy(retries=1, backoff=0.0),
         )
@@ -116,9 +112,7 @@ class TestCrashRecovery:
         # Resume-style: faults gone, re-running just the failed job
         # yields the bit-identical missing result.
         monkeypatch.delenv(injection.ENV_VAR)
-        (recovered,) = Executor(
-            workers=1, cache=ResultCache(), store=store
-        ).run([rebuilt])
+        (recovered,) = Executor(workers=1, store=store).run([rebuilt])
         assert_results_equal(baseline[1], recovered)
         assert len(store) == 4
 
@@ -126,7 +120,6 @@ class TestCrashRecovery:
         monkeypatch.setenv(injection.ENV_VAR, "worker-raise:index=0")
         exe = Executor(
             workers=1,
-            cache=ResultCache(),
             retry=RetryPolicy(retries=0, backoff=0.0, fail_fast=True),
         )
         with pytest.raises(SweepFailure):
@@ -135,9 +128,7 @@ class TestCrashRecovery:
 
     def test_known_failure_is_not_resimulated(self, monkeypatch):
         monkeypatch.setenv(injection.ENV_VAR, "worker-raise:index=0")
-        exe = Executor(
-            workers=1, cache=ResultCache(), retry=RetryPolicy(backoff=0.0)
-        )
+        exe = Executor(workers=1, retry=RetryPolicy(backoff=0.0))
         job = Job(APP, cc_config(), SCALE)
         with pytest.raises(SweepFailure):
             exe.run([job])
@@ -163,9 +154,7 @@ class TestCrashRecovery:
         """A one-job lookup takes the sweep's path: a crash past the
         budget is recorded and raised, one within it is invisible."""
         monkeypatch.setenv(injection.ENV_VAR, "worker-raise")
-        exe = Executor(
-            workers=1, cache=ResultCache(), retry=RetryPolicy(backoff=0.0)
-        )
+        exe = Executor(workers=1, retry=RetryPolicy(backoff=0.0))
         with pytest.raises(SweepFailure):
             exe.run_app(APP, cc_config(), SCALE)
         (failure,) = exe.failures
@@ -174,7 +163,6 @@ class TestCrashRecovery:
         monkeypatch.setenv(injection.ENV_VAR, "worker-raise:times=1")
         exe = Executor(
             workers=1,
-            cache=ResultCache(),
             retry=RetryPolicy(retries=1, backoff=0.0),
         )
         assert_results_equal(baseline[1], exe.run_app(APP, cc_config(), SCALE))
@@ -189,7 +177,6 @@ class TestHangRecovery:
         monkeypatch.setenv(injection.ENV_VAR, "worker-hang:index=0,times=1")
         exe = Executor(
             workers=2,
-            cache=ResultCache(),
             retry=RetryPolicy(retries=1, job_timeout=2.0, backoff=0.01),
         )
         t0 = time.monotonic()
@@ -204,7 +191,6 @@ class TestHangRecovery:
         monkeypatch.setenv(injection.ENV_VAR, "worker-hang:index=0")
         exe = Executor(
             workers=2,
-            cache=ResultCache(),
             retry=RetryPolicy(retries=0, job_timeout=1.0, backoff=0.0),
         )
         jobs = sweep_jobs()
@@ -223,7 +209,6 @@ class TestHangRecovery:
         supervised pool — an in-process job cannot be preempted."""
         exe = Executor(
             workers=1,
-            cache=ResultCache(),
             retry=RetryPolicy(job_timeout=60.0),
         )
         (result,) = exe.run([Job(APP, cc_config(), SCALE)])
@@ -238,9 +223,7 @@ class TestStoreFaults:
         the next sweep heals it by re-simulating exactly that job."""
         monkeypatch.setenv(injection.ENV_VAR, "store-torn-write:times=1")
         store = ResultStore(tmp_path)
-        results = Executor(workers=1, cache=ResultCache(), store=store).run(
-            sweep_jobs()
-        )
+        results = Executor(workers=1, store=store).run(sweep_jobs())
         for a, b in zip(baseline, results):
             assert_results_equal(a, b)
 
@@ -248,7 +231,7 @@ class TestStoreFaults:
         assert len(report["quarantined"]) == 1 and report["ok"] == 3
 
         monkeypatch.delenv(injection.ENV_VAR)
-        healed = Executor(workers=1, cache=ResultCache(), store=store)
+        healed = Executor(workers=1, store=store)
         again = healed.run(sweep_jobs())
         for a, b in zip(baseline, again):
             assert_results_equal(a, b)
@@ -262,10 +245,10 @@ class TestStoreFaults:
         results: every load is rejected, every job re-runs, and the
         output stays bit-identical."""
         store = ResultStore(tmp_path)
-        Executor(workers=1, cache=ResultCache(), store=store).run(sweep_jobs())
+        Executor(workers=1, store=store).run(sweep_jobs())
 
         monkeypatch.setenv(injection.ENV_VAR, "store-read-corruption")
-        exe = Executor(workers=1, cache=ResultCache(), store=store)
+        exe = Executor(workers=1, store=store)
         results = exe.run(sweep_jobs())
         for a, b in zip(baseline, results):
             assert_results_equal(a, b)

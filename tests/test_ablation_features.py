@@ -149,31 +149,22 @@ class TestRoundRobinPlacement:
 class TestAblationComputations:
     def test_relocation_ablation_small(self):
         from repro.experiments.ablations import compute_relocation_ablation, format_ablation
-        from repro.experiments.runner import ResultCache
 
-        result = compute_relocation_ablation(
-            scale=0.12, apps=("moldyn",), cache=ResultCache()
-        )
+        result = compute_relocation_ablation(scale=0.12, apps=("moldyn",))
         row = result.normalized["moldyn"]
         assert set(row) == {"R-NUMA local-move", "R-NUMA flush-home"}
         assert "Ablation" in format_ablation(result)
 
     def test_placement_ablation_small(self):
         from repro.experiments.ablations import compute_placement_ablation
-        from repro.experiments.runner import ResultCache
 
-        result = compute_placement_ablation(
-            scale=0.12, apps=("em3d",), cache=ResultCache()
-        )
+        result = compute_placement_ablation(scale=0.12, apps=("em3d",))
         row = result.normalized["em3d"]
         # Round-robin placement must not beat first-touch for em3d.
         assert row["CC round-robin"] >= row["CC first-touch"] * 0.99
 
     def test_replacement_ablation_small(self):
         from repro.experiments.ablations import compute_replacement_ablation
-        from repro.experiments.runner import ResultCache
 
-        result = compute_replacement_ablation(
-            scale=0.12, apps=("em3d",), cache=ResultCache()
-        )
+        result = compute_replacement_ablation(scale=0.12, apps=("em3d",))
         assert len(result.normalized["em3d"]) == 3

@@ -321,6 +321,25 @@ def test_negative_retries_rejected():
         main(["table", "4", "--scale", "0.1", "--no-store", "--retries", "-1"])
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_job_timeout_rejected(value):
+    with pytest.raises(SystemExit, match="job_timeout"):
+        main(["figure", "8", "--apps", "em3d", "--scale", "0.05", "--no-store",
+              "--job-timeout", value])
+
+
+def test_store_gc_rejects_negative_tmp_age(capsys, tmp_path):
+    """A negative age would make every fresh ``.tmp`` — possibly a live
+    writer's — look old enough to delete."""
+    fresh = tmp_path / "live-writer.tmp"
+    fresh.write_text("x")
+    with pytest.raises(SystemExit) as exc_info:
+        main(["store", "gc", "--store", str(tmp_path), "--tmp-age", "-1"])
+    assert exc_info.value.code == 2
+    assert "--tmp-age" in capsys.readouterr().err
+    assert fresh.exists()
+
+
 def test_fail_fast_and_keep_going_conflict():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["reproduce", "--fail-fast", "--keep-going"])

@@ -21,16 +21,8 @@ from repro.experiments.executor import (
     Job,
     ResultStore,
     backoff_delay,
-    ensure_executor,
 )
-from repro.experiments.runner import (
-    ResultCache,
-    clear_default_cache,
-    default_cache,
-    run_app,
-    run_key,
-    set_default_cache,
-)
+from repro.experiments.runner import run_key
 from repro.sim.results import SimulationResult
 
 SCALE = 0.1
@@ -128,14 +120,14 @@ class TestExecutor:
             Job(APP, cfg, SCALE)
             for cfg in (ideal(), cc_config(), scoma_config(), rnuma_config())
         ]
-        serial = Executor(workers=1, cache=ResultCache()).run(jobs)
-        parallel = Executor(workers=2, cache=ResultCache()).run(jobs)
+        serial = Executor(workers=1).run(jobs)
+        parallel = Executor(workers=2).run(jobs)
         assert len(serial) == len(parallel) == 4
         for s, p in zip(serial, parallel):
             assert_results_equal(s, p)
 
     def test_duplicate_jobs_simulated_once(self):
-        exe = Executor(workers=1, cache=ResultCache())
+        exe = Executor(workers=1)
         job = Job(APP, cc_config(), SCALE)
         results = exe.run([job, job, job])
         assert len(results) == 3
@@ -150,37 +142,33 @@ class TestExecutor:
 
         monkeypatch.setattr("multiprocessing.Pool", no_pool)
         jobs = [Job(APP, cc_config(), SCALE), Job(APP, ideal(), SCALE)]
-        assert len(Executor(workers=1, cache=ResultCache()).run(jobs)) == 2
-        (result,) = Executor(workers=4, cache=ResultCache()).run(jobs[:1])
+        assert len(Executor(workers=1).run(jobs)) == 2
+        (result,) = Executor(workers=4).run(jobs[:1])
         assert result.exec_cycles > 0
 
     def test_results_in_input_order(self):
         cc, sc = Job(APP, cc_config(), SCALE), Job(APP, scoma_config(), SCALE)
-        exe = Executor(workers=1, cache=ResultCache())
+        exe = Executor(workers=1)
         first = exe.run([cc, sc])
         second = exe.run([sc, cc])
         assert first[0] is second[1] and first[1] is second[0]
 
     def test_warm_store_avoids_simulation(self, tmp_path, monkeypatch):
         job = Job(APP, cc_config(), SCALE)
-        Executor(workers=1, cache=ResultCache(), store=ResultStore(tmp_path)).run(
-            [job]
-        )
+        Executor(workers=1, store=ResultStore(tmp_path)).run([job])
 
         def boom(_payload):
             raise AssertionError("simulated despite warm store")
 
         monkeypatch.setattr("repro.experiments.executor._run_supervised", boom)
-        cold_cache = Executor(
-            workers=1, cache=ResultCache(), store=ResultStore(tmp_path)
-        )
+        cold_cache = Executor(workers=1, store=ResultStore(tmp_path))
         result = cold_cache.run([job])[0]
         assert result.exec_cycles > 0
         assert cold_cache.run_app(APP, cc_config(), SCALE) is result
 
     def test_run_app_populates_cache_and_store(self, tmp_path):
         store = ResultStore(tmp_path)
-        exe = Executor(workers=1, cache=ResultCache(), store=store)
+        exe = Executor(workers=1, store=store)
         result = exe.run_app(APP, cc_config(), SCALE)
         assert len(store) == 1
         assert exe.run_app(APP, cc_config(), SCALE) is result
@@ -217,7 +205,7 @@ class TestDispatchLoop:
     keeps each worker's next attempt queued unless a deadline forbids."""
 
     def test_completions_are_pushed_not_polled(self, instant_attempts):
-        exe = Executor(workers=2, cache=ResultCache())
+        exe = Executor(workers=2)
         t0 = time.monotonic()
         results = exe.run(_instant_jobs(200))
         assert time.monotonic() - t0 < 1.0
@@ -250,9 +238,7 @@ class TestDispatchLoop:
                 )
 
         monkeypatch.setattr("multiprocessing.Pool", CountingPool)
-        exe = Executor(
-            workers=2, cache=ResultCache(), retry=RetryPolicy(job_timeout=job_timeout)
-        )
+        exe = Executor(workers=2, retry=RetryPolicy(job_timeout=job_timeout))
         assert exe.run(_instant_jobs(40)) == ["fresh"] * 40
         assert len(peaks) == 40 and max(peaks) == depth
 
@@ -286,7 +272,6 @@ class TestDispatchLoop:
         monkeypatch.setattr("multiprocessing.Pool", RecycledOnce)
         exe = Executor(
             workers=2,
-            cache=ResultCache(),
             retry=RetryPolicy(retries=1, job_timeout=0.05, backoff=0.0),
         )
         assert exe.run(_instant_jobs(2)) == ["fresh", "fresh"]
@@ -298,7 +283,7 @@ class TestTelemetry:
     split, the progress heartbeat, and the run manifest."""
 
     def test_job_profiles_record_every_job_with_source(self, tmp_path):
-        exe = Executor(workers=1, cache=ResultCache(), store=ResultStore(tmp_path))
+        exe = Executor(workers=1, store=ResultStore(tmp_path))
         job = Job(APP, cc_config(), SCALE)
         exe.run([job])
         exe.run([job])  # second pass: in-memory cache hit
@@ -308,22 +293,16 @@ class TestTelemetry:
         assert simulated["protocol"] == "ccnuma"
         assert simulated["simulate_s"] > 0
         assert simulated["queue_wait_s"] >= 0
-        cold = Executor(
-            workers=1, cache=ResultCache(), store=ResultStore(tmp_path)
-        )
+        cold = Executor(workers=1, store=ResultStore(tmp_path))
         cold.run([job])
         assert [p["source"] for p in cold.job_profiles] == ["store"]
 
     def test_store_io_seconds_split(self, tmp_path):
         job = Job(APP, cc_config(), SCALE)
-        writer = Executor(
-            workers=1, cache=ResultCache(), store=ResultStore(tmp_path)
-        )
+        writer = Executor(workers=1, store=ResultStore(tmp_path))
         writer.run([job])
         assert writer.store_write_seconds > 0
-        reader = Executor(
-            workers=1, cache=ResultCache(), store=ResultStore(tmp_path)
-        )
+        reader = Executor(workers=1, store=ResultStore(tmp_path))
         reader.run([job])
         assert reader.store_read_seconds > 0
         assert reader.store_write_seconds == 0  # nothing new to persist
@@ -336,7 +315,6 @@ class TestTelemetry:
         seen = []
         exe = Executor(
             workers=1,
-            cache=ResultCache(),
             progress=lambda done, total, job, source: seen.append(
                 (done, total, job.config.protocol, source)
             ),
@@ -353,10 +331,9 @@ class TestTelemetry:
             Job(APP, cfg, SCALE)
             for cfg in (ideal(), cc_config(), scoma_config(), rnuma_config())
         ]
-        serial = Executor(workers=1, cache=ResultCache()).run(jobs)
+        serial = Executor(workers=1).run(jobs)
         noisy = Executor(
             workers=2,
-            cache=ResultCache(),
             progress=lambda *a: ticks.append(a),
         )
         parallel = noisy.run(jobs)
@@ -366,7 +343,7 @@ class TestTelemetry:
 
     def test_write_manifest(self, tmp_path):
         store = ResultStore(tmp_path)
-        exe = Executor(workers=2, cache=ResultCache(), store=store)
+        exe = Executor(workers=2, store=store)
         jobs = [Job(APP, cc_config(), SCALE), Job(APP, cc_config(), SCALE)]
         exe.run(jobs)
         path = exe.write_manifest(jobs, extra={"command": "test-sweep"})
@@ -383,14 +360,13 @@ class TestTelemetry:
         assert prov["git_commit"]
 
     def test_write_manifest_without_store_is_noop(self):
-        exe = Executor(workers=1, cache=ResultCache())
+        exe = Executor(workers=1)
         assert exe.write_manifest([Job(APP, cc_config(), SCALE)]) is None
 
     def test_manifest_records_retry_policy_and_empty_failures(self, tmp_path):
         store = ResultStore(tmp_path)
         exe = Executor(
             workers=1,
-            cache=ResultCache(),
             store=store,
             retry=RetryPolicy(retries=2, job_timeout=30.0),
         )
@@ -412,7 +388,7 @@ class TestTelemetry:
             calls.append(done)
             raise RuntimeError("telemetry bug")
 
-        exe = Executor(workers=1, cache=ResultCache(), progress=broken)
+        exe = Executor(workers=1, progress=broken)
         jobs = [Job(APP, cc_config(), SCALE), Job(APP, scoma_config(), SCALE)]
         results = exe.run(jobs)
         assert len(results) == 2  # the sweep survived its heartbeat
@@ -464,40 +440,3 @@ class TestRetryPolicy:
 
     def test_zero_backoff_means_no_delay(self):
         assert backoff_delay(RetryPolicy(backoff=0.0), ("em3d",), 3) == 0.0
-
-
-class TestEnsureExecutor:
-    def test_passthrough(self):
-        exe = Executor(workers=2)
-        assert ensure_executor(exe) is exe
-
-    def test_wraps_explicit_cache(self):
-        cache = ResultCache()
-        exe = ensure_executor(None, cache)
-        assert exe.cache is cache and exe.workers == 1 and exe.store is None
-
-    def test_defaults_to_process_cache(self):
-        assert ensure_executor().cache is default_cache()
-
-
-class TestDefaultCacheManagement:
-    def test_set_default_cache_swaps_and_returns_previous(self):
-        replacement = ResultCache()
-        previous = set_default_cache(replacement)
-        try:
-            assert default_cache() is replacement
-            run_app(APP, ideal(), scale=SCALE)
-            assert len(replacement) == 1
-        finally:
-            assert set_default_cache(previous) is replacement
-        assert default_cache() is previous
-
-    def test_clear_default_cache(self):
-        previous = set_default_cache(ResultCache())
-        try:
-            run_app(APP, ideal(), scale=SCALE)
-            assert len(default_cache()) == 1
-            clear_default_cache()
-            assert len(default_cache()) == 0
-        finally:
-            set_default_cache(previous)

@@ -31,7 +31,10 @@ from repro.experiments import (
     scoma_config,
 )
 from repro.experiments.config import EXPERIMENT_APPS
-from repro.experiments.runner import ResultCache, config_key, run_app
+from repro.experiments.executor import Executor
+from repro.experiments.figure6 import figure6_grid
+from repro.experiments.runner import config_key, grid_jobs, run_grid
+from repro.experiments.topology_scaling import topology_scaling_grid
 from repro.experiments.reporting import render_bar_chart, render_table
 
 SCALE = 0.12
@@ -67,8 +70,8 @@ def _with_leaf(obj, path, value):
 
 
 @pytest.fixture(scope="module")
-def cache():
-    return ResultCache()
+def executor():
+    return Executor()
 
 
 class TestConfigs:
@@ -109,22 +112,57 @@ class TestConfigs:
 
 
 class TestRunner:
-    def test_cache_hits(self, cache):
-        before = len(cache)
-        r1 = run_app("em3d", ideal(), scale=SCALE, cache=cache)
-        r2 = run_app("em3d", ideal(), scale=SCALE, cache=cache)
+    def test_cache_hits(self, executor):
+        before = len(executor.cache)
+        r1 = executor.run_app("em3d", ideal(), scale=SCALE)
+        r2 = executor.run_app("em3d", ideal(), scale=SCALE)
         assert r1 is r2
-        assert len(cache) == before + 1
+        assert len(executor.cache) == before + 1
 
-    def test_distinct_configs_not_conflated(self, cache):
-        r1 = run_app("em3d", cc_config(), scale=SCALE, cache=cache)
-        r2 = run_app("em3d", scoma_config(), scale=SCALE, cache=cache)
+    def test_distinct_configs_not_conflated(self, executor):
+        r1 = executor.run_app("em3d", cc_config(), scale=SCALE)
+        r2 = executor.run_app("em3d", scoma_config(), scale=SCALE)
         assert r1 is not r2
 
 
+def _two_fabric_grid():
+    """Two rows, (em3d, uniform, 4) and (em3d, ring, 4), that share
+    their ideal baseline job."""
+    return topology_scaling_grid(
+        scale=0.05, apps=("em3d",), topologies=("uniform", "ring"), node_counts=(4,)
+    )
+
+
+class TestGrid:
+    def test_results_in_grid_order(self, executor):
+        grid = figure6_grid(scale=SCALE, apps=("moldyn", "em3d"))
+        rows = run_grid(grid, executor)
+        assert list(rows) == ["moldyn", "em3d"]
+        for app, row in rows.items():
+            assert list(row) == ["ideal", "CC-NUMA", "S-COMA", "R-NUMA"]
+            for name, result in row.items():
+                assert result.config == grid[app][name].config
+
+    def test_shared_job_simulated_once(self):
+        exe = Executor()
+        rows = run_grid(_two_fabric_grid(), exe)
+        ideals = [p for p in exe.job_profiles if p["protocol"] == "ideal"]
+        assert [p["source"] for p in ideals] == ["simulated"]
+        uniform, ring = rows.values()
+        assert uniform["ideal"] is ring["ideal"]
+        assert uniform["CC-NUMA"] is not ring["CC-NUMA"]
+
+    def test_grid_jobs_lists_each_key_once(self):
+        grid = _two_fabric_grid()
+        jobs = grid_jobs(grid)
+        keys = [job.key for job in jobs]
+        assert len(keys) == len(set(keys)) == 1 + 2 * 3
+        assert jobs[0] is grid[("em3d", "uniform", 4)]["ideal"]
+
+
 class TestFigure6:
-    def test_compute_and_format(self, cache):
-        fig = compute_figure6(scale=SCALE, apps=APPS, cache=cache)
+    def test_compute_and_format(self, executor):
+        fig = compute_figure6(scale=SCALE, apps=APPS, executor=executor)
         assert set(fig.normalized) == set(APPS)
         for row in fig.normalized.values():
             assert set(row) == {"CC-NUMA", "S-COMA", "R-NUMA"}
@@ -132,8 +170,8 @@ class TestFigure6:
         text = format_figure6(fig)
         assert "Figure 6" in text and "em3d" in text
 
-    def test_headline_claims_fields(self, cache):
-        fig = compute_figure6(scale=SCALE, apps=APPS, cache=cache)
+    def test_headline_claims_fields(self, executor):
+        fig = compute_figure6(scale=SCALE, apps=APPS, executor=executor)
         claims = fig.headline_claims()
         assert set(claims) == {
             "rnuma_worst_vs_best",
@@ -145,8 +183,8 @@ class TestFigure6:
 
 
 class TestFigure5:
-    def test_cdf_monotone_and_normalized(self, cache):
-        fig = compute_figure5(scale=SCALE, apps=("lu",), cache=cache)
+    def test_cdf_monotone_and_normalized(self, executor):
+        fig = compute_figure5(scale=SCALE, apps=("lu",), executor=executor)
         curve = fig.curves["lu"]
         assert curve, "lu must produce refetches"
         xs = [x for x, _ in curve]
@@ -156,14 +194,14 @@ class TestFigure5:
         assert 0 < fig.refetch_share("lu", 0.5) <= 1.0
         assert "Figure 5" in format_figure5(fig)
 
-    def test_fft_is_omitted(self, cache):
-        fig = compute_figure5(scale=SCALE, apps=("fft", "moldyn"), cache=cache)
+    def test_fft_is_omitted(self, executor):
+        fig = compute_figure5(scale=SCALE, apps=("fft", "moldyn"), executor=executor)
         assert "fft" not in fig.curves
 
 
 class TestFigure7:
-    def test_five_systems(self, cache):
-        fig = compute_figure7(scale=SCALE, apps=("moldyn",), cache=cache)
+    def test_five_systems(self, executor):
+        fig = compute_figure7(scale=SCALE, apps=("moldyn",), executor=executor)
         assert len(fig.normalized["moldyn"]) == 5
         assert fig.cc_sensitivity("moldyn") > 0
         assert fig.rnuma_page_cache_gain("moldyn") > 0
@@ -171,8 +209,8 @@ class TestFigure7:
 
 
 class TestFigure8:
-    def test_normalized_to_t64(self, cache):
-        fig = compute_figure8(scale=SCALE, apps=("moldyn",), cache=cache)
+    def test_normalized_to_t64(self, executor):
+        fig = compute_figure8(scale=SCALE, apps=("moldyn",), executor=executor)
         assert fig.normalized["moldyn"][64] == pytest.approx(1.0)
         assert fig.variation("moldyn") >= 0
         assert fig.best_threshold("moldyn") in (16, 64, 256, 1024)
@@ -180,8 +218,8 @@ class TestFigure8:
 
 
 class TestFigure9:
-    def test_soft_never_faster(self, cache):
-        fig = compute_figure9(scale=SCALE, apps=APPS, cache=cache)
+    def test_soft_never_faster(self, executor):
+        fig = compute_figure9(scale=SCALE, apps=APPS, executor=executor)
         for app in APPS:
             assert fig.scoma_degradation(app) >= 0.99
             assert fig.rnuma_degradation(app) >= 0.99
@@ -189,15 +227,15 @@ class TestFigure9:
 
 
 class TestTable4:
-    def test_columns(self, cache):
-        table = compute_table4(scale=SCALE, apps=("moldyn",), cache=cache)
+    def test_columns(self, executor):
+        table = compute_table4(scale=SCALE, apps=("moldyn",), executor=executor)
         row = table.rows["moldyn"]
         assert 0.0 <= row.rw_page_refetch_fraction <= 1.0
         assert row.rnuma_refetch_pct is None or row.rnuma_refetch_pct >= 0
         assert "Table 4" in format_table4(table)
 
-    def test_fft_omitted(self, cache):
-        table = compute_table4(scale=SCALE, apps=("fft", "moldyn"), cache=cache)
+    def test_fft_omitted(self, executor):
+        table = compute_table4(scale=SCALE, apps=("fft", "moldyn"), executor=executor)
         assert "fft" not in table.rows
 
 

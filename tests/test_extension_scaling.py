@@ -1,13 +1,10 @@
 """Tests for the cluster-size extension experiment."""
 
 from repro.experiments import compute_scaling, format_scaling
-from repro.experiments.runner import ResultCache
 
 
 def test_scaling_small():
-    result = compute_scaling(
-        scale=0.12, apps=("em3d",), cache=ResultCache(), node_counts=(4, 8)
-    )
+    result = compute_scaling(scale=0.12, apps=("em3d",), node_counts=(4, 8))
     assert set(result.normalized) == {("em3d", 4), ("em3d", 8)}
     for row in result.normalized.values():
         assert set(row) == {"CC-NUMA", "S-COMA", "R-NUMA"}

@@ -1,5 +1,7 @@
 """Unit tests for repro.common.params (Table 2 constants and configs)."""
 
+import math
+
 import pytest
 
 from repro.common.addressing import AddressSpace
@@ -12,6 +14,7 @@ from repro.common.params import (
     CacheParams,
     CostParams,
     MachineParams,
+    RetryPolicy,
     SystemConfig,
     base_ccnuma_config,
     base_rnuma_config,
@@ -211,3 +214,13 @@ class TestDirectoryParams:
             directory=DirectoryParams(representation="coarse", region_size=2)
         )
         assert config_key(exact) != config_key(coarse)
+
+
+class TestRetryPolicy:
+    @pytest.mark.parametrize("field", ["job_timeout", "backoff"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_rejected(self, field, value):
+        # inf overflows the supervisor's deadline arithmetic; nan
+        # compares false everywhere and silently disarms the knob.
+        with pytest.raises(ConfigurationError, match=field):
+            RetryPolicy(**{field: value})

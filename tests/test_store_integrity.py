@@ -16,7 +16,6 @@ from repro.experiments.executor import (
     ResultStore,
     payload_checksum,
 )
-from repro.experiments.runner import ResultCache
 
 SCALE = 0.1
 APP = "em3d"
@@ -156,14 +155,14 @@ class TestGcAndStats:
 
 class TestLenAndClear:
     def test_len_ignores_manifest_and_tmps(self, warm_store, fresh_result):
-        exe = Executor(workers=1, cache=ResultCache(), store=warm_store)
+        exe = Executor(workers=1, store=warm_store)
         exe.write_manifest([Job(APP, cc_config(), SCALE)])
         (warm_store.root / "orphan.tmp").write_text("x")
         assert warm_store.manifest_path.exists()
         assert len(warm_store) == 1
 
     def test_clear_removes_entries_and_manifest(self, warm_store):
-        exe = Executor(workers=1, cache=ResultCache(), store=warm_store)
+        exe = Executor(workers=1, store=warm_store)
         exe.write_manifest([Job(APP, cc_config(), SCALE)])
         warm_store.clear()
         assert len(warm_store) == 0

@@ -3,16 +3,21 @@
 from repro.experiments import (
     compute_topology_scaling,
     format_topology_scaling,
-    topology_scaling_jobs,
+    grid_jobs,
+    topology_scaling_grid,
 )
-from repro.experiments.runner import ResultCache
 from repro.experiments.topology_scaling import TopologyScalingResult
 from repro.interconnect.topology import topology_names
 
 
 def test_jobs_enumerate_protocols_by_topology_and_size():
-    jobs = topology_scaling_jobs(
-        scale=0.1, apps=("em3d",), topologies=("uniform", "ring"), node_counts=(4, 8)
+    jobs = grid_jobs(
+        topology_scaling_grid(
+            scale=0.1,
+            apps=("em3d",),
+            topologies=("uniform", "ring"),
+            node_counts=(4, 8),
+        )
     )
     # Per size: 1 ideal baseline + 2 topologies x 3 protocols.
     assert len(jobs) == 2 * (1 + 2 * 3)
@@ -23,10 +28,10 @@ def test_jobs_enumerate_protocols_by_topology_and_size():
 
 
 def test_baseline_dedups_with_cluster_size_extension():
-    from repro.experiments import scaling_jobs
+    from repro.experiments import scaling_grid
 
-    topo = topology_scaling_jobs(scale=0.1, apps=("em3d",))
-    cluster = scaling_jobs(scale=0.1, apps=("em3d",))
+    topo = grid_jobs(topology_scaling_grid(scale=0.1, apps=("em3d",)))
+    cluster = grid_jobs(scaling_grid(scale=0.1, apps=("em3d",)))
     shared = {j.key for j in topo} & {j.key for j in cluster}
     # The uniform-fabric ideal baselines (and the uniform protocol
     # systems) are the same simulations; reproduce runs them once.
@@ -38,7 +43,6 @@ def test_topology_scaling_small():
     result = compute_topology_scaling(
         scale=0.12,
         apps=("em3d",),
-        cache=ResultCache(),
         topologies=topologies,
         node_counts=(4, 8),
     )

@@ -26,7 +26,6 @@ from repro.common.records import (
     validate_barrier_sequences,
 )
 from repro.experiments.executor import Executor, Job, _job_payload
-from repro.experiments.runner import ResultCache
 from repro.experiments.config import cc_config, ideal, rnuma_config, scoma_config
 from repro.osint.placement import first_touch_homes
 from repro.sim.engine import simulate
@@ -315,7 +314,7 @@ class TestCrossProtocolReuse:
     def test_four_protocol_sweep_generates_each_workload_once(self):
         configs = (ideal(), cc_config(), scoma_config(), rnuma_config())
         jobs = [Job("em3d", cfg, 0.1) for cfg in configs]
-        results = Executor(workers=1, cache=ResultCache()).run(jobs)
+        results = Executor(workers=1).run(jobs)
         assert len(results) == 4
         counts = registry.build_counts()
         key = registry.program_key(
