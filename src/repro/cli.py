@@ -742,6 +742,10 @@ def _cmd_section(args: argparse.Namespace) -> None:
 
 def _cmd_store(args: argparse.Namespace) -> int:
     root = Path(args.store) if args.store else default_store_dir()
+    if not root.is_dir():
+        # Maintenance inspects a store; it must not create one.
+        print(f"repro: no result store at {root}", file=sys.stderr)
+        return 2
     try:
         store = ResultStore(root)
     except OSError as exc:
@@ -953,11 +957,12 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
             p for p in executor.job_profiles if p["source"] == "simulated"
         ]
         if simulated:
+            reused = sum(p["source"] == "reused" for p in executor.job_profiles)
             slowest = sorted(
                 simulated, key=lambda p: p["simulate_s"], reverse=True
             )[:5]
             print(
-                f"\nslowest jobs ({len(simulated)} simulated; "
+                f"\nslowest jobs ({len(simulated)} simulated, {reused} reused; "
                 "queue = wait for a worker)",
                 file=sys.stderr,
             )

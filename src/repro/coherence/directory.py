@@ -141,6 +141,11 @@ class Directory:
 
     __slots__ = ("slots", "owners", "sharer_masks", "held_masks")
 
+    #: Sharer admissions past the representation's capacity; the exact
+    #: full map has none.  Result reuse reads it as the witness that a
+    #: limited-pointer run behaved as the full map.
+    overflows = 0
+
     def __init__(self) -> None:
         # Public columns on purpose (same contract as L1Cache.block_at):
         # the engine probes owner/sharer state directly on its miss
@@ -362,7 +367,9 @@ class LimitedPointerDirectory(Directory):
     is bit-identical to the full-map base class.
     """
 
-    __slots__ = ("nodes", "pointers", "evict_on_overflow", "all_mask", "modes")
+    __slots__ = (
+        "nodes", "pointers", "evict_on_overflow", "all_mask", "modes", "overflows"
+    )
 
     def __init__(
         self, nodes: int, pointers: int = 4, overflow: str = "broadcast"
@@ -383,6 +390,7 @@ class LimitedPointerDirectory(Directory):
         self.all_mask = (1 << nodes) - 1
         #: per-slot 0 = exact pointer set, 1 = overflowed to broadcast.
         self.modes: List[int] = []
+        self.overflows = 0
 
     def _new_slot(self, block: int) -> int:
         s = super()._new_slot(block)
@@ -392,6 +400,7 @@ class LimitedPointerDirectory(Directory):
     def reset(self) -> None:
         super().reset()
         del self.modes[:]
+        self.overflows = 0
 
     def read_request(self, block: int, node: int) -> int:
         s = self.slots.get(block)
@@ -412,6 +421,7 @@ class LimitedPointerDirectory(Directory):
             return out
         mask |= bit
         if mask.bit_count() > self.pointers:
+            self.overflows += 1
             if self.evict_on_overflow:
                 # Deterministic pointer replacement: displace the
                 # lowest-numbered sharer that is not the requester.

@@ -9,13 +9,18 @@ hand each whole grid to an :class:`Executor`, which:
 2. satisfies what it can from its in-memory cache (a dict it owns)
    and its :class:`ResultStore` (JSON-per-key files under a cache
    directory);
-3. runs the remaining simulations through one *supervised* dispatch
-   loop — every attempt is wrapped in an outcome envelope, so one
-   crashing or hanging job can never abort the sweep.  The loop fans
-   out over ``workers`` processes, which push each finished attempt
-   back to it; with one slot and no per-job deadline there is nothing
-   to overlap or preempt, so each attempt runs in this process instead;
-4. writes fresh results back to both layers as each job completes.
+3. plans the rest in *waves* (:mod:`repro.experiments.reuse`): each
+   wave simulates the tightest unresolved job of every group of jobs
+   that differ only in fields a proven rule can free, then answers
+   every member whose group holds a result that proves it identical.
+   Simulations go through one *supervised* dispatch loop — every
+   attempt is wrapped in an outcome envelope, so one crashing or
+   hanging job can never abort the sweep.  The loop fans out over
+   ``workers`` processes, which push each finished attempt back to it;
+   with one slot and no per-job deadline there is nothing to overlap
+   or preempt, so each attempt runs in this process instead;
+4. writes fresh and answered results back to both layers as each job
+   resolves, each under its own key with its own config.
 
 :meth:`Executor.run_app` (one job) is a cache lookup in front of the
 same :meth:`Executor.run`.
@@ -64,7 +69,7 @@ import tempfile
 import time
 import traceback as traceback_module
 from collections import deque
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from itertools import count
 from pathlib import Path
@@ -88,6 +93,7 @@ from repro.common.params import (
     config_from_dict,
     config_to_dict,
 )
+from repro.experiments import reuse
 from repro.experiments.runner import Job
 from repro.faults import injection
 from repro.sim.engine import simulate
@@ -629,7 +635,8 @@ class Executor:
         #: One record per job :meth:`run`/:meth:`run_app` resolved:
         #: ``{app, protocol, source, queue_wait_s, simulate_s,
         #: store_read_s, store_write_s}`` where ``source`` is
-        #: ``cache`` / ``store`` / ``simulated`` / ``failed``.
+        #: ``cache`` / ``store`` / ``simulated`` / ``reused`` /
+        #: ``failed``.
         self.job_profiles: List[Dict[str, Any]] = []
         #: Optional heartbeat, called as ``progress(done, total, job,
         #: source)`` after every unique job resolves during :meth:`run`.
@@ -645,6 +652,10 @@ class Executor:
         #: overlapping job set (the render phase) re-reports the
         #: failure instantly instead of re-simulating a known-bad job.
         self._failed: Dict[str, JobFailure] = {}
+        #: Keys the store served (say, to :meth:`missing`) that no
+        #: :meth:`run` has reported yet: their first report is
+        #: ``store``, not ``cache``.
+        self._store_hits: set = set()
 
     @property
     def store_seconds(self) -> float:
@@ -670,6 +681,7 @@ class Executor:
             self.store_read_seconds += time.perf_counter() - t0
             if result is not None:
                 self.cache[job.key] = result
+                self._store_hits.add(job.key)
         return result
 
     def _insert(self, job: Job, result: SimulationResult) -> None:
@@ -737,8 +749,9 @@ class Executor:
     # -- execution -----------------------------------------------------
 
     def missing(self, jobs: Sequence[Job]) -> List[Job]:
-        """The deduplicated subset of ``jobs`` that will actually be
-        simulated by :meth:`run` (cache and store cannot satisfy them).
+        """The deduplicated subset of ``jobs`` that cache and store
+        cannot satisfy: what :meth:`run` will simulate, or answer from
+        another job's simulation (:mod:`repro.experiments.reuse`).
 
         Store hits are promoted into the in-memory cache along the way,
         so a following :meth:`run` does no duplicate store I/O.  Lets
@@ -760,11 +773,20 @@ class Executor:
     def run(self, jobs: Sequence[Job]) -> List[SimulationResult]:
         """Run every job, reusing cache/store; results in input order.
 
-        Duplicate jobs (same :func:`run_key`) are simulated once.
-        Pending simulations are dispatched in deterministic first-seen
-        order and handled (stored, heartbeat) as each completes, so a
-        parallel run observes exactly the serial schedule's job list
-        and produces bit-identical results.
+        Duplicate jobs (same :func:`run_key`) are simulated once.  The
+        pending rest is planned in waves over the groups of
+        :func:`repro.experiments.reuse.groups`: before each wave, every
+        pending member that a resolved result of its group admits
+        (:func:`repro.experiments.reuse.answers`) is answered from that
+        result — stored under its own key with its own ``config``,
+        source ``"reused"``; then the wave simulates the tightest
+        pending job of every group.  Waves repeat until nothing is
+        pending.  Within a wave, jobs are dispatched in first-seen group
+        order and handled (stored, heartbeat) as each completes; the
+        plan depends only on results, so a parallel run simulates
+        exactly the serial run's jobs and produces bit-identical
+        results.  A failed job answers nothing and leaves its group to
+        the next wave.
 
         Raises :class:`SweepFailure` if any job permanently failed —
         immediately under ``retry.fail_fast``, otherwise after every
@@ -788,7 +810,6 @@ class Executor:
                 done += 1
                 self._notify(done, total, job, "failed")
                 continue
-            was_cached = self.cache.get(key) is not None
             read_before = self.store_read_seconds
             result = self._lookup(job)
             if result is None:
@@ -796,17 +817,47 @@ class Executor:
             else:
                 resolved[key] = result
                 done += 1
-                source = "cache" if was_cached else "store"
+                source = "store" if key in self._store_hits else "cache"
+                self._store_hits.discard(key)
                 self._profile(
                     job, source,
                     store_read_s=self.store_read_seconds - read_before,
                 )
                 self._notify(done, total, job, source)
 
-        if pending:
-            outcomes = self._execute(pending)
+        unresolved = {job.key for job in pending}
+        plan = (
+            reuse.groups(
+                job for key, job in unique.items()
+                if key in resolved or key in unresolved
+            )
+            if unresolved
+            else []
+        )
+        dispatched = 0
+        while True:
+            for group in plan:
+                for job, result in reuse.answerable(group, resolved, unresolved):
+                    unresolved.discard(job.key)
+                    answer = replace(result, config=job.config)
+                    write_before = self.store_write_seconds
+                    self._insert(job, answer)
+                    resolved[job.key] = answer
+                    done += 1
+                    self._profile(
+                        job, "reused",
+                        store_write_s=self.store_write_seconds - write_before,
+                    )
+                    self._notify(done, total, job, "reused")
+            plan = [g for g in plan if any(job.key in unresolved for job in g)]
+            if not plan:
+                break
+            wave = [next(job for job in g if job.key in unresolved) for g in plan]
+            outcomes = self._execute(wave, dispatched)
+            dispatched += len(wave)
             try:
                 for job, outcome in outcomes:
+                    unresolved.discard(job.key)
                     done += 1
                     if isinstance(outcome, JobFailure):
                         self._failed[outcome.key] = outcome
@@ -836,13 +887,15 @@ class Executor:
         return [resolved[job.key] for job in jobs]
 
     def _execute(
-        self, pending: Sequence[Job]
+        self, pending: Sequence[Job], offset: int = 0
     ) -> Iterator[Tuple[Job, Union[Tuple, JobFailure]]]:
         """The supervised dispatch loop: yield ``(job, outcome)`` per
         pending job as each resolves (completion order), where
         ``outcome`` is the attempt's success envelope
         ``(True, result, simulate_s, queue_wait_s)`` or a
-        :class:`JobFailure`.
+        :class:`JobFailure`.  Jobs are numbered from ``offset``, so the
+        index fault injection sees stays one dispatch order across the
+        waves of a :meth:`run`.
 
         Each pending job is submitted through ``apply_async`` with a
         per-job deadline and a completion callback that puts its
@@ -871,7 +924,7 @@ class Executor:
         policy = self.retry
         size = max(1, min(self.workers, len(pending)))
         spec = injection.active_spec()
-        queue = deque(enumerate(pending))
+        queue = deque(enumerate(pending, offset))
         attempts: Dict[int, int] = {}
         ready_at: Dict[int, float] = {}
         payloads: Dict[int, Tuple] = {}
@@ -1012,16 +1065,23 @@ class Executor:
 
         Records what this sweep was (job/app/protocol sets), where it
         ran (provenance: git describe, host, interpreter), how (engine,
-        workers, retry policy, store schema version), and what *did
-        not* survive — the ``failures`` section carries one replayable
-        record per permanently failed job, which ``reproduce --resume``
-        re-runs.  Returns the manifest path, or None when there is no
-        store.
+        workers, retry policy, store schema version), how each unique
+        job was resolved (``sources``: simulated, reused, loaded from
+        the store, or failed), and what *did not* survive — the
+        ``failures`` section carries one replayable record per
+        permanently failed job, which ``reproduce --resume`` re-runs.
+        Returns the manifest path, or None when there is no store.
         """
         if self.store is None:
             return None
         from repro.obs.provenance import provenance_block
 
+        # Every unique job is profiled once by where it first came
+        # from; later lookups of it are ``cache`` hits.
+        sources = dict.fromkeys(("simulated", "reused", "store", "failed"), 0)
+        for profile in self.job_profiles:
+            if profile["source"] in sources:
+                sources[profile["source"]] += 1
         manifest: Dict[str, Any] = {
             "schema_version": self.store.schema_version,
             "provenance": provenance_block(),
@@ -1038,6 +1098,7 @@ class Executor:
             "apps": sorted({job.app for job in jobs}),
             "protocols": sorted({job.config.protocol for job in jobs}),
             "scales": sorted({job.scale for job in jobs}),
+            "sources": sources,
             "failures": [f.to_json_dict() for f in self.failures],
         }
         if extra:

@@ -35,6 +35,35 @@ def sniff_kind(path: str) -> str:
     return "trace"
 
 
+# The summaries must not crash on a file that --validate is about to
+# flag: every value read from the file goes through one of these.
+
+
+def _obj(value: Any) -> Dict[str, Any]:
+    """``value`` if it is a JSON object, else an empty one."""
+    return value if isinstance(value, dict) else {}
+
+
+def _list(value: Any) -> List[Any]:
+    """``value`` if it is a JSON array, else an empty one."""
+    return value if isinstance(value, list) else []
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _num(value: Any) -> Any:
+    """``value`` if it is a JSON number, else 0."""
+    return value if _is_number(value) else 0
+
+
+def _count(value: Any) -> str:
+    """``value`` with thousands separators if it is a number, else as
+    it is."""
+    return f"{value:,}" if _is_number(value) else str(value)
+
+
 def _top(counts: Dict[str, int], n: int = 8) -> List[str]:
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return [f"    {name:<22} {count:>10,}" for name, count in ordered[:n]]
@@ -42,30 +71,28 @@ def _top(counts: Dict[str, int], n: int = 8) -> List[str]:
 
 def trace_summary(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    events = data.get("traceEvents", [])
+        data = _obj(json.load(fh))
     by_cat: Dict[str, int] = {}
     by_name: Dict[str, int] = {}
     nodes = set()
     ts_min = None
     ts_max = 0
     miss_cycles = 0
-    for event in events:
-        # Tolerant of malformed events: the summary must not crash on a
-        # file that --validate is about to flag.
+    for event in _list(data.get("traceEvents")):
         if not isinstance(event, dict) or event.get("ph") == "M":
             continue
-        by_cat[event.get("cat", "?")] = by_cat.get(event.get("cat", "?"), 0) + 1
-        name = event.get("name", "?")
+        cat = str(event.get("cat", "?"))
+        by_cat[cat] = by_cat.get(cat, 0) + 1
+        name = str(event.get("name", "?"))
         by_name[name] = by_name.get(name, 0) + 1
-        nodes.add(event.get("pid", 0))
-        ts = event.get("ts", 0)
+        nodes.add(str(event.get("pid", 0)))
+        ts, dur = _num(event.get("ts")), _num(event.get("dur"))
         ts_min = ts if ts_min is None else min(ts_min, ts)
-        ts_max = max(ts_max, ts + event.get("dur", 0))
+        ts_max = max(ts_max, ts + dur)
         if event.get("ph") == "X":
-            miss_cycles += event.get("dur", 0)
+            miss_cycles += dur
     lines = [f"trace {path}"]
-    other = data.get("otherData", {})
+    other = _obj(data.get("otherData"))
     if other:
         lines.append(
             "  run: " + ", ".join(f"{k}={v}" for k, v in sorted(other.items()))
@@ -92,7 +119,7 @@ def metrics_summary(path: str) -> str:
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
+            record = _obj(json.loads(line))
             rtype = record.get("type")
             if rtype == "meta":
                 meta = record
@@ -103,18 +130,19 @@ def metrics_summary(path: str) -> str:
                 final = record
     lines = [f"metrics {path}"]
     if meta:
-        prov = meta.get("provenance", {})
+        prov = _obj(meta.get("provenance"))
         lines.append(
-            f"  run: engine={meta.get('engine')} interval={meta.get('interval'):,}"
+            f"  run: engine={meta.get('engine')} "
+            f"interval={_count(meta.get('interval'))}"
             f" commit={prov.get('git_describe', '?')}"
         )
-    lines.append(f"  samples         {samples:,} (last at ts {last_ts:,})")
+    lines.append(f"  samples         {samples:,} (last at ts {_count(last_ts)})")
     if final:
-        lines.append(f"  exec_cycles     {final.get('exec_cycles', 0):,}")
+        lines.append(f"  exec_cycles     {_count(final.get('exec_cycles', 0))}")
         totals: Dict[str, int] = {}
-        for node in final.get("nodes", []):
-            for key, value in node.items():
-                totals[key] = totals.get(key, 0) + value
+        for node in _list(final.get("nodes")):
+            for key, value in _obj(node).items():
+                totals[key] = totals.get(key, 0) + _num(value)
         headline = (
             "l1_misses", "remote_fetches", "refetches", "coherence_misses",
             "page_faults", "relocations",
@@ -122,16 +150,16 @@ def metrics_summary(path: str) -> str:
         for key in headline:
             if key in totals:
                 lines.append(f"  {key:<15} {totals[key]:>12,}")
-        network = final.get("network", {})
+        network = _obj(final.get("network"))
         if network:
             lines.append(
-                f"  network         {network.get('messages', 0):,} messages, "
-                f"link busy {network.get('link_busy_cycles', 0):,} cycles"
+                f"  network         {_count(network.get('messages', 0))} messages, "
+                f"link busy {_count(network.get('link_busy_cycles', 0))} cycles"
             )
-        pages = final.get("pages", {})
+        pages = _obj(final.get("pages"))
         if pages:
             lines.append(
-                f"  counters live   {pages.get('tracked', 0):,} pages tracked"
+                f"  counters live   {_count(pages.get('tracked', 0))} pages tracked"
             )
     return "\n".join(lines)
 

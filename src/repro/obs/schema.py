@@ -141,8 +141,9 @@ def validate_metrics_file(path: str) -> List[str]:
             errors.extend(validate(record, schema, where))
             rtype = record.get("type") if isinstance(record, dict) else None
             types.append(rtype)
-            if rtype == "sample":
-                ts = record.get("ts", 0)
+            ts = record.get("ts", 0) if rtype == "sample" else None
+            # A ts that is no number is already a violation above.
+            if isinstance(ts, (int, float)) and not isinstance(ts, bool):
                 if ts <= last_ts:
                     errors.append(
                         f"{where}: sample ts {ts} not after previous {last_ts}"

@@ -477,6 +477,7 @@ class SimulationEngine:
             refetch_counts=machine.refetch_counts,
             rw_shared_pages=frozenset(machine.read_write_shared_pages()),
             remote_pages_touched=len(machine.page_requesters),
+            directory_overflows=machine.directory.overflows,
         )
 
     # ------------------------------------------------------------------

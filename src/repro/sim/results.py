@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
 from repro.common.params import SystemConfig, config_from_dict, config_to_dict
 from repro.common.stats import NodeStats, StatsRegistry
@@ -24,6 +24,11 @@ class SimulationResult:
     refetch_counts: Dict[int, Dict[int, int]] = field(default_factory=dict)
     rw_shared_pages: frozenset = frozenset()
     remote_pages_touched: int = 0
+    #: The directory's overflow count (the witness a limited-pointer run
+    #: gives result reuse); ``None`` when unknown.  Not part of the
+    #: result: it stays out of equality and of :meth:`to_json_dict`, so
+    #: a result loaded from the store has ``None``.
+    directory_overflows: Optional[int] = field(default=None, compare=False)
 
     def total(self, counter: str) -> int:
         """Machine-wide total of one stats counter."""

@@ -340,6 +340,17 @@ def test_store_gc_rejects_negative_tmp_age(capsys, tmp_path):
     assert fresh.exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "gc", "stats"])
+def test_store_maintenance_on_a_missing_path_creates_nothing(
+    capsys, tmp_path, command
+):
+    """A mistyped ``--store`` is an error, not a clean empty store."""
+    missing = tmp_path / "typo" / "deep"
+    assert main(["store", command, "--store", str(missing)]) == 2
+    assert f"repro: no result store at {missing}" in capsys.readouterr().err
+    assert not (tmp_path / "typo").exists()
+
+
 def test_fail_fast_and_keep_going_conflict():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["reproduce", "--fail-fast", "--keep-going"])

@@ -359,6 +359,22 @@ class TestTelemetry:
         assert prov["timestamp_utc"].endswith("Z")
         assert prov["git_commit"]
 
+    def test_store_hits_found_by_missing_are_reported_as_store(self, tmp_path):
+        """``reproduce`` asks :meth:`Executor.missing` first, which
+        promotes store hits into the cache; the sweep still reports
+        them, once, as loaded from the store."""
+        jobs = [Job(APP, cc_config(), SCALE), Job(APP, scoma_config(), SCALE)]
+        Executor(store=ResultStore(tmp_path)).run(jobs)
+        warm = Executor(store=ResultStore(tmp_path))
+        assert warm.missing(jobs) == []
+        warm.run(jobs)
+        warm.run(jobs)
+        assert [p["source"] for p in warm.job_profiles] == ["store"] * 2 + ["cache"] * 2
+        manifest = json.loads(warm.write_manifest(jobs).read_text())
+        assert manifest["sources"] == {
+            "simulated": 0, "reused": 0, "store": 2, "failed": 0,
+        }
+
     def test_write_manifest_without_store_is_noop(self):
         exe = Executor(workers=1)
         assert exe.write_manifest([Job(APP, cc_config(), SCALE)]) is None

@@ -76,3 +76,30 @@ def test_cli_report_validate_fails_on_bad_file(tmp_path, capsys):
     bad.write_text('{"type": "sample", "ts": 1}\n')
     with pytest.raises(SystemExit):
         main(["report", str(bad), "--validate"])
+
+
+#: Well-formed JSON of the wrong shape: each is a file --validate flags.
+WRONG_SHAPES = {
+    "array.json": "[1, 2]",
+    "string.json": '"x"',
+    "bare-meta.jsonl": '{"type": "meta"}',
+    "final-int-node.jsonl": '{"type": "final", "nodes": [1]}',
+    "string-ts.jsonl": '{"type": "meta"}\n{"type": "sample", "ts": "x"}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_SHAPES))
+def test_cli_report_on_wrong_shape_json_never_crashes(tmp_path, capsys, name):
+    """A summary or a ``cannot report`` exit, and with --validate the
+    schema violations and exit 1; never a traceback."""
+    path = tmp_path / name
+    path.write_text(WRONG_SHAPES[name] + "\n")
+    try:
+        assert main(["report", str(path)]) in (0, None)
+        assert str(path) in capsys.readouterr().out
+    except SystemExit as exc:
+        assert str(exc.code).startswith(f"repro: cannot report on {path}")
+    with pytest.raises(SystemExit) as exc_info:
+        main(["report", str(path), "--validate"])
+    assert exc_info.value.code == 1
+    assert "schema violations" in capsys.readouterr().err
