@@ -20,7 +20,7 @@ engine may hoist them into locals across a whole run.
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.coherence.states import INVALID, MODIFIED, OWNED, SHARED
 from repro.common.errors import ConfigurationError
@@ -59,9 +59,6 @@ class L1Cache:
         the engine may have hoisted them into locals)."""
         self.block_at[:] = array("q", [EMPTY]) * self.num_blocks
         self.state_at[:] = bytes(self.num_blocks)
-
-    def set_of(self, block: int) -> int:
-        return block & self.mask
 
     def state_of(self, block: int) -> int:
         """MOESI state of ``block``, or INVALID if not resident."""
@@ -124,10 +121,6 @@ class L1Cache:
     def resident_blocks(self) -> List[int]:
         """All resident block numbers (unordered)."""
         return [b for b in self.block_at if b != EMPTY]
-
-    def resident_blocks_of_page(self, page_blocks: Iterable[int]) -> List[int]:
-        """Subset of ``page_blocks`` currently resident."""
-        return [b for b in page_blocks if self.contains(b)]
 
     def has_dirty(self, block: int) -> bool:
         return self.state_of(block) in (MODIFIED, OWNED)

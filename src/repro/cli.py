@@ -879,39 +879,29 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
 
-    # Phase 1 — trace compile: warm the registry's compiled-program
-    # cache (generation, packing, placement) so the simulate phase
-    # measures simulation.  Only for jobs the cache/store cannot
-    # satisfy — a warm-store rerun must stay trace-generation-free.
-    t0 = time.perf_counter()
-    pending = executor.missing(jobs)
-    for app, machine, space in sorted(
-        {(job.app, job.config.machine, job.config.space) for job in pending},
-        key=lambda k: k[0],
-    ):
-        build_program(app, machine=machine, space=space, scale=scale)
-    compile_s = time.perf_counter() - t0 - executor.store_seconds
-    store_baseline = executor.store_seconds
-
-    # Phase 2 — simulate (store I/O tracked separately by the executor).
-    # A SweepFailure here means some jobs are permanently dead after
-    # their retry budget; everything else completed (keep-going) and is
-    # cached/stored, so rendering proceeds on the survivors.
+    # Sweep: the executor builds each program the first time one of
+    # its jobs is dispatched (the "trace compile" row) and tracks store
+    # I/O separately; the rest is simulation.  A SweepFailure here means
+    # some jobs are permanently dead after their retry budget;
+    # everything else completed (keep-going) and is cached/stored, so
+    # rendering proceeds on the survivors.
     t0 = time.perf_counter()
     failures: List[JobFailure] = []
     try:
         executor.run(jobs)
     except SweepFailure as exc:
         failures = exc.failures
-    simulate_s = time.perf_counter() - t0 - (
-        executor.store_seconds - store_baseline
-    )
+    compile_s = executor.build_seconds
+    simulate_s = time.perf_counter() - t0 - executor.store_seconds - compile_s
     store_after_simulate = executor.store_seconds
+    # The heartbeat tracks the sweep; the render phase's lookups are not
+    # progress.
+    executor.progress = None
 
-    # Phase 3 — render.  All compute calls hit the warm executor; a
-    # section whose job set includes a permanently failed key is
-    # replaced with a skip marker instead of re-simulating a known-bad
-    # job (or crashing the report).
+    # Render.  All compute calls hit the warm executor; a section whose
+    # job set includes a permanently failed key is replaced with a skip
+    # marker instead of re-simulating a known-bad job (or crashing the
+    # report).
     failed_keys = executor.failed_keys
 
     def _render(section: Section) -> str:

@@ -120,11 +120,6 @@ class CostParams:
             + self.flush_per_block * blocks_flushed
         )
 
-    @property
-    def page_op_base(self) -> int:
-        """Cost of a page operation that flushes no blocks."""
-        return self.soft_trap + self.tlb_shootdown + self.page_setup
-
     def softened(self) -> "CostParams":
         """The Figure 9 'SOFT' variant of these costs.
 

@@ -9,16 +9,17 @@ hand each whole grid to an :class:`Executor`, which:
 2. satisfies what it can from its in-memory cache (a dict it owns)
    and its :class:`ResultStore` (JSON-per-key files under a cache
    directory);
-3. plans the rest in *waves* (:mod:`repro.experiments.reuse`): each
-   wave simulates the tightest unresolved job of every group of jobs
-   that differ only in fields a proven rule can free, then answers
-   every member whose group holds a result that proves it identical.
-   Simulations go through one *supervised* dispatch loop — every
-   attempt is wrapped in an outcome envelope, so one crashing or
-   hanging job can never abort the sweep.  The loop fans out over
-   ``workers`` processes, which push each finished attempt back to it;
-   with one slot and no per-job deadline there is nothing to overlap
-   or preempt, so each attempt runs in this process instead;
+3. groups the rest with the jobs they differ from only in fields a
+   proven rule can free (:mod:`repro.experiments.reuse`) and runs them
+   in one pass of a *supervised* dispatch loop: the tightest pending
+   job of every group is queued at once, and as each job resolves its
+   group answers every member that a result proves identical and
+   queues its next pending job.  Every attempt is wrapped in an
+   outcome envelope, so one crashing or hanging job can never abort
+   the sweep.  The loop fans out over ``workers`` processes, which
+   push each finished attempt back to it; with one slot and no
+   per-job deadline there is nothing to overlap or preempt, so each
+   attempt runs in this process instead;
 4. writes fresh and answered results back to both layers as each job
    resolves, each under its own key with its own config.
 
@@ -69,6 +70,7 @@ import tempfile
 import time
 import traceback as traceback_module
 from collections import deque
+from contextlib import closing
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from itertools import count
@@ -77,6 +79,7 @@ from queue import Empty, SimpleQueue
 from typing import (
     Any,
     Callable,
+    Deque,
     Dict,
     Iterator,
     List,
@@ -632,6 +635,9 @@ class Executor:
         #: (write-heavy) from a warm replay (read-heavy).
         self.store_read_seconds = 0.0
         self.store_write_seconds = 0.0
+        #: Cumulative wall time spent building job payloads: trace
+        #: generation, packing and placement, once per program.
+        self.build_seconds = 0.0
         #: One record per job :meth:`run`/:meth:`run_app` resolved:
         #: ``{app, protocol, source, queue_wait_s, simulate_s,
         #: store_read_s, store_write_s}`` where ``source`` is
@@ -652,10 +658,6 @@ class Executor:
         #: overlapping job set (the render phase) re-reports the
         #: failure instantly instead of re-simulating a known-bad job.
         self._failed: Dict[str, JobFailure] = {}
-        #: Keys the store served (say, to :meth:`missing`) that no
-        #: :meth:`run` has reported yet: their first report is
-        #: ``store``, not ``cache``.
-        self._store_hits: set = set()
 
     @property
     def store_seconds(self) -> float:
@@ -681,7 +683,6 @@ class Executor:
             self.store_read_seconds += time.perf_counter() - t0
             if result is not None:
                 self.cache[job.key] = result
-                self._store_hits.add(job.key)
         return result
 
     def _insert(self, job: Job, result: SimulationResult) -> None:
@@ -748,45 +749,26 @@ class Executor:
 
     # -- execution -----------------------------------------------------
 
-    def missing(self, jobs: Sequence[Job]) -> List[Job]:
-        """The deduplicated subset of ``jobs`` that cache and store
-        cannot satisfy: what :meth:`run` will simulate, or answer from
-        another job's simulation (:mod:`repro.experiments.reuse`).
-
-        Store hits are promoted into the in-memory cache along the way,
-        so a following :meth:`run` does no duplicate store I/O.  Lets
-        callers warm expensive per-job inputs (compiled programs) only
-        for work that is really pending.
-        """
-        pending: List[Job] = []
-        seen = set()
-        for job in jobs:
-            if job.key in seen:
-                continue
-            seen.add(job.key)
-            if repr(job.key) in self._failed:
-                continue
-            if self._lookup(job) is None:
-                pending.append(job)
-        return pending
-
     def run(self, jobs: Sequence[Job]) -> List[SimulationResult]:
         """Run every job, reusing cache/store; results in input order.
 
         Duplicate jobs (same :func:`run_key`) are simulated once.  The
-        pending rest is planned in waves over the groups of
-        :func:`repro.experiments.reuse.groups`: before each wave, every
-        pending member that a resolved result of its group admits
-        (:func:`repro.experiments.reuse.answers`) is answered from that
-        result — stored under its own key with its own ``config``,
-        source ``"reused"``; then the wave simulates the tightest
-        pending job of every group.  Waves repeat until nothing is
-        pending.  Within a wave, jobs are dispatched in first-seen group
-        order and handled (stored, heartbeat) as each completes; the
-        plan depends only on results, so a parallel run simulates
-        exactly the serial run's jobs and produces bit-identical
-        results.  A failed job answers nothing and leaves its group to
-        the next wave.
+        pending rest runs in one pass of the supervised loop
+        (:meth:`_execute`), planned over the groups of
+        :func:`repro.experiments.reuse.groups`: the tightest pending job
+        of every group is queued first, in first-seen group order.
+        Whenever a job resolves — simulated, or permanently failed, which
+        answers nothing — every pending member of its group that a
+        resolved result admits (:func:`repro.experiments.reuse.answers`)
+        is answered from that result, stored under its own key with its
+        own ``config``, source ``"reused"``; then the group's next
+        pending job joins the running queue.  Store hits answer members
+        the same way before anything is queued.  A group's steps depend
+        only on its own results, so a parallel run simulates exactly the
+        serial run's jobs and produces bit-identical results.  The job
+        index fault injection sees is the job's place in the plan
+        (groups in first-seen order, each tightest first), whatever the
+        completion order or worker count.
 
         Raises :class:`SweepFailure` if any job permanently failed —
         immediately under ``retry.fail_fast``, otherwise after every
@@ -797,35 +779,46 @@ class Executor:
         for job in jobs:
             unique.setdefault(job.key, job)
         total = len(unique)
-        done = 0
+        done = count(1)
 
         resolved: Dict[Tuple, SimulationResult] = {}
         failed_now: List[JobFailure] = []
-        pending: List[Job] = []
+        unresolved = set()
         for key, job in unique.items():
             prior = self._failed.get(repr(key))
             if prior is not None:
                 # Known-failed this session: report, never re-simulate.
                 failed_now.append(prior)
-                done += 1
-                self._notify(done, total, job, "failed")
+                self._notify(next(done), total, job, "failed")
                 continue
+            source = "cache" if key in self.cache else "store"
             read_before = self.store_read_seconds
             result = self._lookup(job)
             if result is None:
-                pending.append(job)
-            else:
-                resolved[key] = result
-                done += 1
-                source = "store" if key in self._store_hits else "cache"
-                self._store_hits.discard(key)
-                self._profile(
-                    job, source,
-                    store_read_s=self.store_read_seconds - read_before,
-                )
-                self._notify(done, total, job, source)
+                unresolved.add(key)
+                continue
+            resolved[key] = result
+            self._profile(
+                job, source, store_read_s=self.store_read_seconds - read_before
+            )
+            self._notify(next(done), total, job, source)
 
-        unresolved = {job.key for job in pending}
+        def settle(group: List[Job]) -> Optional[Job]:
+            """Answer every pending member of ``group`` that a resolved
+            result admits; return the group's next pending job."""
+            for job, result in reuse.answerable(group, resolved, unresolved):
+                unresolved.discard(job.key)
+                answer = replace(result, config=job.config)
+                write_before = self.store_write_seconds
+                self._insert(job, answer)
+                resolved[job.key] = answer
+                self._profile(
+                    job, "reused",
+                    store_write_s=self.store_write_seconds - write_before,
+                )
+                self._notify(next(done), total, job, "reused")
+            return next((job for job in group if job.key in unresolved), None)
+
         plan = (
             reuse.groups(
                 job for key, job in unique.items()
@@ -834,40 +827,23 @@ class Executor:
             if unresolved
             else []
         )
-        dispatched = 0
-        while True:
-            for group in plan:
-                for job, result in reuse.answerable(group, resolved, unresolved):
-                    unresolved.discard(job.key)
-                    answer = replace(result, config=job.config)
-                    write_before = self.store_write_seconds
-                    self._insert(job, answer)
-                    resolved[job.key] = answer
-                    done += 1
-                    self._profile(
-                        job, "reused",
-                        store_write_s=self.store_write_seconds - write_before,
-                    )
-                    self._notify(done, total, job, "reused")
-            plan = [g for g in plan if any(job.key in unresolved for job in g)]
-            if not plan:
-                break
-            wave = [next(job for job in g if job.key in unresolved) for g in plan]
-            outcomes = self._execute(wave, dispatched)
-            dispatched += len(wave)
-            try:
-                for job, outcome in outcomes:
-                    unresolved.discard(job.key)
-                    done += 1
-                    if isinstance(outcome, JobFailure):
-                        self._failed[outcome.key] = outcome
-                        self.failures.append(outcome)
-                        failed_now.append(outcome)
-                        self._profile(job, "failed")
-                        self._notify(done, total, job, "failed")
-                        if self.retry.fail_fast:
-                            raise SweepFailure(failed_now)
-                        continue
+        heads = [head for head in map(settle, plan) if head is not None]
+        pending = [job for group in plan for job in group if job.key in unresolved]
+        index = {job.key: i for i, job in enumerate(pending)}
+        group_of = {job.key: group for group in plan for job in group}
+        queue = deque((index[job.key], job) for job in heads)
+        with closing(self._execute(queue)) as outcomes:
+            for job, outcome in outcomes:
+                unresolved.discard(job.key)
+                if isinstance(outcome, JobFailure):
+                    self._failed[outcome.key] = outcome
+                    self.failures.append(outcome)
+                    failed_now.append(outcome)
+                    self._profile(job, "failed")
+                    self._notify(next(done), total, job, "failed")
+                    if self.retry.fail_fast:
+                        raise SweepFailure(failed_now)
+                else:
                     _, result, simulate_s, queue_wait_s = outcome
                     write_before = self.store_write_seconds
                     self._insert(job, result)
@@ -878,34 +854,41 @@ class Executor:
                         simulate_s=simulate_s,
                         store_write_s=self.store_write_seconds - write_before,
                     )
-                    self._notify(done, total, job, "simulated")
-            finally:
-                outcomes.close()
+                    self._notify(next(done), total, job, "simulated")
+                head = settle(group_of[job.key])
+                if head is not None:
+                    queue.append((index[head.key], head))
 
         if failed_now:
             raise SweepFailure(failed_now)
         return [resolved[job.key] for job in jobs]
 
     def _execute(
-        self, pending: Sequence[Job], offset: int = 0
+        self, queue: Deque[Tuple[int, Job]]
     ) -> Iterator[Tuple[Job, Union[Tuple, JobFailure]]]:
-        """The supervised dispatch loop: yield ``(job, outcome)`` per
-        pending job as each resolves (completion order), where
-        ``outcome`` is the attempt's success envelope
-        ``(True, result, simulate_s, queue_wait_s)`` or a
-        :class:`JobFailure`.  Jobs are numbered from ``offset``, so the
-        index fault injection sees stays one dispatch order across the
-        waves of a :meth:`run`.
+        """The supervised dispatch loop: run every ``(index, job)`` of
+        ``queue`` and yield ``(job, outcome)`` as each resolves
+        (completion order), where ``outcome`` is the attempt's success
+        envelope ``(True, result, simulate_s, queue_wait_s)`` or a
+        :class:`JobFailure`, and ``index`` is the job's number for fault
+        injection.  The caller may append jobs to ``queue`` between
+        outcomes; the loop ends once the queue is empty and nothing is
+        in flight.  The pool has one slot per job queued at the start,
+        up to ``workers``: :meth:`run` queues one job per reuse group
+        and never has more than one of a group's jobs in the loop.  An
+        empty queue starts no pool.
 
-        Each pending job is submitted through ``apply_async`` with a
-        per-job deadline and a completion callback that puts its
-        envelope on a queue; the supervisor blocks on that queue, retries
-        crashed jobs after their deterministic backoff, and reaps hung
-        workers by recycling the entire pool (a stuck worker cannot be
-        preempted individually).  In-flight bystanders of a recycle are
+        Each job is submitted through ``apply_async`` with a per-job
+        deadline and a completion callback that puts its envelope on a
+        queue; the supervisor blocks on that queue, retries crashed jobs
+        after their deterministic backoff, and reaps hung workers by
+        recycling the entire pool (a stuck worker cannot be preempted
+        individually).  In-flight bystanders of a recycle are
         re-dispatched without being charged an attempt, and whatever the
         old pool still delivers for them is ignored: every submission
-        has its own number.
+        has its own number.  A job's payload is built
+        (:func:`_job_payload`) on its first dispatch; that time is
+        :attr:`build_seconds`.
 
         Without a ``job_timeout`` each worker has one attempt running and
         one queued, so it starts its next job without a round trip
@@ -921,10 +904,11 @@ class Executor:
         ``multiprocessing.Pool`` respawns the process but not the job —
         so only a ``job_timeout`` bounds that case.
         """
+        if not queue:
+            return
         policy = self.retry
-        size = max(1, min(self.workers, len(pending)))
+        size = min(self.workers, len(queue))
         spec = injection.active_spec()
-        queue = deque(enumerate(pending, offset))
         attempts: Dict[int, int] = {}
         ready_at: Dict[int, float] = {}
         payloads: Dict[int, Tuple] = {}
@@ -953,11 +937,12 @@ class Executor:
                     attempts[index] = attempt
                     base = payloads.get(index)
                     if base is None:
-                        base = _job_payload(job)
-                        payloads[index] = base
+                        t0 = time.perf_counter()
+                        base = payloads[index] = _job_payload(job)
+                        self.build_seconds += time.perf_counter() - t0
                     payload = base + (time.time(), spec, job.app, index, attempt)
                     deadline = (
-                        now + policy.job_timeout
+                        time.monotonic() + policy.job_timeout
                         if policy.job_timeout is not None
                         else None
                     )

@@ -183,19 +183,6 @@ class DirectoryScalingResult:
             return 1.0 if sent == 0 else float("inf")
         return sent / base
 
-    def worst_slowdown_vs_fullmap(self) -> float:
-        """Largest normalized-time ratio of any inexact representation
-        over the full map at the same (app, topology, nodes, protocol)."""
-        worst = 1.0
-        for (app, topology, nodes, rep), row in self.points.items():
-            if rep == "fullmap":
-                continue
-            base = self.points[(app, topology, nodes, "fullmap")]
-            for protocol, (t, _) in row.items():
-                if base[protocol][0] > 0:
-                    worst = max(worst, t / base[protocol][0])
-        return worst
-
 
 def directory_scaling_grid(
     scale: float = 1.0,

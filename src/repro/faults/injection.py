@@ -9,8 +9,8 @@ pay nothing.  Arming happens through one environment variable:
 
     REPRO_FAULTS="worker-raise:index=3,times=2" python -m repro reproduce ...
 
-which reads "the worker attempt for pending job #3 raises on its first
-two attempts, then succeeds" — the deterministic schedule the
+which reads "the worker attempt for job #3 of the plan raises on its
+first two attempts, then succeeds" — the deterministic schedule the
 fault-tolerance property suite uses to pin that an injected-crash sweep
 completes with zero result loss and bit-identical results.
 
@@ -23,8 +23,11 @@ Spec grammar
 ``app=NAME``
     Only fire for jobs/entries of this application.
 ``index=N``
-    Only fire for pending-job #N (0-based dispatch order).  Worker
-    points only — store operations have no job index.
+    Only fire for job #N (0-based) of the executor's plan: the jobs
+    cache and store leave pending, by reuse group in first-seen order,
+    each group tightest first.  Job #0 is the first dispatched, and the
+    numbering depends on neither completion order nor worker count.
+    Worker points only — store operations have no job index.
 ``times=N``
     Fire on the first ``N`` eligible occasions, then stand down.
     For the worker points the budget is compared against the *attempt

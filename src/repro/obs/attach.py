@@ -8,11 +8,8 @@ place instrumentation touches the hot path.  The contract it exploits:
   :meth:`run` intercepts every miss with zero changes to engine code —
   and installing nothing leaves the engine byte-identical to an
   uninstrumented build (the zero-cost-off invariant).
-* The hook's calling convention is declared by the ``_MISS_HOOK`` class
-  attribute: ``"columnar"`` for the run-ahead engine's 5-argument
-  ``(cpu, b, w, st, now) -> lat`` form, and ``"legacy"`` for the
-  reference engine's 7-argument ``(cpu, node, l1, b, w, st, now) -> lat``
-  form.
+* Both engines' ``_miss`` take ``(cpu, b, w, st, now)`` and return the
+  added latency.
 * Every stat mutation a miss performs on behalf of the requester —
   including those made inside the osint page services and the
   protocol policies — lands on the requesting node's ``NodeStats``.
@@ -29,7 +26,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.common.errors import ConfigurationError
 from repro.common.params import ObsParams, config_to_dict
 from repro.obs.metrics import MetricsWriter
 from repro.obs.provenance import provenance_block
@@ -238,47 +234,25 @@ class _Observer:
 
 def _install(engine: Any, observer: _Observer) -> None:
     """Replace ``engine._miss`` with the observing wrapper."""
-    hook = getattr(type(engine), "_MISS_HOOK", None)
     inner = engine._miss
     snapshot = TRACKED_COUNTERS
     shift = engine._block_page_shift
-    if hook == "columnar":
-        mctx = engine._mctx
+    mctx = engine._mctx
 
-        def wrapper(cpu: int, b: int, w: int, st: int, now: int) -> int:
-            ctx = mctx[cpu]
-            node, nid, ns = ctx[0], ctx[1], ctx[2]
-            before = tuple(getattr(ns, f) for f in snapshot)
-            lat = inner(cpu, b, w, st, now)
-            after = tuple(getattr(ns, f) for f in snapshot)
-            if after != before:
-                page = b >> shift
-                observer.record(
-                    nid, cpu, now, lat, page, b, bool(w), before, after,
-                    node.refetch_counters.get(page, 0),
-                )
-            return lat
+    def wrapper(cpu: int, b: int, w: int, st: int, now: int) -> int:
+        ctx = mctx[cpu]
+        node, nid, ns = ctx[0], ctx[1], ctx[2]
+        before = tuple(getattr(ns, f) for f in snapshot)
+        lat = inner(cpu, b, w, st, now)
+        after = tuple(getattr(ns, f) for f in snapshot)
+        if after != before:
+            page = b >> shift
+            observer.record(
+                nid, cpu, now, lat, page, b, bool(w), before, after,
+                node.refetch_counters.get(page, 0),
+            )
+        return lat
 
-    elif hook == "legacy":
-
-        def wrapper(cpu: int, node: Any, l1: Any, b: int, w: bool, st: int, now: int) -> int:
-            ns = node.stats
-            before = tuple(getattr(ns, f) for f in snapshot)
-            lat = inner(cpu, node, l1, b, w, st, now)
-            after = tuple(getattr(ns, f) for f in snapshot)
-            if after != before:
-                page = b >> shift
-                observer.record(
-                    node.node_id, cpu, now, lat, page, b, bool(w), before, after,
-                    node.refetch_counters.get(page, 0),
-                )
-            return lat
-
-    else:
-        raise ConfigurationError(
-            f"engine {type(engine).__name__} declares no _MISS_HOOK; "
-            "cannot attach instrumentation"
-        )
     engine._miss = wrapper
 
 

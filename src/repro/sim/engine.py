@@ -132,11 +132,6 @@ class SimulationEngine:
     run-ahead length.
     """
 
-    #: Calling convention of ``_miss``, for :mod:`repro.obs.attach`:
-    #: ``"columnar"`` is the 5-argument ``(cpu, b, w, st, now) -> lat``
-    #: form.
-    _MISS_HOOK = "columnar"
-
     def __init__(
         self,
         config: SystemConfig,

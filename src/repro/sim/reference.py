@@ -56,10 +56,6 @@ from repro.vm.page_table import MAP_CC, MAP_LOCAL, MAP_SCOMA, MAP_UNMAPPED
 class ReferenceEngine(SimulationEngine):
     """One heap pop + push per reference on the pre-columnar structures."""
 
-    #: The classic loop passes the node and L1 objects explicitly:
-    #: ``(cpu, node, l1, b, w, st, now) -> lat`` (see repro.obs.attach).
-    _MISS_HOOK = "legacy"
-
     def __init__(
         self,
         config: SystemConfig,
@@ -156,7 +152,7 @@ class ReferenceEngine(SimulationEngine):
                     heapq.heappush(heap, (now + 1, cpu))
                 else:
                     node.stats.l1_misses += 1
-                    latency = miss(cpu, node, l1, b, w, st, now)
+                    latency = miss(cpu, b, w, st, now)
                     node.stats.busy_cycles += think + 1
                     node.stats.stall_cycles += latency
                     heapq.heappush(heap, (now + 1 + latency, cpu))
@@ -204,8 +200,10 @@ class ReferenceEngine(SimulationEngine):
     # frozen miss path (FetchOutcome objects, line objects, sets)
     # ------------------------------------------------------------------
 
-    def _miss(self, cpu: int, node: Node, l1, b: int, w: bool, st: int, now: int) -> int:
+    def _miss(self, cpu: int, b: int, w: int, st: int, now: int) -> int:
         """Service an L1 miss (or write upgrade); returns added latency."""
+        node = self.machine.nodes[self._node_of_cpu[cpu]]
+        l1 = self._l1_of_cpu[cpu]
         costs = self.config.costs
         g = b >> self._block_page_shift
         mapping = node.page_table.mapping_of(g)

@@ -33,16 +33,3 @@ def own_pages(
 ) -> None:
     """First-touch selected region pages from ``cpu`` (its partition)."""
     tb.first_touch(cpu, [region.page_base_addr(i) for i in page_indices])
-
-
-def partition_pages_by_cpu(
-    tb: TraceBuilder, region: Region, machine: MachineParams
-) -> None:
-    """First-touch a region partitioned contiguously across all CPUs."""
-    per_cpu = region.num_pages // machine.total_cpus
-    extra = region.num_pages % machine.total_cpus
-    page = 0
-    for cpu in range(machine.total_cpus):
-        count = per_cpu + (1 if cpu < extra else 0)
-        own_pages(tb, region, cpu, range(page, page + count))
-        page += count

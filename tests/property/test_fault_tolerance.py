@@ -148,7 +148,6 @@ class TestCrashRecovery:
         with pytest.raises(SweepFailure):
             exe.run_app(APP, cc_config(), SCALE)
         assert attempts == []
-        assert exe.missing([job]) == []
 
     def test_run_app_follows_the_retry_policy(self, baseline, monkeypatch):
         """A one-job lookup takes the sweep's path: a crash past the

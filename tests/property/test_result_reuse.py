@@ -17,6 +17,7 @@ largest refetch count), which an off-by-one rule gets wrong.
 """
 
 import json
+import multiprocessing.pool
 from dataclasses import replace
 
 import pytest
@@ -32,7 +33,7 @@ from repro.common.params import (
 )
 from repro.common.records import Access, Barrier
 from repro.experiments import reuse
-from repro.experiments.config import cc_config
+from repro.experiments.config import cc_config, scoma_config
 from repro.experiments.executor import (
     Executor,
     ResultStore,
@@ -397,7 +398,7 @@ def test_a_store_loaded_result_answers_no_directory_member(tmp_path):
     assert answers(rep_job, loaded, bigger)
 
 
-# -- the executor's wave plan ----------------------------------------------
+# -- the executor's reuse plan ---------------------------------------------
 
 SCALE = 0.05
 APP_JOB = "em3d"
@@ -443,10 +444,10 @@ def _program(job):
     )
 
 
-def test_a_failed_representative_leaves_its_group_to_the_next_wave(monkeypatch):
-    """Dispatch index 0 (the representative) crashes for good; the
-    member is dispatched in the next wave as index 1, which the fault
-    does not match, so the index runs on across waves."""
+def test_a_failed_representative_leaves_its_group_to_a_follow_up(monkeypatch):
+    """Plan index 0 (the representative) crashes for good; the member,
+    plan index 1, is queued as the group's follow-up, which the fault
+    does not match."""
     monkeypatch.setenv(injection.ENV_VAR, "worker-raise:index=0")
     rep, member = _job(64 * 1024), _job(640 * 1024)
     exe = Executor(retry=RetryPolicy(retries=0, backoff=0.0))
@@ -457,6 +458,68 @@ def test_a_failed_representative_leaves_its_group_to_the_next_wave(monkeypatch):
     assert FaultInjected.__name__ in failure.error
     assert [p["source"] for p in exe.job_profiles] == ["failed", "simulated"]
     assert exe.cache[member.key].config == member.config
+
+
+def _scoma(page_cache, scale=SCALE):
+    """An S-COMA job of em3d.  At 4 KB it replaces pages, so its result
+    answers no larger page cache, and the group's next job is a
+    follow-up; at 64 KB it replaces none."""
+    return Job(APP_JOB, scoma_config(page_cache), scale)
+
+
+def test_follow_ups_join_the_one_running_pool(monkeypatch):
+    """Two groups, each with a follow-up: one pool runs all four jobs."""
+    pools = []
+
+    class CountingPool(multiprocessing.pool.Pool):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr("multiprocessing.Pool", CountingPool)
+    jobs = [_scoma(kb * 1024, scale) for scale in (SCALE, 2 * SCALE) for kb in (4, 64)]
+    exe = Executor(workers=2)
+    exe.run(jobs)
+    assert [p["source"] for p in exe.job_profiles] == ["simulated"] * 4
+    assert len(pools) == 1
+
+
+def test_nothing_pending_starts_no_pool(monkeypatch, tmp_path):
+    """Cache hits, store hits and members the store's results answer
+    need no worker, even with a deadline set."""
+    small, large = _scoma(64 * 1024), _scoma(128 * 1024)
+    Executor(store=ResultStore(tmp_path)).run([small])
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("started a worker pool with nothing pending")
+
+    monkeypatch.setattr("multiprocessing.Pool", no_pool)
+    exe = Executor(
+        workers=2, store=ResultStore(tmp_path), retry=RetryPolicy(job_timeout=60.0)
+    )
+    exe.run([small, large])
+    exe.run([small, large])
+    assert [p["source"] for p in exe.job_profiles] == [
+        "store", "reused", "cache", "cache",
+    ]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_fault_index_names_the_same_follow_up_at_any_worker_count(
+    monkeypatch, workers
+):
+    """The plan numbers group A's jobs 0 (4 KB) and 1 (64 KB) and group
+    B's job 2.  Index 1 is A's follow-up, queued only once index 0 has
+    resolved, and it is the job that fails."""
+    monkeypatch.setenv(injection.ENV_VAR, "worker-raise:index=1")
+    a_rep, a_follow_up = _scoma(4 * 1024), _scoma(64 * 1024)
+    b_rep = _scoma(4 * 1024, 2 * SCALE)
+    exe = Executor(workers=workers, retry=RetryPolicy(retries=0, backoff=0.0))
+    with pytest.raises(SweepFailure) as info:
+        exe.run([a_rep, b_rep, a_follow_up])
+    (failure,) = info.value.failures
+    assert failure.key == repr(a_follow_up.key)
+    assert exe.cache.keys() == {a_rep.key, b_rep.key}
 
 
 def test_a_store_loaded_witness_answers_page_cache_but_not_directory(tmp_path):

@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -170,6 +171,20 @@ def test_reproduce_no_store(capsys):
         capsys, "reproduce", "--scale", "0.1", "--apps", "em3d", "--no-store"
     )
     assert "Figure 6" in out
+
+
+def test_reproduce_heartbeat_prints_one_line_per_unique_job(capsys):
+    """The heartbeat counts the sweep's unique jobs, each once; the
+    render phase's cache lookups are not progress."""
+    argv = ["reproduce", "--scale", "0.05", "--apps", "em3d", "--heartbeat",
+            "--no-store"]
+    assert main(argv) == 0
+    err = capsys.readouterr().err
+    unique = int(re.search(r"(\d+) unique after dedup", err).group(1))
+    beats = re.findall(r"^ +\[ *(\d+)/(\d+)\]", err, re.M)
+    assert [(int(done), int(total)) for done, total in beats] == [
+        (done, unique) for done in range(1, unique + 1)
+    ]
 
 
 def test_section_commands_print_what_the_sweep_prints(capsys, tmp_path):

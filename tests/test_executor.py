@@ -359,14 +359,13 @@ class TestTelemetry:
         assert prov["timestamp_utc"].endswith("Z")
         assert prov["git_commit"]
 
-    def test_store_hits_found_by_missing_are_reported_as_store(self, tmp_path):
-        """``reproduce`` asks :meth:`Executor.missing` first, which
-        promotes store hits into the cache; the sweep still reports
-        them, once, as loaded from the store."""
+    def test_warm_store_hits_are_reported_once_as_store(self, tmp_path):
+        """A sweep over a warm store reports each hit once, as loaded
+        from the store; a rerun of the same executor finds them in its
+        cache."""
         jobs = [Job(APP, cc_config(), SCALE), Job(APP, scoma_config(), SCALE)]
         Executor(store=ResultStore(tmp_path)).run(jobs)
         warm = Executor(store=ResultStore(tmp_path))
-        assert warm.missing(jobs) == []
         warm.run(jobs)
         warm.run(jobs)
         assert [p["source"] for p in warm.job_profiles] == ["store"] * 2 + ["cache"] * 2
