@@ -11,12 +11,14 @@ BLOCK_READONLY  present, reads may be satisfied locally
 BLOCK_WRITABLE  present with write permission (node has ownership)
 =============== ==================================================
 
+No dirty bit is kept: a page replacement flushes every valid block
+home and charges each one, whether it was written or not.
+
 Tags for one page live in a flat ``bytearray`` of ``blocks_per_page``
-entries (and a parallel one for the dirty bits), so the simulator's
-tag probe is a dict lookup for the page followed by a C-speed byte
-load — no inner per-offset dict.  A zero byte *is* BLOCK_INVALID and a
-fresh frame is all-zero, which makes mapping a page a single
-allocation.
+entries, so the simulator's tag probe is a dict lookup for the page
+followed by a C-speed byte load — no inner per-offset dict.  A zero
+byte *is* BLOCK_INVALID and a fresh frame is all-zero, which makes
+mapping a page a single allocation.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ class FineGrainTags:
     fixed-width hardware structure, not a sparse map.
     """
 
-    __slots__ = ("blocks_per_page", "rows", "_dirty")
+    __slots__ = ("blocks_per_page", "rows")
 
     def __init__(self, blocks_per_page: int) -> None:
         if blocks_per_page <= 0:
@@ -54,25 +56,20 @@ class FineGrainTags:
         # call), and the dict keeps its identity for the lifetime of
         # the store (reset() clears it in place).
         self.rows: Dict[int, bytearray] = {}
-        # page -> per-offset dirty flags (1 == locally dirty)
-        self._dirty: Dict[int, bytearray] = {}
 
     def reset(self) -> None:
         """Drop every page's tags (fresh-machine state for a re-run)."""
         self.rows.clear()
-        self._dirty.clear()
 
     def map_page(self, page: int) -> None:
         """Create all-invalid tags for a freshly mapped page."""
         if page in self.rows:
             raise ProtocolError(f"page {page} already has fine-grain tags")
         self.rows[page] = bytearray(self.blocks_per_page)
-        self._dirty[page] = bytearray(self.blocks_per_page)
 
     def unmap_page(self, page: int) -> None:
         """Drop tags for an unmapped page."""
         self.rows.pop(page, None)
-        self._dirty.pop(page, None)
 
     def is_mapped(self, page: int) -> bool:
         return page in self.rows
@@ -95,25 +92,6 @@ class FineGrainTags:
         if tags is None:
             raise ProtocolError(f"page {page} is not S-mapped on this node")
         tags[offset] = state
-        if state == BLOCK_INVALID:
-            self._dirty[page][offset] = 0
-
-    def mark_dirty(self, page: int, offset: int) -> None:
-        """Record that the local page-cache copy of a block is dirty."""
-        if offset < 0:
-            raise IndexError(f"negative block offset {offset}")
-        dirty = self._dirty.get(page)
-        if dirty is None:
-            raise ProtocolError(f"page {page} is not S-mapped on this node")
-        dirty[offset] = 1
-
-    def clear_dirty(self, page: int, offset: int) -> None:
-        """Mark a block clean again (its data was written back home)."""
-        if offset < 0:
-            raise IndexError(f"negative block offset {offset}")
-        dirty = self._dirty.get(page)
-        if dirty is not None:
-            dirty[offset] = 0
 
     def valid_offsets(self, page: int) -> List[int]:
         """Offsets of all present (readonly or writable) blocks."""
@@ -121,13 +99,6 @@ class FineGrainTags:
         if not tags:
             return []
         return [off for off, state in enumerate(tags) if state]
-
-    def dirty_offsets(self, page: int) -> List[int]:
-        """Offsets of blocks whose local copy must be flushed home."""
-        dirty = self._dirty.get(page)
-        if not dirty:
-            return []
-        return [off for off, flag in enumerate(dirty) if flag]
 
     def valid_count(self, page: int) -> int:
         tags = self.rows.get(page)

@@ -49,6 +49,12 @@ class PageCache:
 
     ``capacity`` of 0 models a machine with no page cache (pure
     CC-NUMA nodes still instantiate one so the engine code is uniform).
+
+    The frame map (``_frame_of``: page -> frame, ``_page``: frame ->
+    page) is the RAD's S-COMA translation table of Section 2.2, the
+    SRAM that turns a frame's local physical address back into the
+    page's global one: :meth:`insert` installs an entry and
+    :meth:`evict` removes it.
     """
 
     __slots__ = ("capacity", "policy", "_frame_of", "_page", "_next", "_prev", "_free")

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import reprlib
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -813,16 +814,35 @@ def _resume_reproduce(args: argparse.Namespace, executor: Executor) -> int:
             f"repro: --resume found no run manifest under "
             f"{executor.store.root}; run `python -m repro reproduce` first"
         )
-    records = [
-        JobFailure.from_json_dict(f) for f in manifest.get("failures", [])
-    ]
-    if not records:
+    # The manifest is a file on disk: a record of the wrong shape is a
+    # usage error, and nothing is run or rewritten.
+    entries = manifest.get("failures", [])
+    jobs = []
+    problem = None
+    if not isinstance(entries, list):
+        problem = f"'failures' is {reprlib.repr(entries)}, not a list"
+    else:
+        for entry in entries:
+            try:
+                jobs.append(job_from_failure(JobFailure.from_json_dict(entry)))
+            except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
+                problem = (
+                    f"bad failure record {reprlib.repr(entry)} "
+                    f"({type(exc).__name__}: {exc})"
+                )
+                break
+    if problem is not None:
+        print(
+            f"repro: cannot resume: {executor.store.manifest_path}: {problem}",
+            file=sys.stderr,
+        )
+        return 2
+    if not jobs:
         print(
             "reproduce: manifest records no failures; nothing to resume",
             file=sys.stderr,
         )
         return 0
-    jobs = [job_from_failure(f) for f in records]
     print(f"reproduce: resuming {len(jobs)} failed job(s)", file=sys.stderr)
     failures: List[JobFailure] = []
     try:

@@ -775,6 +775,9 @@ class Executor:
         other job completed (partial results stay cached/stored and
         the failures are recorded on :attr:`failures`).
         """
+        # A malformed fault plan is a usage error, raised before any
+        # job is looked up or dispatched.
+        spec = injection.active_spec()
         unique: Dict[Tuple, Job] = {}
         for job in jobs:
             unique.setdefault(job.key, job)
@@ -832,7 +835,7 @@ class Executor:
         index = {job.key: i for i, job in enumerate(pending)}
         group_of = {job.key: group for group in plan for job in group}
         queue = deque((index[job.key], job) for job in heads)
-        with closing(self._execute(queue)) as outcomes:
+        with closing(self._execute(queue, spec)) as outcomes:
             for job, outcome in outcomes:
                 unresolved.discard(job.key)
                 if isinstance(outcome, JobFailure):
@@ -864,19 +867,20 @@ class Executor:
         return [resolved[job.key] for job in jobs]
 
     def _execute(
-        self, queue: Deque[Tuple[int, Job]]
+        self, queue: Deque[Tuple[int, Job]], spec: Optional[str]
     ) -> Iterator[Tuple[Job, Union[Tuple, JobFailure]]]:
         """The supervised dispatch loop: run every ``(index, job)`` of
         ``queue`` and yield ``(job, outcome)`` as each resolves
         (completion order), where ``outcome`` is the attempt's success
         envelope ``(True, result, simulate_s, queue_wait_s)`` or a
         :class:`JobFailure`, and ``index`` is the job's number for fault
-        injection.  The caller may append jobs to ``queue`` between
-        outcomes; the loop ends once the queue is empty and nothing is
-        in flight.  The pool has one slot per job queued at the start,
-        up to ``workers``: :meth:`run` queues one job per reuse group
-        and never has more than one of a group's jobs in the loop.  An
-        empty queue starts no pool.
+        injection under ``spec`` (the fault plan :meth:`run` read, which
+        every payload carries).  The caller may append jobs to ``queue``
+        between outcomes; the loop ends once the queue is empty and
+        nothing is in flight.  The pool has one slot per job queued at
+        the start, up to ``workers``: :meth:`run` queues one job per
+        reuse group and never has more than one of a group's jobs in the
+        loop.  An empty queue starts no pool.
 
         Each job is submitted through ``apply_async`` with a per-job
         deadline and a completion callback that puts its envelope on a
@@ -908,7 +912,6 @@ class Executor:
             return
         policy = self.retry
         size = min(self.workers, len(queue))
-        spec = injection.active_spec()
         attempts: Dict[int, int] = {}
         ready_at: Dict[int, float] = {}
         payloads: Dict[int, Tuple] = {}

@@ -137,11 +137,16 @@ def parse_plan(spec: str) -> Tuple[FaultRule, ...]:
                     kwargs["app"] = value.strip()
                 else:
                     try:
-                        kwargs[name] = int(value)
+                        number = int(value)
                     except ValueError:
                         raise ConfigurationError(
                             f"fault option {name}= wants an integer, got {value!r}"
                         ) from None
+                    if number < 0:
+                        raise ConfigurationError(
+                            f"fault option {name}= must be >= 0, got {value!r}"
+                        )
+                    kwargs[name] = number
         rules.append(FaultRule(point=point, **kwargs))
     return tuple(rules)
 
@@ -156,8 +161,16 @@ _lock = threading.Lock()
 
 def active_spec() -> Optional[str]:
     """The armed spec string, or None — the parent snapshots this into
-    worker payloads so injection never depends on env inheritance."""
-    return os.environ.get(ENV_VAR) or None
+    worker payloads so injection never depends on env inheritance.
+
+    The spec is parsed here, so a malformed plan raises
+    :class:`ConfigurationError` once, in the parent, instead of
+    crashing every worker attempt.
+    """
+    spec = os.environ.get(ENV_VAR) or None
+    if spec is not None:
+        _rules_for(spec)
+    return spec
 
 
 def reset_counters() -> None:

@@ -1,8 +1,8 @@
 """The whole distributed shared-memory machine.
 
-A :class:`Machine` owns the nodes, the inter-node directory, the network,
-and the page->home placement map.  It is pure state; the simulation
-engine drives it.
+A :class:`Machine` owns the nodes, the inter-node directory and the
+network.  It is pure state; the simulation engine drives it and keeps
+the page->home placement map.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.coherence.directory import make_directory
-from repro.common.errors import ConfigurationError
 from repro.common.params import SystemConfig
 from repro.common.stats import StatsRegistry
 from repro.interconnect.network import Network
@@ -25,7 +24,6 @@ class Machine:
         "nodes",
         "directory",
         "network",
-        "home_of",
         "stats",
         "page_requesters",
         "page_writers",
@@ -41,8 +39,6 @@ class Machine:
         self.network = Network(
             config.machine.nodes, config.costs, topology=config.topology
         )
-        # page -> home node, filled by first-touch placement.
-        self.home_of: Dict[int, int] = {}
         self.stats = StatsRegistry(nodes=[node.stats for node in self.nodes])
 
         # Page-level characterization (Figure 5 / Table 4):
@@ -56,8 +52,7 @@ class Machine:
     def reset(self) -> None:
         """Restore fresh-machine state in place for a deterministic
         re-run: nodes, directory, network, stats, and the page-level
-        characterization maps.  The placement map (``home_of``) is
-        configuration, not run state, and survives."""
+        characterization maps."""
         for node in self.nodes:
             node.reset()
         self.directory.reset()
@@ -69,14 +64,6 @@ class Machine:
 
     def node(self, node_id: int) -> Node:
         return self.nodes[node_id]
-
-    def home(self, page: int) -> int:
-        try:
-            return self.home_of[page]
-        except KeyError:
-            raise ConfigurationError(
-                f"page {page} has no home; run first-touch placement first"
-            ) from None
 
     def record_refetch(self, node_id: int, page: int) -> None:
         per_node = self.refetch_counts.setdefault(node_id, {})

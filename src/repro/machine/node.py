@@ -1,10 +1,13 @@
 """One SMP node: processors with private L1s, a memory bus, and the
 remote-access device (block cache, page cache, fine-grain tags,
-translation table, reactive counters).
+reactive counters).  The page cache's frame map doubles as the S-COMA
+RAD's translation table.
 
 Which of these components a given protocol actually exercises is decided
 by the protocol policy; the node always carries all of them (an R-NUMA
 RAD *is* the union of the CC-NUMA and S-COMA RADs, paper Figure 4a).
+No TLB is modelled: a shootdown is a Table 2 cost and a counter (see
+:mod:`repro.osint.services`).
 
 The L1s and the fine-grain tag store are array-backed (see
 :mod:`repro.caches.l1` and :mod:`repro.caches.finegrain`): the
@@ -26,8 +29,6 @@ from repro.common.params import SystemConfig
 from repro.common.stats import NodeStats
 from repro.interconnect.resource import BusyResource
 from repro.vm.page_table import PageTable
-from repro.vm.tlb import Tlb
-from repro.vm.translation import TranslationTable
 
 
 class Node:
@@ -40,13 +41,11 @@ class Node:
         "peer_l1s",
         "peer_arrays",
         "tag_rows",
-        "tlbs",
         "bus",
         "block_cache",
         "bc_cols",
         "page_cache",
         "tags",
-        "xlat",
         "page_table",
         "page_state",
         "refetch_counters",
@@ -81,7 +80,6 @@ class Node:
             [self.l1_arrays[j] for j in range(cpus) if j != i]
             for i in range(cpus)
         ]
-        self.tlbs: List[Tlb] = [Tlb() for _ in range(cpus)]
         self.bus = BusyResource(f"bus{node_id}")
 
         if config.protocol == "ideal":
@@ -107,7 +105,6 @@ class Node:
         # The tag store's public row map, cached one attribute hop
         # closer (same identity-stability argument as page_state).
         self.tag_rows = self.tags.rows
-        self.xlat = TranslationTable()
         self.page_table = PageTable()
         # The page table's public mapping column, cached one attribute
         # hop closer: the engine probes it on every miss.  PageTable
@@ -133,13 +130,10 @@ class Node:
         """
         for l1 in self.l1s:
             l1.reset()
-        for tlb in self.tlbs:
-            tlb.reset()
         self.bus.reset()
         self.block_cache.reset()
         self.page_cache.reset()
         self.tags.reset()
-        self.xlat.reset()
         self.page_table.reset()
         self.refetch_counters.clear()
         self.coherence_lost.clear()

@@ -203,7 +203,6 @@ class SimulationEngine:
             )
 
         self._block_shift = space.block_shift
-        self._page_shift = space.page_shift
         self._block_page_shift = space.page_shift - space.block_shift
         self._bpp_mask = space.blocks_per_page - 1
 
@@ -799,14 +798,12 @@ class SimulationEngine:
                     ns.page_cache_hits += 1
                     if node.page_cache.reorders_on_hit:
                         node.page_cache.touch_hit(g)
-                    node.tags.mark_dirty(g, off)
                 else:
                     holds_copy = st != INVALID or tag == BLOCK_READONLY
                     ns.page_cache_misses += 1
                     lat += self._remote_fetch(node, b, g, True, now, holds_copy)
                     if pmap.get(g, MAP_UNMAPPED) == MAP_SCOMA:
                         self._scoma_install(node, b, g, writable=True)
-                        node.tags.mark_dirty(g, b & self._bpp_mask)
             # A write leaves this CPU's L1 as the only copy on the node.
             for pmask, pblocks, pstates in peers:
                 idx = b & pmask
@@ -849,9 +846,8 @@ class SimulationEngine:
                             nid, now, dst=self.homes.get(vg, nid)
                         )
                         ns.block_cache_writebacks += 1
-                elif vmapping == MAP_SCOMA:
-                    node.tags.mark_dirty(vg, vb & self._bpp_mask)
-                # MAP_LOCAL: local memory absorbs the write-back for free.
+                # MAP_LOCAL, MAP_SCOMA: local memory (the page-cache
+                # frame) absorbs the write-back for free.
         lblocks_own[idx] = b
         lstates_own[idx] = state
         return lat
@@ -865,13 +861,6 @@ class SimulationEngine:
             if lblocks[b & lmask] == b:
                 return False
         return True
-
-    def _invalidate_local_copies(self, node: Node, b: int, exclude_slot: int) -> None:
-        for l1 in node.peer_l1s[exclude_slot]:
-            idx = b & l1.mask
-            if l1.block_at[idx] == b:
-                l1.block_at[idx] = L1_EMPTY
-                l1.state_at[idx] = INVALID
 
     def _block_cache_install(self, node: Node, b: int, g: int, writable: bool, now: int) -> None:
         """Install a freshly fetched block, evicting as needed.
@@ -1066,8 +1055,7 @@ class SimulationEngine:
         if row is not None:
             off = b & self._bpp_mask
             if row[off] != BLOCK_INVALID:
-                # tags.set keeps the dirty-bit bookkeeping consistent.
-                v.tags.set(g, off, BLOCK_INVALID)
+                row[off] = BLOCK_INVALID
                 had_copy = True
         if had_copy:
             v.coherence_lost.add(b)
@@ -1085,8 +1073,6 @@ class SimulationEngine:
             off = b & self._bpp_mask
             if row[off] == BLOCK_WRITABLE:
                 row[off] = BLOCK_READONLY
-                # Data went home; the local copy is now clean.
-                v.tags.clear_dirty(g, off)
 
 
 def simulate(

@@ -7,10 +7,9 @@ engine optimized away:
   (pop a CPU off the min-heap, execute exactly one trace item, push
   the CPU back), and
 - the pre-columnar miss path: a set-based directory returning allocated
-  ``FetchOutcome`` objects, a dict-of-line-objects block cache, an
-  insertion-ordered-dict page cache, and set/dict TLBs and translation
-  tables (the frozen transcriptions in :mod:`repro.sim.legacy`, swapped
-  into the machine at construction).
+  ``FetchOutcome`` objects, a dict-of-line-objects block cache and an
+  insertion-ordered-dict page cache (the frozen transcriptions in
+  :mod:`repro.sim.legacy`, swapped into the machine at construction).
 
 It is the differential-testing oracle: the columnar engine is correct
 precisely when it produces bit-identical
@@ -42,13 +41,7 @@ from repro.common.records import ADDR_SHIFT, THINK_MASK
 from repro.machine.node import Node
 from repro.osint.placement import resolve_home
 from repro.sim.engine import SimulationEngine
-from repro.sim.legacy import (
-    LegacyBlockCache,
-    LegacyDirectory,
-    LegacyPageCache,
-    LegacyTlb,
-    LegacyTranslationTable,
-)
+from repro.sim.legacy import LegacyBlockCache, LegacyDirectory, LegacyPageCache
 from repro.sim.results import SimulationResult
 from repro.vm.page_table import MAP_CC, MAP_LOCAL, MAP_SCOMA, MAP_UNMAPPED
 
@@ -90,8 +83,6 @@ class ReferenceEngine(SimulationEngine):
             else:
                 frames = 0
             node.page_cache = LegacyPageCache(frames, policy=caches.page_replacement)
-            node.tlbs = [LegacyTlb() for _ in node.tlbs]
-            node.xlat = LegacyTranslationTable()
             # The columnar aliases point at the replaced cache; null
             # them so nothing silently reads stale state.
             node.bc_cols = None
@@ -379,7 +370,6 @@ class ReferenceEngine(SimulationEngine):
             node.stats.page_cache_hits += 1
             if node.page_cache.reorders_on_hit:
                 node.page_cache.touch_hit(g)
-            node.tags.mark_dirty(g, off)
             self._invalidate_local_copies(node, b, slot)
             self._l1_insert(node, l1, b, MODIFIED, now)
             return lat
@@ -388,7 +378,6 @@ class ReferenceEngine(SimulationEngine):
         lat = self._remote_fetch(node, b, g, True, now, upgrade=holds_copy)
         if node.page_table.mapping_of(g) == MAP_SCOMA:
             self._scoma_install(node, b, g, writable=True)
-            node.tags.mark_dirty(g, b & self._bpp_mask)
         self._invalidate_local_copies(node, b, slot)
         self._l1_insert(node, l1, b, MODIFIED, now)
         return lat
@@ -468,9 +457,8 @@ class ReferenceEngine(SimulationEngine):
                     node.node_id, now, dst=self.homes.get(vg, node.node_id)
                 )
                 node.stats.block_cache_writebacks += 1
-        elif vmapping == MAP_SCOMA:
-            node.tags.mark_dirty(vg, vb & self._bpp_mask)
-        # MAP_LOCAL: local memory absorbs the write-back for free.
+        # MAP_LOCAL, MAP_SCOMA: local memory (the page-cache frame)
+        # absorbs the write-back for free.
 
     def _block_cache_install(self, node: Node, b: int, g: int, writable: bool, now: int) -> None:
         """Install a freshly fetched block, evicting as needed."""
@@ -570,8 +558,6 @@ class ReferenceEngine(SimulationEngine):
             off = b & self._bpp_mask
             if v.tags.get(g, off) == BLOCK_WRITABLE:
                 v.tags.set(g, off, BLOCK_READONLY)
-                # Data went home; the local copy is now clean.
-                v.tags.clear_dirty(g, off)
 
 
 def simulate_reference(

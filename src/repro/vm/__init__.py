@@ -1,7 +1,8 @@
-"""Virtual-memory machinery: per-node page tables (the mapping decision
-CC-NUMA vs. S-COMA vs. unmapped is per node, per page), the S-COMA
-LPA<->GPA translation table, and a TLB model used for shootdown
-accounting.
+"""Virtual-memory machinery: the per-node page tables.
+
+The mapping decision (CC-NUMA vs. S-COMA vs. unmapped) is per node,
+per page.  The S-COMA RAD's LPA<->GPA translation table is the page
+cache's own frame map (:class:`repro.caches.page_cache.PageCache`).
 """
 
 from repro.vm.page_table import (
@@ -11,8 +12,6 @@ from repro.vm.page_table import (
     MAP_UNMAPPED,
     PageTable,
 )
-from repro.vm.tlb import Tlb
-from repro.vm.translation import TranslationTable
 
 __all__ = [
     "MAP_CC",
@@ -20,6 +19,4 @@ __all__ = [
     "MAP_SCOMA",
     "MAP_UNMAPPED",
     "PageTable",
-    "Tlb",
-    "TranslationTable",
 ]

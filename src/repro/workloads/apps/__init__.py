@@ -8,8 +8,6 @@ behaviour the kernel is designed to preserve.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.common.params import MachineParams
 from repro.workloads.base import TraceBuilder
 from repro.workloads.layout import Region
@@ -26,10 +24,3 @@ def stripe_pages_across_nodes(
     for i in range(region.num_pages):
         cpu = (i % machine.nodes) * machine.cpus_per_node
         tb.first_touch(cpu, [region.page_base_addr(i)])
-
-
-def own_pages(
-    tb: TraceBuilder, region: Region, cpu: int, page_indices: Iterable[int]
-) -> None:
-    """First-touch selected region pages from ``cpu`` (its partition)."""
-    tb.first_touch(cpu, [region.page_base_addr(i) for i in page_indices])

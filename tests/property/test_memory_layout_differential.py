@@ -2,10 +2,9 @@
 pre-columnar transcriptions in :mod:`repro.sim.legacy`.
 
 The columnar rewrite (array-backed block cache, intrusive-list page
-cache, bytearray TLB, array-mapped translation table) claims to be
-*observationally identical* to the set/dict/object structures it
-replaced — same probe results, same victims, same replacement order,
-same errors — under any operation stream.  These tests drive both
+cache) claims to be *observationally identical* to the set/dict/object
+structures it replaced — same probe results, same victims, same
+replacement order, same errors — under any operation stream.  These tests drive both
 implementations with the same random streams and compare every
 observable after every step.  (The packed-bitmask directory has its own
 differential in ``test_directory_properties.py``; the engine-level
@@ -21,14 +20,7 @@ from hypothesis import strategies as st
 from repro.caches.block_cache import BlockCache
 from repro.caches.page_cache import PageCache
 from repro.common.errors import ProtocolError
-from repro.sim.legacy import (
-    LegacyBlockCache,
-    LegacyPageCache,
-    LegacyTlb,
-    LegacyTranslationTable,
-)
-from repro.vm.tlb import Tlb
-from repro.vm.translation import TranslationTable
+from repro.sim.legacy import LegacyBlockCache, LegacyPageCache
 
 # ----------------------------------------------------------------------
 # block cache
@@ -175,69 +167,3 @@ def test_page_cache_matches_frozen_oracle(ops, capacity, policy):
         assert len(new) == len(old)
         assert new.has_free_frame == old.has_free_frame
         assert (page in new) == (page in old)
-
-
-# ----------------------------------------------------------------------
-# TLB and translation table
-# ----------------------------------------------------------------------
-
-tlb_ops = st.lists(
-    st.tuples(
-        st.sampled_from(["fill", "shoot_down", "flush"]),
-        st.integers(min_value=0, max_value=600),  # crosses the grow chunk
-    ),
-    max_size=150,
-)
-
-
-@given(ops=tlb_ops)
-@settings(max_examples=150, deadline=None)
-def test_tlb_matches_frozen_oracle(ops):
-    new, old = Tlb(), LegacyTlb()
-    for op, page in ops:
-        if op == "fill":
-            new.fill(page)
-            old.fill(page)
-        elif op == "shoot_down":
-            assert new.shoot_down(page) == old.shoot_down(page)
-        else:
-            new.flush()
-            old.flush()
-        assert (page in new) == (page in old)
-        assert len(new) == len(old)
-        assert new.fills == old.fills
-        assert new.shootdowns == old.shootdowns
-
-
-xlat_ops = st.lists(
-    st.tuples(
-        st.sampled_from(["install", "remove"]),
-        st.integers(min_value=0, max_value=20),  # page
-    ),
-    max_size=150,
-)
-
-
-@given(ops=xlat_ops)
-@settings(max_examples=150, deadline=None)
-def test_translation_table_matches_frozen_oracle(ops):
-    new, old = TranslationTable(), LegacyTranslationTable()
-    for op, page in ops:
-        if op == "install":
-            if page in old:
-                with pytest.raises(ProtocolError):
-                    new.install(page)
-                continue
-            assert new.install(page) == old.install(page)
-        else:
-            if page not in old:
-                with pytest.raises(ProtocolError):
-                    new.remove(page)
-                continue
-            new.remove(page)
-            old.remove(page)
-        assert (page in new) == (page in old)
-        assert len(new) == len(old)
-        assert new.frame_of(page) == old.frame_of(page)
-        for frame in range(24):
-            assert new.page_of(frame) == old.page_of(frame)

@@ -11,6 +11,7 @@ from repro.caches.finegrain import (
 )
 from repro.machine.machine import Machine
 from repro.osint.services import allocate_scoma_page, replace_scoma_page
+from repro.vm.page_table import MAP_SCOMA, MAP_UNMAPPED
 
 from tests.conftest import tiny_config
 
@@ -20,8 +21,8 @@ from tests.conftest import tiny_config
 )
 @settings(max_examples=100, deadline=None)
 def test_allocation_stream_preserves_node_invariants(pages):
-    """Any allocate/replace sequence keeps the page cache, tags,
-    translation table, and page table mutually consistent."""
+    """Any allocate/replace sequence keeps the page cache, tags and
+    page table mutually consistent."""
     machine = Machine(tiny_config("scoma"))
     node = machine.nodes[0]
     for page in pages:
@@ -31,9 +32,9 @@ def test_allocation_stream_preserves_node_invariants(pages):
         assert len(node.page_cache) <= node.page_cache.capacity
         for resident in node.page_cache.resident_pages():
             assert node.tags.is_mapped(resident)
-            assert resident in node.xlat
+            assert node.page_table.mapping_of(resident) == MAP_SCOMA
         # Non-resident pages are fully unmapped.
-        assert len(node.xlat) == len(node.page_cache)
+        assert len(node.page_table.pages_mapped(MAP_SCOMA)) == len(node.page_cache)
 
 
 @given(
@@ -54,12 +55,12 @@ def test_replacement_is_always_clean(pages, evict_at):
             replace_scoma_page(machine, node, victim)
             assert victim not in node.page_cache
             assert not node.tags.is_mapped(victim)
-            assert victim not in node.xlat
+            assert node.page_table.mapping_of(victim) == MAP_UNMAPPED
 
 
 tag_ops = st.lists(
     st.tuples(
-        st.sampled_from(["set_ro", "set_w", "invalidate", "dirty", "clean"]),
+        st.sampled_from(["set_ro", "set_w", "invalidate"]),
         st.integers(min_value=0, max_value=7),
     ),
     max_size=100,
@@ -72,7 +73,6 @@ def test_finegrain_tags_match_reference(ops):
     tags = FineGrainTags(8)
     tags.map_page(0)
     state = {}
-    dirty = set()
     for op, off in ops:
         if op == "set_ro":
             tags.set(0, off, BLOCK_READONLY)
@@ -80,17 +80,9 @@ def test_finegrain_tags_match_reference(ops):
         elif op == "set_w":
             tags.set(0, off, BLOCK_WRITABLE)
             state[off] = BLOCK_WRITABLE
-        elif op == "invalidate":
+        else:
             tags.set(0, off, BLOCK_INVALID)
             state.pop(off, None)
-            dirty.discard(off)
-        elif op == "dirty":
-            tags.mark_dirty(0, off)
-            dirty.add(off)
-        else:
-            tags.clear_dirty(0, off)
-            dirty.discard(off)
         for o in range(8):
             assert tags.get(0, o) == state.get(o, BLOCK_INVALID)
-        assert set(tags.dirty_offsets(0)) == dirty
         assert tags.valid_offsets(0) == sorted(state)

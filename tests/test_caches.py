@@ -242,24 +242,6 @@ class TestFineGrainTags:
         assert tags.valid_offsets(3) == [0, 5]
         assert tags.valid_count(3) == 2
 
-    def test_dirty_tracking(self):
-        tags = FineGrainTags(8)
-        tags.map_page(1)
-        tags.set(1, 2, BLOCK_WRITABLE)
-        tags.mark_dirty(1, 2)
-        assert tags.dirty_offsets(1) == [2]
-        tags.clear_dirty(1, 2)
-        assert tags.dirty_offsets(1) == []
-
-    def test_invalidate_clears_dirty(self):
-        tags = FineGrainTags(8)
-        tags.map_page(1)
-        tags.set(1, 2, BLOCK_WRITABLE)
-        tags.mark_dirty(1, 2)
-        tags.set(1, 2, BLOCK_INVALID)
-        assert tags.dirty_offsets(1) == []
-        assert tags.get(1, 2) == BLOCK_INVALID
-
     def test_unmap(self):
         tags = FineGrainTags(8)
         tags.map_page(1)
@@ -277,10 +259,6 @@ class TestFineGrainTags:
     def test_set_unmapped_raises(self):
         with pytest.raises(ProtocolError):
             FineGrainTags(8).set(1, 0, BLOCK_READONLY)
-
-    def test_mark_dirty_unmapped_raises(self):
-        with pytest.raises(ProtocolError):
-            FineGrainTags(8).mark_dirty(1, 0)
 
     def test_set_bad_state_raises(self):
         tags = FineGrainTags(8)

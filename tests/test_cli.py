@@ -11,6 +11,8 @@ import sys
 import pytest
 
 from repro.cli import SECTIONS, build_parser, main
+from repro.common.params import base_rnuma_config, config_to_dict
+from repro.experiments.executor import JobFailure
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -421,3 +423,42 @@ def test_resume_requires_store():
 def test_resume_without_manifest_rejected(tmp_path):
     with pytest.raises(SystemExit, match="no run manifest"):
         main(["reproduce", "--resume", "--store", str(tmp_path)])
+
+
+def _record_whose_config_lacks_a_field():
+    config = config_to_dict(base_rnuma_config())
+    del config["relocation_mode"]
+    return JobFailure(
+        key="k", app="em3d", scale=0.1, protocol="rnuma", kind="crash",
+        attempts=1, error="", traceback="", config=config,
+    ).to_json_dict()
+
+
+@pytest.mark.parametrize(
+    "failures",
+    [
+        [{"app": "em3d"}],
+        ["em3d"],
+        "x",
+        [_record_whose_config_lacks_a_field()],
+    ],
+    ids=["missing-field", "non-dict-record", "non-list", "config-missing-field"],
+)
+def test_resume_rejects_a_malformed_failure_record(capsys, tmp_path, failures):
+    """The manifest is a file on disk: a record of the wrong shape is a
+    usage error that runs nothing and rewrites nothing."""
+    manifest = tmp_path / "run_manifest.json"
+    manifest.write_text(json.dumps({"failures": failures}))
+    before = manifest.read_bytes()
+    assert main(["reproduce", "--resume", "--store", str(tmp_path)]) == 2
+    assert f"repro: cannot resume: {manifest}: " in capsys.readouterr().err
+    assert manifest.read_bytes() == before
+
+
+def test_malformed_fault_plan_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("REPRO_FAULTS", "bogus")
+    argv = ["figure", "5", "--scale", "0.05", "--apps", "em3d", "--no-store"]
+    assert main(argv + ["--retries", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "repro: error: unknown fault point 'bogus'" in err
+    assert "permanently failed" not in err

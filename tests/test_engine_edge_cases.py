@@ -28,11 +28,6 @@ class TestSComaWriteUpgrade:
         node = engine.machine.nodes[0]
         assert node.tags.get(1, 0) == BLOCK_WRITABLE
 
-    def test_write_marks_block_dirty(self, scoma_tiny):
-        engine, _ = run_engine(scoma_tiny, [Access(512, True)])
-        node = engine.machine.nodes[0]
-        assert 0 in node.tags.dirty_offsets(1)
-
     def test_invalidated_tag_write_refetches_as_coherence(self, scoma_tiny):
         # Node 0 writes; home writes back (invalidating node 0's tag);
         # node 0 writes again: coherence, not refetch.

@@ -8,6 +8,10 @@ suite and the fault-tolerance property suite.
 import pytest
 
 from repro.common.errors import ConfigurationError, FaultInjected
+from repro.common.params import RetryPolicy
+from repro.experiments import executor as executor_module
+from repro.experiments.config import cc_config
+from repro.experiments.executor import Executor, Job
 from repro.faults import injection
 
 
@@ -51,6 +55,12 @@ class TestParsePlan:
     def test_non_integer_budget_rejected(self):
         with pytest.raises(ConfigurationError, match="wants an integer"):
             injection.parse_plan("worker-raise:times=lots")
+
+    @pytest.mark.parametrize("option", ["index=-1", "times=-2"])
+    def test_negative_option_rejected(self, option):
+        # index=-1 never fires: it would silently disarm the plan.
+        with pytest.raises(ConfigurationError, match="must be >= 0"):
+            injection.parse_plan(f"worker-raise:{option}")
 
 
 class TestShouldInject:
@@ -121,3 +131,23 @@ class TestHelpers:
         assert injection.active_spec() is None
         monkeypatch.setenv(injection.ENV_VAR, "worker-raise")
         assert injection.active_spec() == "worker-raise"
+
+
+def test_a_malformed_plan_runs_no_attempt(monkeypatch):
+    """The executor parses the plan before any job is looked up, so a
+    typo is one usage error, not a crash recorded (and retried) for
+    every job."""
+    attempts = []
+    run_supervised = executor_module._run_supervised
+
+    def spy(payload):
+        attempts.append(payload)
+        return run_supervised(payload)
+
+    monkeypatch.setattr(executor_module, "_run_supervised", spy)
+    monkeypatch.setenv(injection.ENV_VAR, "bogus")
+    executor = Executor(retry=RetryPolicy(retries=2, backoff=0.0))
+    with pytest.raises(ConfigurationError, match="unknown fault point 'bogus'"):
+        executor.run([Job("em3d", cc_config(), 0.05)])
+    assert attempts == []
+    assert executor.failures == []

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.caches.block_cache import BlockCache
-from repro.common.errors import ConfigurationError
 from repro.common.records import Access, Barrier
 from repro.common.stats import NodeStats, StatsRegistry
 from repro.machine.machine import Machine
@@ -29,7 +28,7 @@ class TestNode:
     def test_cpu_count(self):
         node = Node(0, tiny_config("rnuma"))
         assert node.cpu_count == 1
-        assert len(node.l1s) == len(node.tlbs) == 1
+        assert len(node.l1s) == 1
 
 
 class TestMachine:
@@ -37,13 +36,6 @@ class TestMachine:
         machine = Machine(tiny_config("rnuma"))
         assert len(machine.nodes) == 2
         assert machine.node(1).node_id == 1
-
-    def test_home_requires_placement(self):
-        machine = Machine(tiny_config("rnuma"))
-        with pytest.raises(ConfigurationError):
-            machine.home(3)
-        machine.home_of[3] = 1
-        assert machine.home(3) == 1
 
     def test_refetch_recording(self):
         machine = Machine(tiny_config("rnuma"))

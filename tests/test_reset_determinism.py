@@ -164,8 +164,6 @@ class TestResetRestoresPristineState:
         assert len(machine.directory) == 0
         assert len(node.block_cache) == 0
         assert len(node.page_cache) == 0
-        assert len(node.xlat) == 0
-        assert all(len(tlb) == 0 for tlb in node.tlbs)
         assert len(node.page_table) == 0
         assert not node.refetch_counters and not node.coherence_lost
         assert node.stats.l1_misses == 0 and node.stats.busy_cycles == 0

@@ -1,4 +1,4 @@
-"""Unit tests for page tables, the translation table, and the TLB."""
+"""Unit tests for the per-node page table."""
 
 import pytest
 
@@ -11,8 +11,6 @@ from repro.vm.page_table import (
     PageTable,
     mapping_name,
 )
-from repro.vm.tlb import Tlb
-from repro.vm.translation import TranslationTable
 
 
 class TestPageTable:
@@ -64,61 +62,3 @@ class TestPageTable:
         assert mapping_name(MAP_SCOMA) == "s-coma"
         with pytest.raises(ValueError):
             mapping_name(99)
-
-
-class TestTranslationTable:
-    def test_install_and_lookup(self):
-        tt = TranslationTable()
-        frame = tt.install(100)
-        assert tt.frame_of(100) == frame
-        assert tt.page_of(frame) == 100
-        assert 100 in tt
-        assert len(tt) == 1
-
-    def test_frames_are_distinct(self):
-        tt = TranslationTable()
-        frames = {tt.install(p) for p in range(10)}
-        assert len(frames) == 10
-
-    def test_remove_recycles_frames(self):
-        tt = TranslationTable()
-        f = tt.install(100)
-        tt.remove(100)
-        assert tt.frame_of(100) is None
-        assert tt.page_of(f) is None
-        assert tt.install(200) == f  # recycled
-
-    def test_double_install_raises(self):
-        tt = TranslationTable()
-        tt.install(1)
-        with pytest.raises(ProtocolError):
-            tt.install(1)
-
-    def test_remove_absent_raises(self):
-        with pytest.raises(ProtocolError):
-            TranslationTable().remove(1)
-
-
-class TestTlb:
-    def test_fill_and_contains(self):
-        tlb = Tlb()
-        tlb.fill(4)
-        assert 4 in tlb
-        assert tlb.fills == 1
-        tlb.fill(4)  # duplicate fill not counted
-        assert tlb.fills == 1
-
-    def test_shootdown(self):
-        tlb = Tlb()
-        tlb.fill(4)
-        assert tlb.shoot_down(4) is True
-        assert 4 not in tlb
-        assert tlb.shoot_down(4) is False
-        assert tlb.shootdowns == 2
-
-    def test_flush(self):
-        tlb = Tlb()
-        for p in range(5):
-            tlb.fill(p)
-        tlb.flush()
-        assert len(tlb) == 0
