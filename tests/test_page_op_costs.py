@@ -1,17 +1,21 @@
-"""Page-operation costs pinned to the paper's Table 2, by hand.
+"""Page- and block-operation costs pinned to the paper's Table 2, by hand.
 
 The differential suites compare the run-ahead engine with the frozen
 reference, but both share the OS page services, the protocol policies
 and ``CostParams``, so a cost bug there is invisible to them.  Each row
 here is one access on an idle tiny machine (see ``tests/conftest.py``:
 2 nodes x 1 CPU, 8 blocks per page, 2-line L1 and block cache, 2-frame
-page cache, relocation threshold 2).  Its expected stall is a sum of
-named ``CostParams`` fields, with the Table 2 entry it comes from.
+page cache, relocation threshold 2).  A block row that needs a second
+CPU on the node, or a third node, widens only the machine.  Its
+expected stall is a sum of named ``CostParams`` fields, with the Table 2
+entry it comes from.
 
 A row's stall is the node's ``stall_cycles`` after its prefix and the
 access, less the same counter after the prefix alone.  The access
 thinks ``IDLE`` cycles first, so the bus, the NIs and the home RAD are
-free when it issues and no queueing enters its cost.
+free when it issues and no queueing enters its cost.  A block row's
+prefix is one trace per CPU, each ending at one barrier, so every CPU's
+prefix has acted before the access issues.
 """
 
 from __future__ import annotations
@@ -20,11 +24,11 @@ from typing import Callable, Dict, List, NamedTuple
 
 import pytest
 
-from repro.common.params import CostParams
-from repro.common.records import Access
+from repro.common.params import CostParams, MachineParams
+from repro.common.records import Access, Barrier
 from repro.sim.engine import simulate
 
-from tests.conftest import tiny_config
+from tests.conftest import TINY_MACHINE, tiny_config
 
 #: First byte of pages 1, 2 and 3, all homed on node 1; node 0 runs
 #: every trace, so each of them is a remote page there.
@@ -147,6 +151,132 @@ def test_page_operation_cost_matches_table_2(name, engine, costs):
     )
     before = _node0(config, row.prefix, engine)
     after = _node0(config, row.prefix + [row.access], engine)
+    assert after.stall_cycles - before.stall_cycles == row.expected(config.costs)
+    for counter, delta in row.deltas.items():
+        assert getattr(after, counter) - getattr(before, counter) == delta, counter
+
+
+# ----------------------------------------------------------------------
+# block operations
+# ----------------------------------------------------------------------
+
+#: Two CPUs on each node, for the intra-node cache-to-cache row.
+SMP = MachineParams(nodes=2, cpus_per_node=2)
+#: Node 0 requests, node 1 is the home, nodes 2 and 3 hold copies.
+FOUR = MachineParams(nodes=4, cpus_per_node=1)
+
+
+class BlockRow(NamedTuple):
+    protocol: str
+    machine: MachineParams
+    prefix: List[List[Access]]  # every CPU's trace before the access
+    cpu: int  # the CPU that makes the access, after its prefix
+    access: Access
+    expected: Callable[[CostParams], int]
+    deltas: Dict[str, int]
+
+
+BLOCK_ROWS = {
+    # Table 2, "local cache fill" (69): a read of a block homed here.
+    "local-fill": BlockRow(
+        "ccnuma", TINY_MACHINE, [[], []], 0, Access(0, think=IDLE),
+        lambda c: c.local_fill,
+        {"local_fills": 1, "remote_fetches": 0},
+    ),
+    # CPU 0 wrote block 0; CPU 1 on the same node reads it, and CPU 0's
+    # modified copy answers on the bus: a "local cache fill" (69).
+    "intra-node-cache-to-cache": BlockRow(
+        "ccnuma", SMP, [[Access(0, is_write=True)], [], [], []], 1,
+        Access(0, think=IDLE),
+        lambda c: c.local_fill,
+        {"cache_to_cache": 1, "local_fills": 1, "remote_fetches": 0},
+    ),
+    # Node 1 holds block 0, homed here, dirty.  The home's read
+    # recalls it: one "remote fetch" (376).
+    "local-home-remote-dirty-owner-recalled": BlockRow(
+        "ccnuma", TINY_MACHINE, [[], [Access(0, is_write=True)]], 0,
+        Access(0, think=IDLE),
+        lambda c: c.remote_fetch,
+        {"remote_fetches": 1, "local_fills": 0},
+    ),
+    # Local block 0 displaced block 8 from L1 set 0 but not from the
+    # block cache, which holds remote blocks only: "local cache fill"
+    # (69), under a finite and under the infinite block cache.
+    **{
+        f"{protocol}-block-cache-hit": BlockRow(
+            protocol, TINY_MACHINE, [_reads(P1, 0), []], 0,
+            Access(P1, think=IDLE),
+            lambda c: c.local_fill,
+            {"block_cache_hits": 1, "local_fills": 1, "remote_fetches": 0},
+        )
+        for protocol in ("ccnuma", "ideal")
+    },
+    # Block 9 of a page already mapped CC-NUMA: "remote fetch" (376).
+    "clean-remote-fetch": BlockRow(
+        "ccnuma", TINY_MACHINE, [_reads(P1), []], 0,
+        Access(P1 + BLOCK, think=IDLE),
+        lambda c: c.remote_fetch,
+        {"block_cache_misses": 1, "remote_fetches": 1, "refetches": 0},
+    ),
+    # Node 2 holds block 8 dirty, so the home forwards the read to it:
+    # three hops.  Table 2 has one "remote fetch" entry (376), and the
+    # forward adds nothing to it.
+    "dirty-remote-fetch": BlockRow(
+        "ccnuma", FOUR, [_reads(P1 + BLOCK), [], [Access(P1, is_write=True)], []], 0,
+        Access(P1, think=IDLE),
+        lambda c: c.remote_fetch,
+        {"block_cache_misses": 1, "remote_fetches": 1, "refetches": 0},
+    ),
+    # Block 10 displaced block 8 from block-cache set 0, and the home
+    # still records that node 0 held it: a refetch, "remote fetch"
+    # (376).  CC-NUMA's policy charges nothing more for it.
+    "refetch": BlockRow(
+        "ccnuma", TINY_MACHINE, [_reads(P1, P1 + 2 * BLOCK), []], 0,
+        Access(P1, think=IDLE),
+        lambda c: c.remote_fetch,
+        {"refetches": 1, "remote_fetches": 1},
+    ),
+    # Node 0 and k other nodes read block 8; node 0's write upgrades its
+    # shared copy and the home invalidates the k sharers: "remote
+    # fetch" (376).  The fan-out occupies the home RAD
+    # (``invalidate_per_sharer`` each) but adds no latency for the
+    # writer on an idle machine.
+    **{
+        f"write-upgrade-invalidates-{k}-sharers": BlockRow(
+            "ccnuma", FOUR,
+            [_reads(P1), [], _reads(P1)[:k], _reads(P1)[: k - 1]], 0,
+            Access(P1, is_write=True, think=IDLE),
+            lambda c: c.remote_fetch,
+            {"invalidations_sent": k, "remote_fetches": 1, "block_cache_misses": 0},
+        )
+        for k in (0, 1, 2)
+    },
+    # Local block 0 displaced block 8 from the L1; its page-cache frame
+    # still holds it: "local cache fill" (69).
+    "scoma-page-cache-hit": BlockRow(
+        "scoma", TINY_MACHINE, [_reads(P1, 0), []], 0,
+        Access(P1, think=IDLE),
+        lambda c: c.local_fill,
+        {"page_cache_hits": 1, "local_fills": 1, "remote_fetches": 0},
+    ),
+}
+
+
+def _node_stats(config, traces, nid, engine):
+    return simulate(config, traces, dict(HOMES), engine=engine).stats.node(nid)
+
+
+@pytest.mark.parametrize("costs", sorted(COSTS))
+@pytest.mark.parametrize("engine", ["runahead", "reference"])
+@pytest.mark.parametrize("name", list(BLOCK_ROWS))
+def test_block_operation_cost_matches_table_2(name, engine, costs):
+    row = BLOCK_ROWS[name]
+    config = tiny_config(row.protocol, costs=COSTS[costs], machine=row.machine)
+    nid = row.machine.node_of_cpu(row.cpu)
+    traces = [trace + [Barrier(0)] for trace in row.prefix]
+    before = _node_stats(config, traces, nid, engine)
+    traces[row.cpu].append(row.access)
+    after = _node_stats(config, traces, nid, engine)
     assert after.stall_cycles - before.stall_cycles == row.expected(config.costs)
     for counter, delta in row.deltas.items():
         assert getattr(after, counter) - getattr(before, counter) == delta, counter
