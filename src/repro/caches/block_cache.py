@@ -13,26 +13,35 @@ frame leaves any L1 copies in place.
 State layout
 ------------
 
-Line metadata lives in three preallocated columns indexed by frame:
-``block_at`` is an ``array('q')`` of resident block numbers
-(:data:`EMPTY` = −1 marks a free frame) and ``writable_at`` /
-``dirty_at`` are parallel ``bytearray`` flags.  The miss path talks to
-the cache through packed-int probes (:meth:`probe`, :meth:`victim_probe`,
-:meth:`invalidate_probe`) that never allocate; the object-returning
-methods (:meth:`lookup`, :meth:`insert`, …) remain for cold paths and
-tests and return **snapshots** — mutating a returned line does not write
-through.
+Line metadata lives in three columns indexed by frame ``block & mask``:
+``block_at`` holds resident block numbers (:data:`EMPTY` = −1 marks a
+free frame) and ``writable_at`` / ``dirty_at`` the line's flags.  The
+miss path reads and writes these columns inline (``Node.bc_cols``), and
+every method below is written once against them, so three geometries
+share one representation:
 
-A ``num_blocks`` of 0 models a machine with no block cache; a very large
-value models the paper's "infinite block cache" normalization baseline
-(``infinite`` keeps a dict of packed flags, since its frame space is
-unbounded).
+- a finite cache: an ``array('q')`` and two ``bytearray`` columns of
+  ``num_blocks`` frames;
+- the paper's "infinite block cache" normalization baseline
+  (:meth:`infinite_cache`): ``mask`` is −1, so every block is its own
+  frame, and the columns are dicts keyed by block (``block_at`` reads
+  :data:`EMPTY` for a block never filled);
+- a ``num_blocks`` of 0, a machine with no block cache: ``mask`` 0 over
+  columns that read empty and drop every store, so nothing is ever
+  resident and every access refetches.
+
+The packed-int probes (:meth:`probe`, :meth:`victim_probe`,
+:meth:`invalidate_probe`) never allocate; the object-returning methods
+(:meth:`lookup`, :meth:`insert`, …) remain for cold paths and tests and
+return **snapshots** — mutating a returned line does not write through.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional
+from collections import defaultdict
+from itertools import repeat
+from typing import List, Optional
 
 from repro.common.errors import ConfigurationError
 
@@ -55,6 +64,22 @@ class BlockCacheLine:
         self.dirty = dirty
 
 
+class _NoFrame:
+    """A column of a cache with no frames: every slot reads ``value``
+    and every store is dropped."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    def __getitem__(self, idx: int) -> int:
+        return self.value
+
+    def __setitem__(self, idx: int, value: int) -> None:
+        pass
+
+
 class BlockCache:
     """Direct-mapped write-back cache indexed by block number.
 
@@ -66,11 +91,10 @@ class BlockCache:
     __slots__ = (
         "num_blocks",
         "mask",
-        "_infinite",
         "block_at",
         "writable_at",
         "dirty_at",
-        "_inf_flags",
+        "_blocks",
     )
 
     def __init__(self, num_blocks: int, infinite: bool = False) -> None:
@@ -81,14 +105,24 @@ class BlockCache:
                 f"block cache size must be a power of two blocks, got {num_blocks}"
             )
         self.num_blocks = num_blocks
-        self.mask = num_blocks - 1 if num_blocks else 0
-        self._infinite = infinite
-        frames = 0 if infinite else num_blocks
-        self.block_at: array = array("q", [EMPTY]) * frames
-        self.writable_at: bytearray = bytearray(frames)
-        self.dirty_at: bytearray = bytearray(frames)
-        # Infinite variant: block -> packed flags (writable | dirty<<1).
-        self._inf_flags: Dict[int, int] = {}
+        if infinite:
+            self.mask = -1
+            self.block_at = defaultdict(repeat(EMPTY).__next__)
+            self.writable_at = {}
+            self.dirty_at = {}
+            # Live view of the resident-or-EMPTY values.
+            self._blocks = self.block_at.values()
+        elif num_blocks:
+            self.mask = num_blocks - 1
+            self.block_at = array("q", [EMPTY]) * num_blocks
+            self.writable_at = bytearray(num_blocks)
+            self.dirty_at = bytearray(num_blocks)
+            self._blocks = self.block_at
+        else:
+            self.mask = 0
+            self.block_at = _NoFrame(EMPTY)
+            self.writable_at = self.dirty_at = _NoFrame(0)
+            self._blocks = ()
 
     @classmethod
     def infinite_cache(cls) -> "BlockCache":
@@ -97,16 +131,13 @@ class BlockCache:
 
     @property
     def is_infinite(self) -> bool:
-        return self._infinite
+        return self.mask == -1
 
     def reset(self) -> None:
-        """Drop every line (fresh-machine state for a re-run)."""
-        n = len(self.block_at)
-        if n:
-            self.block_at[:] = array("q", [EMPTY]) * n
-            self.writable_at[:] = bytes(n)
-            self.dirty_at[:] = bytes(n)
-        self._inf_flags.clear()
+        """Drop every line (fresh-machine state for a re-run).  The
+        columns keep their identity: the engine hoists them."""
+        for block in self.resident_blocks():
+            self.invalidate_probe(block)
 
     # ------------------------------------------------------------------
     # packed-int probes (the miss path; never allocate)
@@ -114,10 +145,6 @@ class BlockCache:
 
     def probe(self, block: int) -> int:
         """Flags of the resident line for ``block``, or −1 on a miss."""
-        if self._infinite:
-            return self._inf_flags.get(block, -1)
-        if self.num_blocks == 0:
-            return -1
         idx = block & self.mask
         if self.block_at[idx] != block:
             return -1
@@ -126,8 +153,6 @@ class BlockCache:
     def victim_probe(self, block: int) -> int:
         """Line that inserting ``block`` would displace, packed as
         ``resident_block << 2 | writable | dirty << 1`` (−1 if free)."""
-        if self._infinite or self.num_blocks == 0:
-            return -1
         idx = block & self.mask
         resident = self.block_at[idx]
         if resident == EMPTY or resident == block:
@@ -138,15 +163,8 @@ class BlockCache:
         """Install ``block`` clean, overwriting the frame.
 
         The caller handles the displaced line first (via
-        :meth:`victim_probe`).  With ``num_blocks == 0`` the fill is a
-        no-op (the machine has nowhere to put remote blocks and every
-        access refetches).
+        :meth:`victim_probe`).
         """
-        if self._infinite:
-            self._inf_flags[block] = FLAG_WRITABLE if writable else 0
-            return
-        if self.num_blocks == 0:
-            return
         idx = block & self.mask
         self.block_at[idx] = block
         self.writable_at[idx] = 1 if writable else 0
@@ -154,10 +172,6 @@ class BlockCache:
 
     def invalidate_probe(self, block: int) -> int:
         """Drop ``block``; returns its flags (−1 if absent)."""
-        if self._infinite:
-            return self._inf_flags.pop(block, -1)
-        if self.num_blocks == 0:
-            return -1
         idx = block & self.mask
         if self.block_at[idx] != block:
             return -1
@@ -169,13 +183,6 @@ class BlockCache:
 
     def mark_dirty(self, block: int) -> bool:
         """Mark a resident line dirty (and writable); True if present."""
-        if self._infinite:
-            if block in self._inf_flags:
-                self._inf_flags[block] = FLAG_WRITABLE | FLAG_DIRTY
-                return True
-            return False
-        if self.num_blocks == 0:
-            return False
         idx = block & self.mask
         if self.block_at[idx] != block:
             return False
@@ -185,12 +192,6 @@ class BlockCache:
 
     def downgrade(self, block: int) -> None:
         """Resident line becomes clean and read-only (owner downgrade)."""
-        if self._infinite:
-            if block in self._inf_flags:
-                self._inf_flags[block] = 0
-            return
-        if self.num_blocks == 0:
-            return
         idx = block & self.mask
         if self.block_at[idx] == block:
             self.writable_at[idx] = 0
@@ -233,9 +234,7 @@ class BlockCache:
         return self._snapshot(block, flags)
 
     def resident_blocks(self) -> List[int]:
-        if self._infinite:
-            return list(self._inf_flags)
-        return [b for b in self.block_at if b != EMPTY]
+        return [b for b in self._blocks if b != EMPTY]
 
     def lines_of_page(self, page_blocks) -> List[BlockCacheLine]:
         """Snapshots of resident lines whose block falls in ``page_blocks``."""
@@ -247,7 +246,4 @@ class BlockCache:
         return hits
 
     def __len__(self) -> int:
-        if self._infinite:
-            return len(self._inf_flags)
-        n = len(self.block_at)
-        return n - self.block_at.count(EMPTY) if n else 0
+        return len(self.resident_blocks())

@@ -9,12 +9,14 @@ RAD *is* the union of the CC-NUMA and S-COMA RADs, paper Figure 4a).
 No TLB is modelled: a shootdown is a Table 2 cost and a counter (see
 :mod:`repro.osint.services`).
 
-The L1s and the fine-grain tag store are array-backed (see
-:mod:`repro.caches.l1` and :mod:`repro.caches.finegrain`): the
-simulation engine reads their buffers directly on its hot path.  The
-node also precomputes ``peer_l1s`` — for each processor slot, the
-other slots' caches — so the engine's intra-node snoop loops iterate a
-ready-made list instead of re-filtering ``l1s`` on every miss.
+The L1s, the block cache and the fine-grain tag store are column-backed
+(see :mod:`repro.caches.l1`, :mod:`repro.caches.block_cache` and
+:mod:`repro.caches.finegrain`): the simulation engine reads their
+buffers directly on its hot path.  ``bc_cols`` holds the block cache's
+columns for every protocol, the ideal machine's infinite cache
+included.  The node also precomputes ``peer_l1s`` — for each processor
+slot, the other slots' caches — so the engine's intra-node snoop loops
+iterate a ready-made list instead of re-filtering ``l1s`` on every miss.
 """
 
 from __future__ import annotations
@@ -86,15 +88,11 @@ class Node:
             self.block_cache = BlockCache.infinite_cache()
         else:
             self.block_cache = BlockCache(caches.block_cache_blocks(space))
-        # The block cache's raw columns as one tuple — None when the
-        # cache is infinite (dict-backed) or absent, in which case the
-        # engine falls back to the method API.  Same identity-stability
-        # argument as l1_arrays.
+        # The block cache's (mask, block_at, writable_at, dirty_at) as
+        # one tuple; finite, infinite and zero-frame caches all expose
+        # them.  Same identity-stability argument as l1_arrays.
         bc = self.block_cache
-        if bc.is_infinite or bc.num_blocks == 0:
-            self.bc_cols = None
-        else:
-            self.bc_cols = (bc.mask, bc.block_at, bc.writable_at, bc.dirty_at)
+        self.bc_cols = (bc.mask, bc.block_at, bc.writable_at, bc.dirty_at)
 
         if config.protocol in ("scoma", "rnuma"):
             frames = caches.page_cache_frames(space)

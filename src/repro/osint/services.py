@@ -24,18 +24,19 @@ from repro.machine.machine import Machine
 from repro.machine.node import Node
 
 
-def _page_hits(blocks_arr, num_sets: int, mask: int, base: int, bpp: int):
+def _page_hits(blocks_arr, mask: int, base: int, bpp: int):
     """(set index, block) pairs of a page's blocks resident in a
     direct-mapped tag column.
 
-    ``blocks_arr`` is the cache's ``block_at`` column, ``base`` the
-    page's first block number, ``bpp`` the (power-of-two) blocks per
-    page.  With more sets than page blocks the candidate sets form one
-    contiguous, alignment-guaranteed segment ``[base & mask, +bpp)``
-    where set ``s0+i`` can only hold block ``base+i``.  With fewer sets
-    the whole column is scanned instead (it is the shorter side).
+    ``blocks_arr`` is an L1's ``block_at`` column and ``mask`` its set
+    mask, ``base`` the page's first block number, ``bpp`` the
+    (power-of-two) blocks per page.  With more sets than page blocks
+    the candidate sets form one contiguous, alignment-guaranteed
+    segment ``[base & mask, +bpp)`` where set ``s0+i`` can only hold
+    block ``base+i``.  With fewer sets the whole column is scanned
+    instead (it is the shorter side).
     """
-    if num_sets <= bpp:
+    if mask < bpp:
         shift = bpp.bit_length() - 1
         page = base >> shift
         return [
@@ -125,23 +126,13 @@ def _collect_held_blocks(node: Node, page: int, space) -> List[Tuple[int, bool]]
     """
     base = page << (space.page_shift - space.block_shift)
     bpp = space.blocks_per_page
-    held = {}
-    bc = node.block_cache
-    bcb = getattr(bc, "block_at", None)
-    if bcb is not None and not bc.is_infinite and bc.num_blocks:
-        bcw = bc.writable_at
-        for idx, block in _page_hits(bcb, bc.num_blocks, bc.mask, base, bpp):
-            held[block] = bcw[idx] != 0
-    else:
-        # Infinite, absent, or a legacy (frozen-reference) cache without
-        # the packed columns: go through the snapshot API.
-        for block in range(base, base + bpp):
-            line = bc.lookup(block)
-            if line is not None:
-                held[block] = line.writable
+    held = {
+        line.block: line.writable
+        for line in node.block_cache.lines_of_page(range(base, base + bpp))
+    }
     # MOESI encoding: writable iff state >= EXCLUSIVE.
     for lmask, lblocks, lstates in node.l1_arrays:
-        for idx, block in _page_hits(lblocks, lmask + 1, lmask, base, bpp):
+        for idx, block in _page_hits(lblocks, lmask, base, bpp):
             held[block] = held.get(block, False) or lstates[idx] >= EXCLUSIVE
     return list(held.items())
 
@@ -186,7 +177,6 @@ def relocate_page_to_scoma(machine: Machine, node: Node, page: int) -> int:
     off_mask = space.blocks_per_page - 1
     tag_row = node.tags.rows[page]
     bc = node.block_cache
-    bc_invalidate = getattr(bc, "invalidate_probe", None) or bc.invalidate
     l1_arrays = node.l1_arrays
     for block, writable in held:
         off = block & off_mask
@@ -197,7 +187,7 @@ def relocate_page_to_scoma(machine: Machine, node: Node, page: int) -> int:
             # will refetch it on demand.
             machine.directory.flush(block, node.node_id)
             node.stats.blocks_flushed += 1
-        bc_invalidate(block)
+        bc.invalidate(block)
         for lmask, lblocks, lstates in l1_arrays:
             idx = block & lmask
             if lblocks[idx] == block:

@@ -40,13 +40,16 @@ Columnar miss path
 The miss path allocates no objects.  The directory returns a packed
 outcome int (refetch bit, previous owner, invalidation bitmask — see
 :mod:`repro.coherence.directory`) decoded with shifts; sharers iterate
-via ``mask & -mask`` bit tricks.  The block cache answers packed-int
-probes against its ``array('q')``/``bytearray`` columns, page-cache
-recency moves are array-index relinks, and L1 victims are read straight
-out of the L1 arrays instead of materializing (block, state) tuples.
-Hot cross-object references (costs, directory, network) are bound once
-at construction.  See docs/architecture.md ("Memory-system state
-layout").
+via ``mask & -mask`` bit tricks.  The block cache is read and written
+in its ``(mask, block_at, writable_at, dirty_at)`` columns, which the
+finite, the infinite (ideal) and the zero-frame caches all expose, so
+every protocol takes the same path.  Page-cache recency moves are
+array-index relinks, and L1 victims are read straight out of the L1
+arrays instead of materializing (block, state) tuples.  A miss the node
+cannot serve reaches the home through one fetch-and-install tail.  Hot
+cross-object references (costs, directory, network) are bound once at
+construction.  See docs/architecture.md ("Memory-system state layout",
+"Life of an L1 miss").
 
 Traces are consumed in their packed columnar form (one ``array('q')``
 of 64-bit words per CPU, see :mod:`repro.common.records`): the hot
@@ -478,11 +481,13 @@ class SimulationEngine:
     # miss path
     #
     # Everything below runs once per L1 miss and allocates nothing:
-    # directory outcomes are packed ints, block-cache state is probed
-    # out of flat columns, and L1 victims are read in place.  The read
-    # and write handlers are merged into one body with a shared
-    # install-into-L1 tail, so a miss costs one Python call for the
-    # intra-node cases and two or three for the inter-node ones.
+    # directory outcomes are packed ints, block-cache state is read and
+    # written in its columns, and L1 victims are read in place.  The
+    # read and write handlers are merged into one body with two shared
+    # tails: one home fetch (remote fetch + install) for the four cases
+    # that miss on the node, and one install into the L1.  A miss costs
+    # one Python call for the intra-node cases and two or three for the
+    # inter-node ones.
     # ------------------------------------------------------------------
 
     def _miss(self, cpu: int, b: int, w: int, st: int, now: int) -> int:
@@ -518,6 +523,11 @@ class SimulationEngine:
         lat += start - arrival
         now += lat
 
+        # A block the node cannot serve comes from its home: the four
+        # cases below (read or write, block cache or page cache) only
+        # count the miss and set ``fetch``; the home-fetch tail after
+        # the read/write split fetches and installs.
+        fetch = holds_copy = False
         if not w:
             # -- read ------------------------------------------------------
             state = SHARED
@@ -577,55 +587,17 @@ class SimulationEngine:
                 if sole and (ds is None or not self._dir_sharers[ds]):
                     state = EXCLUSIVE  # no cache anywhere holds it
             elif mapping == MAP_CC:
-                cols = node.bc_cols
-                if cols is None:
-                    flags = node.block_cache.probe(b)
-                else:
-                    bmask, bblocks, bwrit, bdirt = cols
-                    bidx = b & bmask
-                    if bblocks[bidx] == b:
-                        flags = bwrit[bidx] | (bdirt[bidx] << 1)
-                    else:
-                        flags = -1
-                if flags >= 0:
+                bmask, bblocks, bwrit, _bdirt = node.bc_cols
+                bidx = b & bmask
+                if bblocks[bidx] == b:
                     ns.block_cache_hits += 1
                     ns.local_fills += 1
                     lat += costs.local_fill
-                    if flags & 1 and self._no_peer_copies(peers, b):
+                    if bwrit[bidx] and self._no_peer_copies(peers, b):
                         state = EXCLUSIVE
                 else:
                     ns.block_cache_misses += 1
-                    lat += self._remote_fetch(node, b, g, False, now)
-                    # The policy may have relocated the page mid-fetch
-                    # (R-NUMA).
-                    if pmap.get(g, MAP_UNMAPPED) == MAP_SCOMA:
-                        self._scoma_install(node, b, g, writable=False)
-                    elif cols is None:
-                        self._block_cache_install(node, b, g, writable=False, now=now)
-                    else:
-                        # _block_cache_install, inlined on the columns.
-                        bmask, bblocks, bwrit, bdirt = cols
-                        bidx = b & bmask
-                        resident = bblocks[bidx]
-                        if (
-                            resident >= 0
-                            and resident != b
-                            and (bwrit[bidx] or bdirt[bidx])
-                        ):
-                            for pmask, pblocks, pstates in node.l1_arrays:
-                                vdx = resident & pmask
-                                if pblocks[vdx] == resident:
-                                    pblocks[vdx] = L1_EMPTY
-                                    pstates[vdx] = INVALID
-                            self._directory.writeback(resident, nid)
-                            vg = resident >> self._block_page_shift
-                            self._network.one_way_delay(
-                                nid, now, dst=self.homes.get(vg, nid)
-                            )
-                            ns.block_cache_writebacks += 1
-                        bblocks[bidx] = b
-                        bwrit[bidx] = 0
-                        bdirt[bidx] = 0
+                    fetch = True
             else:
                 # MAP_SCOMA
                 row = node.tag_rows.get(g)
@@ -640,9 +612,7 @@ class SimulationEngine:
                         state = EXCLUSIVE
                 else:
                     ns.page_cache_misses += 1
-                    lat += self._remote_fetch(node, b, g, False, now)
-                    if pmap.get(g, MAP_UNMAPPED) == MAP_SCOMA:
-                        self._scoma_install(node, b, g, writable=False)
+                    fetch = True
         else:
             # -- write -----------------------------------------------------
             state = MODIFIED
@@ -702,84 +672,42 @@ class SimulationEngine:
                         if pblocks[idx] == b and pstates[idx] >= EXCLUSIVE:
                             ns.cache_to_cache += 1
                             break
-            elif mapping == MAP_CC:
-                bc = node.block_cache
-                cols = node.bc_cols
-                ds = self._dir_slots.get(b)
-                if ds is not None and self._dir_owners[ds] == nid:
-                    # Node already has exclusive rights: intra-node
-                    # service — supply from a peer L1 (M/O/E), upgrade a
-                    # resident line in place, or fill from the node store.
-                    supplied = False
-                    for pmask, pblocks, pstates in peers:
-                        idx = b & pmask
-                        if pblocks[idx] == b and pstates[idx] >= EXCLUSIVE:
-                            supplied = True
-                            break
-                    if supplied:
-                        ns.cache_to_cache += 1
-                        ns.local_fills += 1
-                        lat += costs.local_fill
-                    elif st != INVALID:
-                        lat += costs.sram_access
-                    else:
-                        ns.local_fills += 1
-                        lat += costs.local_fill
-                    if cols is None:
-                        bc.mark_dirty(b)
-                    else:
-                        bmask, bblocks, bwrit, bdirt = cols
-                        bidx = b & bmask
+            else:
+                # A remote block.  The node may write it without asking
+                # the home when it already has exclusive rights: it is
+                # the directory's owner (block cache), or its page-cache
+                # tag is writable.
+                if mapping == MAP_CC:
+                    ds = self._dir_slots.get(b)
+                    owned = ds is not None and self._dir_owners[ds] == nid
+                    bmask, bblocks, bwrit, bdirt = node.bc_cols
+                    bidx = b & bmask
+                    if owned:
                         if bblocks[bidx] == b:
                             bwrit[bidx] = 1
                             bdirt[bidx] = 1
+                    else:
+                        holds_copy = st != INVALID or bblocks[bidx] == b
+                        if not holds_copy:
+                            ns.block_cache_misses += 1
+                        fetch = True
                 else:
-                    if st != INVALID:
-                        holds_copy = True
-                    elif cols is None:
-                        holds_copy = bc.probe(b) >= 0
+                    # MAP_SCOMA
+                    row = node.tag_rows.get(g)
+                    tag = row[b & self._bpp_mask] if row is not None else BLOCK_INVALID
+                    owned = tag == BLOCK_WRITABLE
+                    if owned:
+                        ns.page_cache_hits += 1
+                        if node.page_cache.reorders_on_hit:
+                            node.page_cache.touch_hit(g)
                     else:
-                        holds_copy = cols[1][b & cols[0]] == b
-                    if not holds_copy:
-                        ns.block_cache_misses += 1
-                    lat += self._remote_fetch(node, b, g, True, now, holds_copy)
-                    if pmap.get(g, MAP_UNMAPPED) == MAP_SCOMA:
-                        self._scoma_install(node, b, g, writable=True)
-                    elif cols is None:
-                        self._block_cache_install(node, b, g, writable=True, now=now)
-                        bc.mark_dirty(b)
-                    else:
-                        # _block_cache_install + mark_dirty, fused on
-                        # the columns (the fresh line is immediately
-                        # written, so it installs writable and dirty).
-                        bmask, bblocks, bwrit, bdirt = cols
-                        bidx = b & bmask
-                        resident = bblocks[bidx]
-                        if (
-                            resident >= 0
-                            and resident != b
-                            and (bwrit[bidx] or bdirt[bidx])
-                        ):
-                            for pmask, pblocks, pstates in node.l1_arrays:
-                                vdx = resident & pmask
-                                if pblocks[vdx] == resident:
-                                    pblocks[vdx] = L1_EMPTY
-                                    pstates[vdx] = INVALID
-                            self._directory.writeback(resident, nid)
-                            vg = resident >> self._block_page_shift
-                            self._network.one_way_delay(
-                                nid, now, dst=self.homes.get(vg, nid)
-                            )
-                            ns.block_cache_writebacks += 1
-                        bblocks[bidx] = b
-                        bwrit[bidx] = 1
-                        bdirt[bidx] = 1
-            else:
-                # MAP_SCOMA
-                off = b & self._bpp_mask
-                row = node.tag_rows.get(g)
-                tag = row[off] if row is not None else BLOCK_INVALID
-                if tag == BLOCK_WRITABLE:
+                        holds_copy = st != INVALID or tag == BLOCK_READONLY
+                        ns.page_cache_misses += 1
+                        fetch = True
+                if owned:
+                    # Intra-node service: supply from a peer L1 (M/O/E),
+                    # upgrade a resident line in place, or fill from the
+                    # node store.
                     supplied = False
                     for pmask, pblocks, pstates in peers:
                         idx = b & pmask
@@ -795,16 +723,43 @@ class SimulationEngine:
                     else:
                         ns.local_fills += 1
                         lat += costs.local_fill
-                    ns.page_cache_hits += 1
-                    if node.page_cache.reorders_on_hit:
-                        node.page_cache.touch_hit(g)
-                else:
-                    holds_copy = st != INVALID or tag == BLOCK_READONLY
-                    ns.page_cache_misses += 1
-                    lat += self._remote_fetch(node, b, g, True, now, holds_copy)
-                    if pmap.get(g, MAP_UNMAPPED) == MAP_SCOMA:
-                        self._scoma_install(node, b, g, writable=True)
+
+        # -- home-fetch tail ------------------------------------------------
+        if fetch:
+            lat += self._remote_fetch(node, b, g, w, now, holds_copy)
+            # Install where the page lives now: R-NUMA may have
+            # relocated it into the page cache mid-fetch.
+            if pmap.get(g, MAP_UNMAPPED) == MAP_SCOMA:
+                self._scoma_install(node, b, g, w)
+            else:
+                # Into the block cache: clean and read-only for a read,
+                # writable and dirty for a write (it is written at
+                # once).  Evicting a read-write (writable/dirty) frame
+                # forces the L1 copies out (inclusion) and writes the
+                # victim home; a read-only frame is dropped silently
+                # and its L1 copies survive (relaxed inclusion, paper
+                # Section 4).
+                bmask, bblocks, bwrit, bdirt = node.bc_cols
+                bidx = b & bmask
+                resident = bblocks[bidx]
+                if (
+                    resident >= 0
+                    and resident != b
+                    and (bwrit[bidx] or bdirt[bidx])
+                ):
+                    for pmask, pblocks, pstates in node.l1_arrays:
+                        vdx = resident & pmask
+                        if pblocks[vdx] == resident:
+                            pblocks[vdx] = L1_EMPTY
+                            pstates[vdx] = INVALID
+                    self._write_back(nid, resident, now)
+                bblocks[bidx] = b
+                bwrit[bidx] = w
+                bdirt[bidx] = w
+        if w:
             # A write leaves this CPU's L1 as the only copy on the node.
+            # This runs after the fetch: a relocation inside it reads
+            # the node's L1s.
             for pmask, pblocks, pstates in peers:
                 idx = b & pmask
                 if pblocks[idx] == b:
@@ -813,41 +768,27 @@ class SimulationEngine:
 
         # -- common tail: install into the requesting L1 -------------------
         # The victim is read straight out of the L1 arrays before the
-        # frame is overwritten — no (block, state) tuple materializes —
-        # and the write-back of a dirty victim touches only node/machine
-        # state, never the L1 itself.
+        # frame is overwritten — no (block, state) tuple materializes.
+        # A dirty victim (M/O — one compare under the canonical
+        # encoding) drains to the node-level backing store: local
+        # memory (the page-cache frame, for an S-COMA page) absorbs it
+        # for free, and a CC-NUMA block goes to its block-cache frame,
+        # or straight home if it has none.
         idx = b & lmask
         vb = lblocks_own[idx]
-        if vb >= 0 and vb != b:
-            # Dirty victims (M/O — one compare under the canonical
-            # encoding) drain to the node-level backing store.
-            if lstates_own[idx] >= OWNED:
-                vg = vb >> self._block_page_shift
-                vmapping = pmap.get(vg, MAP_UNMAPPED)
-                if vmapping == MAP_CC:
-                    cols = node.bc_cols
-                    if cols is not None:
-                        bmask, bblocks, bwrit, bdirt = cols
-                        vidx = vb & bmask
-                        if bblocks[vidx] == vb:
-                            bwrit[vidx] = 1
-                            bdirt[vidx] = 1
-                        else:
-                            # No block-cache frame (displaced): write
-                            # straight home.
-                            self._directory.writeback(vb, nid)
-                            self._network.one_way_delay(
-                                nid, now, dst=self.homes.get(vg, nid)
-                            )
-                            ns.block_cache_writebacks += 1
-                    elif not node.block_cache.mark_dirty(vb):
-                        self._directory.writeback(vb, nid)
-                        self._network.one_way_delay(
-                            nid, now, dst=self.homes.get(vg, nid)
-                        )
-                        ns.block_cache_writebacks += 1
-                # MAP_LOCAL, MAP_SCOMA: local memory (the page-cache
-                # frame) absorbs the write-back for free.
+        if (
+            vb >= 0
+            and vb != b
+            and lstates_own[idx] >= OWNED
+            and pmap.get(vb >> self._block_page_shift, MAP_UNMAPPED) == MAP_CC
+        ):
+            bmask, bblocks, bwrit, bdirt = node.bc_cols
+            vidx = vb & bmask
+            if bblocks[vidx] == vb:
+                bwrit[vidx] = 1
+                bdirt[vidx] = 1
+            else:
+                self._write_back(nid, vb, now)
         lblocks_own[idx] = b
         lstates_own[idx] = state
         return lat
@@ -862,30 +803,17 @@ class SimulationEngine:
                 return False
         return True
 
-    def _block_cache_install(self, node: Node, b: int, g: int, writable: bool, now: int) -> None:
-        """Install a freshly fetched block, evicting as needed.
+    def _write_back(self, nid: int, block: int, now: int) -> None:
+        """Write a dirty remote block back to its home: a fetch's
+        block-cache victim, or an L1 victim with no block-cache frame.
 
-        Evicting a read-write (writable/dirty) frame forces the L1
-        copies out (inclusion) and notifies the home via a write-back;
-        read-only frames are dropped silently and L1 copies survive
-        (relaxed inclusion, paper Section 4).
+        The directory forgets node ``nid``'s copy and the message
+        occupies the network; no processor waits for it.
         """
-        bc = node.block_cache
-        victim = bc.victim_probe(b)
-        if victim >= 0 and victim & 3:
-            vb = victim >> 2
-            for lmask, lblocks, lstates in node.l1_arrays:
-                idx = vb & lmask
-                if lblocks[idx] == vb:
-                    lblocks[idx] = L1_EMPTY
-                    lstates[idx] = INVALID
-            self._directory.writeback(vb, node.node_id)
-            vg = vb >> self._block_page_shift
-            self._network.one_way_delay(
-                node.node_id, now, dst=self.homes.get(vg, node.node_id)
-            )
-            node.stats.block_cache_writebacks += 1
-        bc.fill(b, writable)
+        self._directory.writeback(block, nid)
+        home = self.homes.get(block >> self._block_page_shift, nid)
+        self._network.one_way_delay(nid, now, dst=home)
+        self._nodes[nid].stats.block_cache_writebacks += 1
 
     def _scoma_install(self, node: Node, b: int, g: int, writable: bool) -> None:
         """Record a fetched block in the page-cache tags and LRM order."""
