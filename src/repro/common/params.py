@@ -405,10 +405,13 @@ class SystemConfig:
     directory: DirectoryParams = field(default_factory=DirectoryParams)
     relocation_threshold: int = 64
     #: R-NUMA relocation implementation (Section 3.2's two designs):
-    #: "local" — an aggressive implementation moves the blocks the node
-    #: already holds straight into the page-cache frame (bound ~2);
-    #: "flush" — a less aggressive one flushes them home and refetches
-    #: on demand, making C_relocate ~ C_allocate (bound ~3).
+    #: "local" moves the blocks the node already holds straight into
+    #: the page-cache frame, so its later accesses to them are local
+    #: fills; "flush" sends them home, so each is fetched again on
+    #: demand.  Both charge the same page operation, page_op_cost of
+    #: the held blocks plus the victim page's flushed ones, so
+    #: C_relocate = C_allocate in either mode (EQ 3's bound of 3, not
+    #: the aggressive design's 2).
     relocation_mode: str = "local"
     #: observability settings (event tracing / metrics sampling).
     #: Excluded from equality, hashing, run keys, and serialized

@@ -4,10 +4,13 @@ Three ablations, each grounded in a specific passage of the paper:
 
 1. **Relocation implementation** (Section 3.2): an aggressive
    implementation moves the node's blocks locally into the page-cache
-   frame (C_relocate small, worst-case bound ~2); a less aggressive one
-   flushes them home and refetches on demand (C_relocate ~ C_allocate,
-   bound ~3).  ``compute_relocation_ablation`` measures R-NUMA both
-   ways.
+   frame; a less aggressive one flushes them home and refetches on
+   demand.  ``compute_relocation_ablation`` measures R-NUMA both ways.
+   The simulator charges both the same page operation (C_relocate =
+   C_allocate, the paper's bound-near-3 case; see
+   :func:`repro.osint.services.relocate_page_to_scoma`), so the
+   ablation measures only the later fetches of the held blocks that
+   the flush mode adds.
 2. **Page-replacement policy** (Section 4): the paper's Least Recently
    Missed policy vs. classical LRU and FIFO.
 3. **Page placement** (Section 2.1): first-touch migration vs. naive

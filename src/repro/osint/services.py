@@ -143,15 +143,21 @@ def relocate_page_to_scoma(machine: Machine, node: Node, page: int) -> int:
     In the default ``"local"`` relocation mode (an aggressive
     implementation with hardware support for moving blocks), every block
     the node holds — block-cache and L1 copies — moves straight into the
-    freshly allocated frame; only referenced blocks are replicated,
-    which is what keeps relocation cheap (paper, Section 5.1).  The
-    directory is *not* involved: the node keeps the very same copies,
-    just in different local storage.
+    freshly allocated frame, so the node's later accesses to them are
+    page-cache hits.  The directory is *not* involved: the node keeps
+    the very same copies, just in different local storage.
 
-    In ``"flush"`` mode (a less aggressive implementation, the paper's
-    C_relocate ~ C_allocate case that pushes the worst-case bound from
-    2 toward 3) the held blocks are flushed back to the home node
-    instead, and the page starts life in the page cache empty.
+    In ``"flush"`` mode (a less aggressive implementation) the held
+    blocks are flushed back to the home node instead, and the page
+    starts life in the page cache empty: each held block is fetched
+    again on its next access.
+
+    Both modes charge ``page_op_cost(held + flushed)``, where ``flushed``
+    counts the blocks of a replaced victim page: a block moved into the
+    frame pays the same ``flush_per_block`` as one sent home.  So
+    C_relocate equals C_allocate in either mode, the paper's case with
+    a worst-case bound near 3; the modes differ only in the later
+    fetches of the held blocks.
 
     The L1 lines must be invalidated and the TLBs shot down either way
     because the page's physical address changes.
