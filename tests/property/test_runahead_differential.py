@@ -18,6 +18,8 @@ density so ties and invalidation races actually happen within a few
 hundred references.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,9 +28,16 @@ from repro.common.params import MachineParams
 from repro.common.records import Access, Barrier
 from repro.sim import simulate, simulate_reference
 
-from tests.conftest import tiny_config
+from tests.conftest import TINY_CACHES, tiny_config
 
 PROTOCOLS = ("ccnuma", "scoma", "rnuma", "ideal")
+
+#: Every protocol on the tiny geometry, plus CC-NUMA and R-NUMA with no
+#: block cache, whose zero-frame columns drop every store.
+CONFIGS = [tiny_config(p) for p in PROTOCOLS] + [
+    tiny_config(p, caches=replace(TINY_CACHES, block_cache_size=0))
+    for p in ("ccnuma", "rnuma")
+]
 
 # Addresses span 8 pages of the tiny 512-byte-page space: enough pages
 # to exercise remote homes, few enough that CPUs collide constantly.
@@ -74,10 +83,9 @@ def assert_identical_results(a, b):
     assert a.remote_pages_touched == b.remote_pages_touched
 
 
-@given(traces=programs(), protocol=st.sampled_from(PROTOCOLS))
-@settings(max_examples=200, deadline=None)
-def test_runahead_matches_reference(traces, protocol):
-    config = tiny_config(protocol)
+@given(traces=programs(), config=st.sampled_from(CONFIGS))
+@settings(max_examples=300, deadline=None)
+def test_runahead_matches_reference(traces, config):
     fast = simulate(config, [list(t) for t in traces])
     slow = simulate_reference(config, [list(t) for t in traces])
     assert_identical_results(fast, slow)
@@ -118,9 +126,6 @@ def test_engines_agree_on_an_app_at_ten_nodes():
     order, so an invalidation fan-out whose round trip targets "the
     first sharer" diverges unless every engine orders sharers by node
     id."""
-    from dataclasses import replace
-
-    from repro.common.params import MachineParams
     from repro.experiments.config import cc_config, ideal, rnuma_config, scoma_config
     from repro.workloads.registry import build_program
 

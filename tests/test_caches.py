@@ -3,7 +3,7 @@ fine-grain tags)."""
 
 import pytest
 
-from repro.caches.block_cache import BlockCache
+from repro.caches.block_cache import EMPTY, BlockCache
 from repro.caches.finegrain import (
     BLOCK_INVALID,
     BLOCK_READONLY,
@@ -149,6 +149,54 @@ class TestBlockCache:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ConfigurationError):
             BlockCache(6)
+
+    @pytest.mark.parametrize(
+        "make, kept",
+        [
+            (BlockCache.infinite_cache, [1, 2, 5, 9]),
+            (lambda: BlockCache(0), []),
+            (lambda: BlockCache(4), [2, 9]),
+        ],
+        ids=["infinite", "zero-frame", "finite"],
+    )
+    def test_columns_answer_like_the_probes(self, make, kept):
+        """The miss path reads and writes the columns inline; on every
+        geometry they must say what the probe methods say."""
+        bc = make()
+        mask, blocks, writable, dirty = bc.mask, bc.block_at, bc.writable_at, bc.dirty_at
+
+        def flags(b):
+            i = b & mask
+            return writable[i] | (dirty[i] << 1) if blocks[i] == b else -1
+
+        def victim(b):
+            i = b & mask
+            resident = blocks[i]
+            if resident == EMPTY or resident == b:
+                return -1
+            return (resident << 2) | writable[i] | (dirty[i] << 1)
+
+        def agree():
+            for b in range(12):
+                assert flags(b) == bc.probe(b)
+                assert victim(b) == bc.victim_probe(b)
+
+        for b, w in ((1, 0), (5, 1), (2, 1), (9, 0)):
+            # A fill as the miss path writes it.
+            i = b & mask
+            blocks[i] = b
+            writable[i] = w
+            dirty[i] = w
+            agree()
+        assert sorted(bc.resident_blocks()) == kept
+        bc.mark_dirty(9)
+        bc.downgrade(2)
+        agree()
+        for b in range(12):
+            held = flags(b)
+            assert bc.invalidate_probe(b) == held
+            assert flags(b) == -1
+        assert len(bc) == 0
 
     def test_lines_of_page(self):
         bc = BlockCache(8)
