@@ -105,12 +105,13 @@ class BlockCache:
                 f"block cache size must be a power of two blocks, got {num_blocks}"
             )
         self.num_blocks = num_blocks
+        # ``_blocks`` iterates the values of ``block_at`` (a live view
+        # for the dict column); resident_blocks drops the EMPTY ones.
         if infinite:
             self.mask = -1
             self.block_at = defaultdict(repeat(EMPTY).__next__)
             self.writable_at = {}
             self.dirty_at = {}
-            # Live view of the resident-or-EMPTY values.
             self._blocks = self.block_at.values()
         elif num_blocks:
             self.mask = num_blocks - 1

@@ -587,7 +587,7 @@ class SimulationEngine:
                 if sole and (ds is None or not self._dir_sharers[ds]):
                     state = EXCLUSIVE  # no cache anywhere holds it
             elif mapping == MAP_CC:
-                bmask, bblocks, bwrit, _bdirt = node.bc_cols
+                bmask, bblocks, bwrit, bdirt = node.bc_cols
                 bidx = b & bmask
                 if bblocks[bidx] == b:
                     ns.block_cache_hits += 1
@@ -732,15 +732,15 @@ class SimulationEngine:
             if pmap.get(g, MAP_UNMAPPED) == MAP_SCOMA:
                 self._scoma_install(node, b, g, w)
             else:
-                # Into the block cache: clean and read-only for a read,
-                # writable and dirty for a write (it is written at
-                # once).  Evicting a read-write (writable/dirty) frame
-                # forces the L1 copies out (inclusion) and writes the
-                # victim home; a read-only frame is dropped silently
+                # Into the block cache, at the frame the CC-NUMA branch
+                # above probed (a fetch moves a page into the page cache
+                # or leaves it where it was): clean and read-only for a
+                # read, writable and dirty for a write (it is written
+                # at once).  Evicting a read-write (writable/dirty)
+                # frame forces the L1 copies out (inclusion) and writes
+                # the victim home; a read-only frame is dropped silently
                 # and its L1 copies survive (relaxed inclusion, paper
                 # Section 4).
-                bmask, bblocks, bwrit, bdirt = node.bc_cols
-                bidx = b & bmask
                 resident = bblocks[bidx]
                 if (
                     resident >= 0
