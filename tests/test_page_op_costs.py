@@ -244,7 +244,7 @@ BLOCK_ROWS = {
     **{
         f"write-upgrade-invalidates-{k}-sharers": BlockRow(
             "ccnuma", FOUR,
-            [_reads(P1), [], _reads(P1)[:k], _reads(P1)[: k - 1]], 0,
+            [_reads(P1), [], *(_reads(P1) if n < k else [] for n in range(2))], 0,
             Access(P1, is_write=True, think=IDLE),
             lambda c: c.remote_fetch,
             {"invalidations_sent": k, "remote_fetches": 1, "block_cache_misses": 0},
