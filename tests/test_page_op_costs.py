@@ -15,7 +15,9 @@ access, less the same counter after the prefix alone.  The access
 thinks ``IDLE`` cycles first, so the bus, the NIs and the home RAD are
 free when it issues and no queueing enters its cost.  A block row's
 prefix is one trace per CPU, each ending at one barrier, so every CPU's
-prefix has acted before the access issues.
+prefix has acted before the access issues.  A contention row issues two
+accesses in the same cycle after that barrier; their summed stall adds
+the queueing that the occupancies in ``CostParams`` predict.
 """
 
 from __future__ import annotations
@@ -280,3 +282,73 @@ def test_block_operation_cost_matches_table_2(name, engine, costs):
     assert after.stall_cycles - before.stall_cycles == row.expected(config.costs)
     for counter, delta in row.deltas.items():
         assert getattr(after, counter) - getattr(before, counter) == delta, counter
+
+
+# ----------------------------------------------------------------------
+# contention
+# ----------------------------------------------------------------------
+
+
+class PairRow(NamedTuple):
+    protocol: str
+    machine: MachineParams
+    prefix: List[List[Access]]  # every CPU's trace before the accesses
+    accesses: Dict[int, Access]  # CPU -> its access, all in one cycle
+    expected: Callable[[CostParams], int]
+
+
+PAIR_ROWS = {
+    # CPUs 0 and 1 of node 0 read local blocks 0 and 1 in one cycle.
+    # Each pays a "local cache fill" (69); CPU 1 also waits for CPU 0's
+    # bus transaction.
+    "two-cpus-on-one-bus": PairRow(
+        "ccnuma", SMP, [[], [], [], []],
+        {0: Access(0, think=IDLE), 1: Access(BLOCK, think=IDLE)},
+        lambda c: 2 * c.local_fill + c.bus_occupancy,
+    ),
+    # Nodes 0 and 2 read blocks of page 1, mapped CC-NUMA by their
+    # prefixes, from home node 1 in one cycle.  Each pays a "remote
+    # fetch" (376) from its own bus and NI; node 2's request also waits
+    # for node 0's at the home RAD.
+    "two-nodes-at-one-home": PairRow(
+        "ccnuma", FOUR, [_reads(P1 + BLOCK), [], _reads(P1 + BLOCK), []],
+        {0: Access(P1, think=IDLE), 2: Access(P1 + 2 * BLOCK, think=IDLE)},
+        lambda c: 2 * c.remote_fetch + c.rad_occupancy,
+    ),
+    # Node 0's write upgrade invalidates k sharers of block 8: node 3,
+    # and node 2 when k is 2.  In the same cycle node 3 reads block 10
+    # at the same home, and waits for the write's RAD occupancy, which
+    # the fan-out lengthens by ``invalidate_per_sharer`` per sharer.
+    **{
+        f"write-invalidating-{k}-sharers-then-read-at-home": PairRow(
+            "ccnuma", FOUR,
+            [_reads(P1), [], _reads(P1) if k == 2 else [], _reads(P1 + BLOCK, P1)],
+            {
+                0: Access(P1, is_write=True, think=IDLE),
+                3: Access(P1 + 2 * BLOCK, think=IDLE),
+            },
+            lambda c, k=k: (
+                2 * c.remote_fetch + c.rad_occupancy + k * c.invalidate_per_sharer
+            ),
+        )
+        for k in (1, 2)
+    },
+}
+
+
+def _total_stall(config, traces, engine):
+    return simulate(config, traces, dict(HOMES), engine=engine).total("stall_cycles")
+
+
+@pytest.mark.parametrize("costs", sorted(COSTS))
+@pytest.mark.parametrize("engine", ["runahead", "reference"])
+@pytest.mark.parametrize("name", list(PAIR_ROWS))
+def test_same_cycle_pair_queues_by_table_2_occupancies(name, engine, costs):
+    row = PAIR_ROWS[name]
+    config = tiny_config(row.protocol, costs=COSTS[costs], machine=row.machine)
+    traces = [trace + [Barrier(0)] for trace in row.prefix]
+    before = _total_stall(config, traces, engine)
+    for cpu, access in row.accesses.items():
+        traces[cpu].append(access)
+    after = _total_stall(config, traces, engine)
+    assert after - before == row.expected(config.costs)
