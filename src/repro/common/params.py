@@ -30,7 +30,7 @@ more expensive.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Dict, Optional, Tuple
 
 from repro.common.addressing import AddressSpace
@@ -84,23 +84,11 @@ class CostParams:
     barrier_cost: int = 400
 
     def __post_init__(self) -> None:
-        for name in (
-            "sram_access",
-            "dram_access",
-            "local_fill",
-            "remote_fetch",
-            "bus_occupancy",
-            "ni_occupancy",
-            "rad_occupancy",
-            "link_latency",
-            "link_occupancy",
-            "soft_trap",
-            "tlb_shootdown",
-            "page_setup",
-            "flush_per_block",
-        ):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be non-negative")
+        # The engines add these to clocks and resource free times with
+        # no further check.
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ConfigurationError(f"{f.name} must be non-negative")
 
     def page_op_cost(self, blocks_flushed: int) -> int:
         """Cost of a page allocation, replacement, or relocation.

@@ -1,6 +1,7 @@
 """Unit tests for repro.common.params (Table 2 constants and configs)."""
 
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -56,9 +57,10 @@ class TestCostParams:
         ratio = SOFT_COSTS.page_op_cost(0) / BASE_COSTS.page_op_cost(0)
         assert 2.0 <= ratio <= 3.0
 
-    def test_rejects_negative_costs(self):
-        with pytest.raises(ConfigurationError):
-            CostParams(soft_trap=-1)
+    @pytest.mark.parametrize("name", [f.name for f in fields(CostParams)])
+    def test_rejects_negative_costs(self, name):
+        with pytest.raises(ConfigurationError, match=name):
+            CostParams(**{name: -1})
 
 
 class TestCacheParams:
