@@ -80,9 +80,11 @@ direction.  ``owners`` stays an exact pointer and ``held_masks`` stays
 an exact per-node bit in every representation: was-held is the paper's
 separate refetch-detection state, orthogonal to how sharers are
 encoded.  The engine's read-only probes (owner check, sole-copy check)
-therefore work unchanged; only the mutating requests differ, which is
-why the engine routes them through the canonical methods for non-full-
-map representations (see ``SimulationEngine._dir_inline``).
+therefore work unchanged, and so do the home accesses, which no
+representation overrides.  Only the remote read and write requests
+differ, which is why the engine routes those through the canonical
+methods for non-full-map representations (see
+``SimulationEngine._dir_inline``).
 """
 
 from __future__ import annotations
@@ -351,10 +353,13 @@ class LimitedPointerDirectory(Directory):
     capacity triggers the overflow policy:
 
     ``"broadcast"``
-        The entry saturates: ``modes[s]`` flips to 1 and the sharer
-        mask becomes all-nodes, so the next write-ownership grant
-        invalidates every other node.  A write (or home write)
-        collapses the entry back to the exact single-sharer state.
+        The entry saturates: the sharer mask becomes all-nodes, so the
+        next write-ownership grant invalidates every other node.  A
+        write (or home write) collapses the entry back to the exact
+        single-sharer state.  No per-slot flag records the saturation:
+        an exact entry never lists more than ``pointers`` nodes, so an
+        entry is saturated exactly when its mask is ``all_mask`` and
+        ``pointers < nodes``.
     ``"evict"``
         The entry stays exact: the lowest-numbered existing sharer is
         displaced to free its pointer.  The victim is reported in the
@@ -364,12 +369,11 @@ class LimitedPointerDirectory(Directory):
         write-driven invalidation.
 
     With ``pointers >= nodes`` overflow never fires and every operation
-    is bit-identical to the full-map base class.
+    is bit-identical to the full-map base class.  Writes and home writes
+    follow the base class's rules in every case.
     """
 
-    __slots__ = (
-        "nodes", "pointers", "evict_on_overflow", "all_mask", "modes", "overflows"
-    )
+    __slots__ = ("nodes", "pointers", "evict_on_overflow", "all_mask", "overflows")
 
     def __init__(
         self, nodes: int, pointers: int = 4, overflow: str = "broadcast"
@@ -388,18 +392,18 @@ class LimitedPointerDirectory(Directory):
         self.pointers = pointers
         self.evict_on_overflow = overflow == "evict"
         self.all_mask = (1 << nodes) - 1
-        #: per-slot 0 = exact pointer set, 1 = overflowed to broadcast.
-        self.modes: List[int] = []
         self.overflows = 0
 
-    def _new_slot(self, block: int) -> int:
-        s = super()._new_slot(block)
-        self.modes.append(0)
-        return s
+    def _saturated(self, mask: int) -> bool:
+        """An entry with this sharer mask is in broadcast mode."""
+        return (
+            mask == self.all_mask
+            and self.pointers < self.nodes
+            and not self.evict_on_overflow
+        )
 
     def reset(self) -> None:
         super().reset()
-        del self.modes[:]
         self.overflows = 0
 
     def read_request(self, block: int, node: int) -> int:
@@ -431,22 +435,8 @@ class LimitedPointerDirectory(Directory):
                 self.held_masks[s] &= ~victim
                 out |= victim << OUT_INVAL_SHIFT
             else:
-                self.modes[s] = 1
                 mask = self.all_mask
         self.sharer_masks[s] = mask
-        return out
-
-    def write_request(self, block: int, node: int, upgrade: bool = False) -> int:
-        out = Directory.write_request(self, block, node, upgrade=upgrade)
-        # Ownership collapses the entry to one exact sharer.
-        self.modes[self.slots[block]] = 0
-        return out
-
-    def home_write_access(self, block: int, home: int) -> int:
-        out = Directory.home_write_access(self, block, home)
-        s = self.slots.get(block)
-        if s is not None:
-            self.modes[s] = 0
         return out
 
     def flush(self, block: int, node: int) -> None:
@@ -456,7 +446,7 @@ class LimitedPointerDirectory(Directory):
         if self.owners[s] == node:
             self.owners[s] = NO_OWNER
         self.held_masks[s] &= ~(1 << node)
-        if not self.modes[s]:
+        if not self._saturated(self.sharer_masks[s]):
             self.sharer_masks[s] &= ~(1 << node)
         # A saturated entry has no pointer to remove: the mask stays
         # all-nodes (conservative) until a write collapses it.
@@ -470,13 +460,9 @@ class LimitedPointerDirectory(Directory):
             raise ProtocolError(
                 f"sharer mask {mask:#x} has bits beyond {self.nodes} nodes"
             )
-        if self.modes[s]:
-            if mask != self.all_mask:
-                raise ProtocolError(
-                    "overflowed (broadcast) entry must list every node, "
-                    f"got {bits_of(mask)}"
-                )
-        elif mask.bit_count() > self.pointers:
+        if mask.bit_count() > self.pointers and not self._saturated(mask):
+            # Only a saturated (all-nodes) entry lists more than
+            # ``pointers`` sharers.
             raise ProtocolError(
                 f"{mask.bit_count()} sharers exceed "
                 f"{self.pointers} hardware pointers"
@@ -485,8 +471,6 @@ class LimitedPointerDirectory(Directory):
             raise ProtocolError("was_held must be a subset of sharers")
         owner = self.owners[s]
         if owner != NO_OWNER:
-            if self.modes[s]:
-                raise ProtocolError("exclusive owner in an overflowed entry")
             if mask != 1 << owner:
                 raise ProtocolError(
                     f"exclusive owner {owner} but sharers={bits_of(mask)}"

@@ -4,7 +4,10 @@ The paper assumes a constant-latency (100 cycle) point-to-point network
 and models contention at the network interfaces, not inside the fabric.
 ``Network`` owns one :class:`BusyResource` per node for the NI and one
 for the home protocol controller (RAD), and computes the end-to-end
-delay of a request/response round trip.
+delay of a request/response round trip.  :meth:`Network.round_trip_delay`
+is the one place that delay is charged: both engines call it for every
+remote fetch, home recall and home-write invalidation, so the NI, RAD
+and link queueing of a round trip is split out in one method.
 
 Since the topology subsystem (:mod:`repro.interconnect.topology` /
 :mod:`repro.interconnect.routing`) the fabric itself is pluggable: a
@@ -102,21 +105,39 @@ class Network:
         the idealized constant-latency fabric does not pay.  Occupancy
         is charged to the source NI, every link on the request route,
         and the destination RAD.
+
+        The NI and RAD acquires are :meth:`BusyResource.acquire`
+        inlined, without its occupancy check: ``CostParams`` rejects a
+        negative occupancy or ``invalidate_per_sharer``.
         """
         self.messages += 1
         self.round_trips += 1
         ni_occ = self._ni_occ
-        wait = self.nis[src].acquire(now, ni_occ)
-        depart = now + wait + ni_occ
+        ni = self.nis[src]
+        start = ni.free_at
+        if now > start:
+            start = now
+        ni.free_at = start + ni_occ
+        ni.busy_cycles += ni_occ
+        ni.transactions += 1
+        latency = self.latency
         if self.links:
-            arrive = self._traverse(src, dst, depart) + self.latency
-            wait = arrive - self.latency - ni_occ - now
+            arrive = self._traverse(src, dst, start + ni_occ) + latency
         else:
             # Uniform fabric: no internal links, the request arrives one
             # wire latency after departure (the paper's fixed model).
-            arrive = depart + self.latency
-        wait += self.rads[dst].acquire(arrive, self._rad_occ + extra_home_occupancy)
-        return wait
+            arrive = start + ni_occ + latency
+        rad = self.rads[dst]
+        rad_occ = self._rad_occ + extra_home_occupancy
+        start = rad.free_at
+        if arrive > start:
+            start = arrive
+        rad.free_at = start + rad_occ
+        rad.busy_cycles += rad_occ
+        rad.transactions += 1
+        # The RAD starts the request this long after an unhindered one
+        # would: NI queueing, the route's links, and RAD queueing.
+        return start - now - ni_occ - latency
 
     def one_way_delay(self, src: int, now: int, dst: int = -1) -> int:
         """Contention delay for a fire-and-forget message (write-back,

@@ -12,7 +12,9 @@ Drives one trace per processor through the machine model:
   services (faults, allocation, replacement, relocation);
 - busy-until contention for the node bus, network interfaces, home
   protocol controllers, and (on non-uniform topologies) the fabric
-  links along each message's precomputed route;
+  links along each message's precomputed route; every round trip is
+  charged by :meth:`repro.interconnect.network.Network.round_trip_delay`,
+  the one method both engines call;
 - global barriers.
 
 Run-ahead scheduling
@@ -31,8 +33,11 @@ accumulate in locals during a drain and flush to :class:`NodeStats`
 once per run, so the dominant path touches no heap and no attribute.
 The drain crosses misses too — a miss just advances the CPU's clock
 further — and stops only at a barrier, at end-of-trace, or when
-another CPU's event comes first.  See docs/architecture.md
-("Scheduler") for the invariant written out.
+another CPU's event comes first.  One loop serves every case: an empty
+heap reads as an unreachable head, so a CPU alone on the machine
+drains without a heap operation until its barrier, and only the
+arrival that finds the heap empty completes a barrier.  See
+docs/architecture.md ("Scheduler") for the invariant written out.
 
 Columnar miss path
 ------------------
@@ -40,15 +45,18 @@ Columnar miss path
 The miss path allocates no objects.  The directory returns a packed
 outcome int (refetch bit, previous owner, invalidation bitmask — see
 :mod:`repro.coherence.directory`) decoded with shifts; sharers iterate
-via ``mask & -mask`` bit tricks.  The block cache is read and written
-in its ``(mask, block_at, writable_at, dirty_at)`` columns, which the
-finite, the infinite (ideal) and the zero-frame caches all expose, so
-every protocol takes the same path.  Page-cache recency moves are
-array-index relinks, and L1 victims are read straight out of the L1
-arrays instead of materializing (block, state) tuples.  A miss the node
-cannot serve reaches the home through one fetch-and-install tail.  Hot
-cross-object references (costs, directory, network) are bound once at
-construction.  See docs/architecture.md ("Memory-system state layout",
+via ``mask & -mask`` bit tricks.  The home node's own directory
+accesses are inlined on the directory's columns for every
+representation; a remote request is inlined for the exact full map
+and calls the directory's method otherwise.  The block cache is read
+and written in its ``(mask, block_at, writable_at, dirty_at)``
+columns, which the finite, the infinite (ideal) and the zero-frame
+caches all expose, so every protocol takes the same path.  Page-cache
+recency moves are array-index relinks, and L1 victims are read
+straight out of the L1 arrays instead of materializing (block, state)
+tuples.  A miss the node cannot serve reaches the home through one
+fetch-and-install tail.  Hot cross-object references (costs,
+directory, network) are bound once at construction.  See docs/architecture.md ("Memory-system state layout",
 "Life of an L1 miss").
 
 Traces are consumed in their packed columnar form (one ``array('q')``
@@ -120,6 +128,12 @@ from repro.vm.page_table import MAP_CC, MAP_LOCAL, MAP_SCOMA, MAP_UNMAPPED
 assert (INVALID, SHARED, EXCLUSIVE, OWNED, MODIFIED) == (0, 1, 2, 3, 4), (
     "engine fast path assumes the canonical MOESI encoding"
 )
+
+#: The head an empty heap reads as in the drain loop: an event no clock
+#: reaches.  Were one to pass it, ``heappushpop`` on the empty heap would
+#: hand the same cpu straight back, so the schedule would still be exact.
+NO_HEAD = 1 << 62
+
 
 class SimulationEngine:
     """One simulation run: a machine, a policy, and a set of traces.
@@ -221,22 +235,14 @@ class SimulationEngine:
         self._dir_owners = self.machine.directory.owners
         self._dir_sharers = self.machine.directory.sharer_masks
         self._dir_held = self.machine.directory.held_masks
-        # The inlined directory mutations below hand-transcribe the
-        # exact full-map request semantics.  Inexact representations
-        # (limited-pointer / coarse-vector) carry extra per-slot state
-        # and different update rules, so their mutating requests go
-        # through the canonical Directory methods; read-only probes
-        # (owner pointer, conservative sharer mask) stay inlined for
-        # every representation because those columns keep exact-or-
-        # superset semantics across all of them.
+        # _remote_fetch inlines the remote read and write requests with
+        # the exact full map's update rules.  The inexact
+        # representations (limited-pointer, coarse-vector) admit
+        # sharers and grant ownership by their own rules, so their
+        # remote requests go through the Directory methods.  Every
+        # representation shares the home accesses' rules, so _miss
+        # inlines those for all of them.
         self._dir_inline = type(self.machine.directory) is Directory
-        # Uniform-fabric facts for the inlined round trip in
-        # _remote_fetch (the Network object keeps its identity and its
-        # links list is fixed per topology).
-        self._uniform_net = not self.machine.network.links
-        self._net_latency = self.machine.network.latency
-        self._ni_occ = config.costs.ni_occupancy
-        self._rad_occ = config.costs.rad_occupancy
 
         # Deferred source of the per-CPU (accesses, think_cycles, runs)
         # profile: run() accounts l1_hits and busy_cycles analytically
@@ -339,66 +345,40 @@ class SimulationEngine:
             # straight back, so executing here is schedule-exact (ties
             # break by cpu id through tuple order, same as the heap).
             # The drain leaves the heap untouched, so the head bound is
-            # loop-invariant.
+            # loop-invariant.  An empty heap (every other cpu parked at
+            # a barrier, or done) reads as an unreachable head: nothing
+            # can preempt the cpu, which drains to its next barrier or
+            # to the end of its trace.
             it, blocks, states, lmask = ctxs[cpu]
-            if not heap:
-                # Every other cpu is parked at a barrier (or done), so
-                # nothing can preempt this one: drain with no boundary
-                # check at all.  Misses never add heap events; only a
-                # barrier (ours, completing) can repopulate the heap,
-                # and that path breaks out to re-select the drain kind.
-                for word in it:
-                    if word < 0:
-                        ident = -1 - word
-                        arrivals = barrier_arrivals.setdefault(ident, [])
-                        arrivals.append((t, cpu))
-                        if len(arrivals) == n_cpus:
-                            release = max(at for at, _ in arrivals) + barrier_cost
-                            base = release * n_cpus
-                            for at, c2 in arrivals:
-                                nodes[c2].stats.barrier_wait_cycles += release - at
-                                heappush(heap, base + c2)
-                            barrier_pushes += n_cpus
-                            del barrier_arrivals[ident]
-                            self.machine.stats.barriers_crossed += 1
-                            t, cpu = divmod(heappop(heap), n_cpus)
-                            rare_pops += 1
-                        else:
-                            running = False
-                        break
-                    b = word >> block_unpack
-                    idx = b & lmask
-                    if blocks[idx] == b and (
-                        not word & 1
-                        or (st := states[idx]) >= MODIFIED
-                        or st == EXCLUSIVE
-                    ):
-                        if word & 1 and st == EXCLUSIVE:
-                            states[idx] = MODIFIED
-                        t += ((word >> 1) & think_mask) + 1
-                    else:
-                        now = t + ((word >> 1) & think_mask)
-                        st = states[idx] if blocks[idx] == b else INVALID
-                        nid = node_of[cpu]
-                        latency = miss(cpu, b, word & 1, st, now)
-                        misses_acc[nid] += 1
-                        stall_acc[nid] += latency
-                        t = now + 1 + latency
-                else:
-                    finish[cpu] = t
-                    running = False
-                continue
-            head = heap[0]
+            head = heap[0] if heap else NO_HEAD
             for word in it:
                 if word < 0:
                     # Barrier: park this cpu until everyone arrives.
-                    # The barrier cannot complete here — every cpu
-                    # still in the (non-empty) heap has yet to arrive —
-                    # so parking always hands the machine to the head.
-                    arrivals = barrier_arrivals.setdefault(-1 - word, [])
+                    ident = -1 - word
+                    arrivals = barrier_arrivals.setdefault(ident, [])
                     arrivals.append((t, cpu))
-                    t, cpu = divmod(heappop(heap), n_cpus)
-                    rare_pops += 1
+                    if heap:
+                        # Every cpu still in the heap has yet to arrive,
+                        # so parking hands the machine to the head.
+                        t, cpu = divmod(heappop(heap), n_cpus)
+                        rare_pops += 1
+                    elif len(arrivals) == n_cpus:
+                        # The last arrival found the heap empty: release
+                        # everyone.
+                        release = max(at for at, _ in arrivals) + barrier_cost
+                        base = release * n_cpus
+                        for at, c2 in arrivals:
+                            nodes[c2].stats.barrier_wait_cycles += release - at
+                            heappush(heap, base + c2)
+                        barrier_pushes += n_cpus
+                        del barrier_arrivals[ident]
+                        self.machine.stats.barriers_crossed += 1
+                        t, cpu = divmod(heappop(heap), n_cpus)
+                        rare_pops += 1
+                    else:
+                        # A cpu retired without reaching the barrier:
+                        # reported as a deadlock below.
+                        running = False
                     break
                 # Access: addr/think/write unpacked straight from the
                 # word.  A resident line (tag match) always hits a read;
@@ -434,8 +414,11 @@ class SimulationEngine:
                 # Trace exhausted: the cpu retires at its current clock
                 # (exactly when the classic loop's final pop would be).
                 finish[cpu] = t
-                t, cpu = divmod(heappop(heap), n_cpus)
-                rare_pops += 1
+                if heap:
+                    t, cpu = divmod(heappop(heap), n_cpus)
+                    rare_pops += 1
+                else:
+                    running = False
 
         if barrier_arrivals:
             waiting = sorted(barrier_arrivals)
@@ -571,7 +554,7 @@ class SimulationEngine:
                 if prev_owner >= 0:
                     # Recall the dirty copy from the remote owner.
                     lat += costs.remote_fetch
-                    lat += self._round_trip(nid, prev_owner, now, 0)
+                    lat += self._network.round_trip_delay(nid, prev_owner, now)
                     self._downgrade_node(prev_owner, b, g)
                     ns.remote_fetches += 1
                 else:
@@ -620,15 +603,10 @@ class SimulationEngine:
                 # Directory.home_write_access, inlined on the bound
                 # columns: every remote copy is invalidated and cleared
                 # from was-held (their next miss is a coherence miss).
-                ds = self._dir_slots.get(b) if self._dir_inline else None
+                ds = self._dir_slots.get(b)
                 if ds is None:
-                    if self._dir_inline or b not in self._dir_slots:
-                        inval = 0
-                        prev_owner = -1
-                    else:
-                        out = self._directory.home_write_access(b, nid)
-                        prev_owner = ((out >> OUT_OWNER_SHIFT) & OUT_OWNER_MASK) - 1
-                        inval = out >> OUT_INVAL_SHIFT
+                    inval = 0
+                    prev_owner = -1
                 else:
                     prev_owner = self._dir_owners[ds]
                     if prev_owner == nid:
@@ -658,7 +636,7 @@ class SimulationEngine:
                         if prev_owner >= 0
                         else (inval & -inval).bit_length() - 1
                     )
-                    lat += self._round_trip(nid, target, now, 0)
+                    lat += self._network.round_trip_delay(nid, target, now)
                     ns.remote_fetches += 1
                 elif st != INVALID:
                     lat += costs.sram_access  # local upgrade, no data transfer
@@ -823,41 +801,6 @@ class SimulationEngine:
 
     # -- inter-node ------------------------------------------------------
 
-    def _round_trip(self, src: int, dst: int, now: int, extra: int) -> int:
-        """Network.round_trip_delay, specialized: the uniform fabric
-        pays NI + RAD queueing only (no internal links), with the
-        resource acquires inlined.  Non-uniform fabrics route through
-        ``_traverse`` exactly as the canonical method does; the
-        conservation and topology differential tests pin equivalence.
-        """
-        net = self._network
-        net.messages += 1
-        net.round_trips += 1
-        ni_occ = self._ni_occ
-        ni = net.nis[src]
-        start = ni.free_at
-        if now > start:
-            start = now
-        ni.free_at = start + ni_occ
-        ni.busy_cycles += ni_occ
-        ni.transactions += 1
-        wait = start - now
-        depart = now + wait + ni_occ
-        if self._uniform_net:
-            arrive = depart + self._net_latency
-        else:
-            arrive = net._traverse(src, dst, depart) + self._net_latency
-            wait = arrive - self._net_latency - ni_occ - now
-        rad = net.rads[dst]
-        rad_occ = self._rad_occ + extra
-        start = rad.free_at
-        if arrive > start:
-            start = arrive
-        rad.free_at = start + rad_occ
-        rad.busy_cycles += rad_occ
-        rad.transactions += 1
-        return wait + start - arrive
-
     def _remote_fetch(
         self, node: Node, b: int, g: int, write: bool, now: int, upgrade: bool = False
     ) -> int:
@@ -949,7 +892,7 @@ class SimulationEngine:
                 if lblocks[idx] == b:
                     lstates[idx] = SHARED
 
-        lat = costs.remote_fetch + self._round_trip(nid, home, now, extra)
+        lat = costs.remote_fetch + self._network.round_trip_delay(nid, home, now, extra)
         node.stats.remote_fetches += 1
 
         requesters = machine.page_requesters

@@ -269,7 +269,7 @@ class TestCheckCatchesCorruption:
         for n in range(3):
             d.read_request(0, n)  # overflows into broadcast mode
         s = d.slots[0]
-        assert d.modes[s] == 1
+        assert d.sharer_masks[s] == d.all_mask
         d.sharer_masks[s] &= ~1
         with pytest.raises(ProtocolError):
             d.check(0)

@@ -100,9 +100,10 @@ class TestEngineReset:
         assert second_equal(engine, first)
 
     def test_every_directory_representation_resets_cleanly(self):
-        # The inexact representations carry extra per-slot state
-        # (limited: overflow modes) and different update rules; reset
-        # must restore all of it in place for every rep.
+        # The inexact representations have their own update rules and
+        # counters (limited: overflows, with broadcast mode read off a
+        # saturated sharer mask); reset must restore all of it in place
+        # for every rep.
         from dataclasses import replace
 
         from repro.common.params import DirectoryParams
