@@ -253,6 +253,29 @@ BLOCK_ROWS = {
         )
         for k in (0, 1, 2)
     },
+    # CPU 0 wrote block 0 and CPU 1 read it, so CPU 0's copy went from
+    # M to O.  CPU 1's write upgrades its own shared copy in place, with
+    # no data transfer: "SRAM access" (8).
+    "smp-local-write-upgrade": BlockRow(
+        "ccnuma", SMP,
+        [[Access(0, is_write=True)], [Access(0, think=IDLE)], [], []], 1,
+        Access(0, is_write=True, think=IDLE),
+        lambda c: c.sram_access,
+        {"cache_to_cache": 0, "local_fills": 0, "remote_fetches": 0},
+    ),
+    # The same steps on block 8 of remote page 1, which node 0 owns.
+    # CPU 1 still holds a shared copy, yet CPU 0's owned copy supplies
+    # the write: a "local cache fill" (69) and a counted cache-to-cache
+    # transfer.  A finding: the owned-write branch asks the peer L1s
+    # before the resident copy, where the home write asks the resident
+    # copy first.
+    "smp-owned-remote-write-upgrade": BlockRow(
+        "ccnuma", SMP,
+        [[Access(P1, is_write=True)], [Access(P1, think=IDLE)], [], []], 1,
+        Access(P1, is_write=True, think=IDLE),
+        lambda c: c.local_fill,
+        {"cache_to_cache": 1, "local_fills": 1, "remote_fetches": 0},
+    ),
     # Local block 0 displaced block 8 from the L1; its page-cache frame
     # still holds it: "local cache fill" (69).
     "scoma-page-cache-hit": BlockRow(
