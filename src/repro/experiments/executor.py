@@ -446,6 +446,8 @@ class ResultStore:
             text = path.read_text(encoding="utf-8")
         except OSError:
             return "unreadable", None
+        except UnicodeDecodeError:
+            return "corrupt-json", None
         if job is not None and injection.should_inject(
             "store-read-corruption", app=job.app
         ):
@@ -549,13 +551,13 @@ class ResultStore:
         for path in self._entry_paths():
             entries += 1
             try:
-                text = path.read_text(encoding="utf-8")
+                data = path.read_bytes()
             except OSError:
                 continue
-            total_bytes += len(text)
+            total_bytes += len(data)
             try:
-                version = json.loads(text).get("schema_version")
-            except (json.JSONDecodeError, AttributeError):
+                version = json.loads(data.decode("utf-8")).get("schema_version")
+            except (UnicodeDecodeError, json.JSONDecodeError, AttributeError):
                 version = "corrupt"
             versions[str(version)] = versions.get(str(version), 0) + 1
         quarantined = (
@@ -578,7 +580,7 @@ class ResultStore:
         """The last sweep's ``run_manifest.json``, or None."""
         try:
             payload = json.loads(self.manifest_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
             return None
         return payload if isinstance(payload, dict) else None
 

@@ -420,7 +420,15 @@ def test_resume_requires_store():
         main(["reproduce", "--resume", "--no-store"])
 
 
-def test_resume_without_manifest_rejected(tmp_path):
+@pytest.mark.parametrize(
+    "manifest",
+    [None, b'{"failures": [', b"\xff\xfe\x00garbage"],
+    ids=["absent", "truncated", "not-utf8"],
+)
+def test_resume_without_manifest_rejected(tmp_path, manifest):
+    # An unreadable manifest is no manifest: a usage error, not a crash.
+    if manifest is not None:
+        (tmp_path / "run_manifest.json").write_bytes(manifest)
     with pytest.raises(SystemExit, match="no run manifest"):
         main(["reproduce", "--resume", "--store", str(tmp_path)])
 

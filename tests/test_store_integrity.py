@@ -71,10 +71,24 @@ class TestClassifyAndVerify:
     def test_ok_entry(self, warm_store):
         assert warm_store.classify_entry(entry_path(warm_store)) == "ok"
 
-    def test_corrupt_json(self, warm_store):
+    @pytest.mark.parametrize(
+        "data",
+        [b"{truncated", b"\xff\xfe\x00garbage"],
+        ids=["truncated", "not-utf8"],
+    )
+    def test_corrupt_json(self, warm_store, fresh_result, data):
         path = entry_path(warm_store)
-        path.write_text("{truncated")
+        path.write_bytes(data)
         assert warm_store.classify_entry(path) == "corrupt-json"
+        job = Job(APP, cc_config(), SCALE)
+        assert warm_store.load(job) is None
+        assert warm_store.stats()["schema_versions"] == {"corrupt": 1}
+        report = warm_store.verify(quarantine=False)
+        assert [q["reason"] for q in report["quarantined"]] == ["corrupt-json"]
+        # The sweep re-simulates the job and rewrites the entry.
+        rerun = Executor(store=warm_store).run_app(APP, cc_config(), SCALE)
+        assert rerun.to_json_dict() == fresh_result.to_json_dict()
+        assert warm_store.classify_entry(path) == "ok"
 
     def test_stale_schema(self, tmp_path, fresh_result):
         old = ResultStore(tmp_path, schema_version=STORE_SCHEMA_VERSION - 1)
