@@ -83,7 +83,7 @@ def main() -> None:
         ("scoma", base_scoma_config()),
         ("rnuma", base_rnuma_config()),
     ]:
-        result = simulate(config, program.traces)
+        result = simulate(config, program)
         if baseline is None:
             baseline = result
         print(f"{name:<8} {result.exec_cycles:>12,} cycles "

@@ -41,7 +41,7 @@ def main() -> None:
     print(f"{'system':<28} {'cycles':>12} {'norm':>6} "
           f"{'remote':>8} {'refetch':>8} {'faults':>7} {'reloc':>6}")
     for name, config in configs:
-        result = simulate(config, program.traces)
+        result = simulate(config, program)
         if baseline is None:
             baseline = result
         print(

@@ -35,10 +35,9 @@ def main() -> None:
         program = synthetic.worst_case_for_rnuma(
             MACHINE, SPACE, threshold=threshold, pages=24
         )
-        traces = [list(t) for t in program.traces]
-        ideal = simulate(config("ideal", threshold), traces)
-        cc = simulate(config("ccnuma", threshold), traces)
-        rn = simulate(config("rnuma", threshold), traces)
+        ideal = simulate(config("ideal", threshold), program)
+        cc = simulate(config("ccnuma", threshold), program)
+        rn = simulate(config("rnuma", threshold), program)
 
         o_cc = cc.exec_cycles - ideal.exec_cycles
         o_rn = rn.exec_cycles - ideal.exec_cycles

@@ -11,7 +11,7 @@ Quickstart::
     from repro import base_rnuma_config, build_program, simulate
 
     program = build_program("barnes")
-    result = simulate(base_rnuma_config(), program.traces)
+    result = simulate(base_rnuma_config(), program)
     print(result.exec_cycles, result.summary())
 
 See ``docs/architecture.md`` for the system inventory and

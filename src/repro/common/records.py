@@ -37,7 +37,6 @@ column ever being materialized as objects.
 from __future__ import annotations
 
 from array import array
-from collections import OrderedDict
 from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple, Union
@@ -196,11 +195,9 @@ def compile_trace(items: Iterable[object]) -> array:
 def column_profile(column: array) -> Tuple[int, int, int]:
     """``(accesses, think_cycles, runs)`` of one packed trace column.
 
-    ``runs`` counts barrier-free access stretches.  This is the single
-    source of the scan both :meth:`repro.workloads.compile.
-    CompiledProgram.per_cpu_profile` (memoized) and the engine's
-    raw-column fallback use for their analytic hit/busy accounting —
-    the two must never drift apart.
+    ``runs`` counts barrier-free access stretches.  The scan behind
+    :meth:`repro.workloads.compile.CompiledProgram.per_cpu_profile`,
+    which memoizes it for the engine's analytic hit/busy accounting.
     """
     accesses = 0
     think = 0
@@ -239,36 +236,6 @@ def validate_barrier_sequences(columns: Sequence[array]) -> List[int]:
     return first
 
 
-#: LRU memo of column sets already barrier-validated, keyed by the
-#: identity of every column.  The values hold strong references to the
-#: columns themselves, which pins their ids for as long as an entry
-#: lives — a recycled id can therefore never alias a dead entry.  The
-#: memo is small (a sweep replays one program across a handful of
-#: protocols) and assumes columns are not mutated after validation,
-#: the same contract :class:`~repro.workloads.compile.CompiledProgram`
-#: already relies on.
-_VALIDATED_MEMO: "OrderedDict[Tuple[int, ...], List[array]]" = OrderedDict()
-_VALIDATED_MEMO_SIZE = 8
-
-
-def ensure_barriers_validated(columns: Sequence[array]) -> None:
-    """:func:`validate_barrier_sequences`, memoized on column identity.
-
-    The engine calls this once per run for input it cannot trust; a
-    sweep that replays the same columns across every protocol pays the
-    O(total refs) validation scan only the first time.
-    """
-    key = tuple(map(id, columns))
-    memo = _VALIDATED_MEMO
-    if key in memo:
-        memo.move_to_end(key)
-        return
-    validate_barrier_sequences(columns)
-    memo[key] = list(columns)
-    if len(memo) > _VALIDATED_MEMO_SIZE:
-        memo.popitem(last=False)
-
-
 def as_columns(traces) -> Tuple[List[array], bool]:
     """Normalize any trace representation to a list of packed columns.
 
@@ -276,9 +243,9 @@ def as_columns(traces) -> Tuple[List[array], bool]:
     a sequence of columns/:class:`TraceView` — passed through without
     copying — or legacy per-CPU Access/Barrier sequences, which are
     packed here.  Returns ``(columns, converted)``.  Barrier-sequence
-    consistency is *not* checked here: callers that cannot trust their
-    input (the engine, for anything but a compiled program) run
-    :func:`validate_barrier_sequences` on the result.
+    consistency is *not* checked here: a
+    :class:`~repro.workloads.compile.CompiledProgram` built from foreign
+    input runs :func:`validate_barrier_sequences` on the result.
     """
     ready = getattr(traces, "columns", None)
     if ready is not None:

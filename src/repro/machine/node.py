@@ -4,8 +4,9 @@ reactive counters).  The page cache's frame map doubles as the S-COMA
 RAD's translation table.
 
 Which of these components a given protocol actually exercises is decided
-by the protocol policy; the node always carries all of them (an R-NUMA
-RAD *is* the union of the CC-NUMA and S-COMA RADs, paper Figure 4a).
+by how the OS maps its remote pages (:mod:`repro.osint.services`); the
+node always carries all of them (an R-NUMA RAD *is* the union of the
+CC-NUMA and S-COMA RADs, paper Figure 4a).
 No TLB is modelled: a shootdown is a Table 2 cost and a counter (see
 :mod:`repro.osint.services`).
 

@@ -11,8 +11,9 @@ place instrumentation touches the hot path.  The contract it exploits:
 * Both engines' ``_miss`` take ``(cpu, b, w, st, now)`` and return the
   added latency.
 * Every stat mutation a miss performs on behalf of the requester —
-  including those made inside the osint page services and the
-  protocol policies — lands on the requesting node's ``NodeStats``.
+  including those made inside the osint page services, R-NUMA's
+  refetch counter among them — lands on the requesting node's
+  ``NodeStats``.
   Snapshotting the node's live counters around the inner call therefore
   classifies the transaction without knowing which engine executed it.
 

@@ -1,5 +1,5 @@
 """OS page-operation services: mapping, allocation, replacement,
-relocation.
+R-NUMA's refetch counter and relocation.
 
 Each function mutates the machine and returns the cycle cost charged to
 the processor whose access triggered the operation.  Costs follow the
@@ -22,6 +22,7 @@ from repro.coherence.states import EXCLUSIVE, INVALID
 from repro.common.errors import ProtocolError
 from repro.machine.machine import Machine
 from repro.machine.node import Node
+from repro.vm.page_table import MAP_CC
 
 
 def _page_hits(blocks_arr, mask: int, base: int, bpp: int):
@@ -205,3 +206,23 @@ def relocate_page_to_scoma(machine: Machine, node: Node, page: int) -> int:
     node.stats.relocations += 1
     node.stats.relocation_interrupts += 1
     return machine.config.costs.page_op_cost(len(held) + flushed)
+
+
+def count_refetch(machine: Machine, node: Node, page: int) -> int:
+    """R-NUMA's refetch counter (paper Section 3): count a refetch of
+    ``page`` and relocate the page when its count reaches the
+    relocation threshold.
+
+    Only CC-mapped pages are candidates: refetches to S-mapped pages
+    (rare — e.g. a block invalidated and silently dropped) have nowhere
+    better to go.  Returns the cycles charged to the requesting
+    processor: the relocation's page operation, or 0.
+    """
+    if node.page_table.mapping_of(page) != MAP_CC:
+        return 0
+    count = node.refetch_counters.get(page, 0) + 1
+    if count >= machine.config.relocation_threshold:
+        # The relocation interrupt fires; the OS moves the page.
+        return relocate_page_to_scoma(machine, node, page)
+    node.refetch_counters[page] = count
+    return 0

@@ -63,11 +63,11 @@ Traces are consumed in their packed columnar form (one ``array('q')``
 of 64-bit words per CPU, see :mod:`repro.common.records`): the hot
 loop classifies an item by its sign bit and unpacks the address/think/
 write fields with shifts, so a compiled program runs with no per-run
-conversion pass.  Legacy Access/Barrier object sequences are packed
-(and barrier-validated) once at engine construction; barrier
-validation of raw columns is memoized across runs
-(:func:`repro.common.records.ensure_barriers_validated`), so replaying
-one program across the four protocols of a sweep validates once.
+conversion pass.  Any other trace input is compiled into a
+:class:`~repro.workloads.compile.CompiledProgram` at engine
+construction, which packs it and checks its barriers.  A program was
+checked when it was built, so replaying it across the four protocols
+of a sweep checks nothing again.
 
 L1 state lives in preallocated arrays (:mod:`repro.caches.l1`), so the
 inlined hit check is two C-speed array loads.  The buffers keep their
@@ -106,19 +106,14 @@ from repro.coherence.states import (
 )
 from repro.common.errors import TraceError
 from repro.common.params import SystemConfig
-from repro.common.records import (
-    ADDR_SHIFT,
-    THINK_MASK,
-    as_columns,
-    column_profile,
-    ensure_barriers_validated,
-)
+from repro.common.records import ADDR_SHIFT, THINK_MASK
 from repro.machine.machine import Machine
 from repro.machine.node import Node
-from repro.osint.placement import first_touch_homes, resolve_home
-from repro.protocols import make_policy
+from repro.osint.placement import resolve_home
+from repro.osint.services import allocate_scoma_page, count_refetch, map_cc_page
 from repro.sim.results import SimulationResult
 from repro.vm.page_table import MAP_CC, MAP_LOCAL, MAP_SCOMA, MAP_UNMAPPED
+from repro.workloads.compile import CompiledProgram
 
 # The drain loop encodes MOESI facts as arithmetic: INVALID must be
 # falsy, and "write hit without a bus transaction" must be expressible
@@ -136,12 +131,14 @@ NO_HEAD = 1 << 62
 
 
 class SimulationEngine:
-    """One simulation run: a machine, a policy, and a set of traces.
+    """One simulation run: a machine, its protocol's OS actions, and a
+    compiled program.
 
-    ``traces`` may be a :class:`~repro.workloads.compile.CompiledProgram`
-    (its columns are consumed directly and its memoized first-touch map
-    is reused), a sequence of packed columns/TraceViews, or legacy
-    per-CPU Access/Barrier sequences.
+    ``traces`` is a :class:`~repro.workloads.compile.CompiledProgram`,
+    whose columns, memoized first-touch map and memoized profile the
+    engine reads directly.  Anything else — packed columns, TraceViews
+    or per-CPU Access/Barrier sequences — is compiled into one at
+    construction, which packs it and checks its barriers.
 
     After :meth:`run`, ``sched_stats`` holds scheduler-level counters
     (references executed, heap pops/pushes, drain count) from which
@@ -157,29 +154,28 @@ class SimulationEngine:
     ) -> None:
         self.config = config
         self.machine = Machine(config)
-        self.policy = make_policy(config.protocol, config)
-        self._columns, _ = as_columns(traces)
+        # The four systems share one coherence protocol and differ only
+        # in what the OS does (paper Sections 2-3): S-COMA gives a
+        # remote page a page-cache frame on its first touch, the others
+        # map it CC, and only R-NUMA counts refetches.
+        self._map_remote_page = (
+            allocate_scoma_page if config.protocol == "scoma" else map_cc_page
+        )
+        self._counts_refetches = config.protocol == "rnuma"
+        if not isinstance(traces, CompiledProgram):
+            # A barrier mismatch must fail here, not as a deadlock.
+            traces = CompiledProgram("traces", traces=traces)
+        self.program = traces
+        self._columns = traces.columns
         if len(self._columns) != config.machine.total_cpus:
             raise TraceError(
                 f"expected {config.machine.total_cpus} traces, "
                 f"got {len(self._columns)}"
             )
-        if getattr(traces, "barrier_ids", None) is None:
-            # Compiled programs were barrier-validated at construction;
-            # everything else (object traces, raw columns, views) is
-            # checked here — memoized, so a sweep replaying the same
-            # columns across protocols scans them once — because a
-            # mismatch must fail fast, not as a deadlock.
-            ensure_barriers_validated(self._columns)
         space = config.space
         if homes is None:
-            cached = getattr(traces, "first_touch_homes", None)
-            if cached is not None:
-                # Compiled programs memoize placement across protocols;
-                # copy because the engine adds late first-touches.
-                homes = dict(cached(config.machine, space))
-            else:
-                homes = first_touch_homes(self._columns, config.machine, space)
+            # Copied: the engine adds late first-touches to its map.
+            homes = dict(traces.first_touch_homes(config.machine, space))
         self.homes = homes
 
         # Pre-map every page at its home node.
@@ -244,22 +240,8 @@ class SimulationEngine:
         # inlines those for all of them.
         self._dir_inline = type(self.machine.directory) is Directory
 
-        # Deferred source of the per-CPU (accesses, think_cycles, runs)
-        # profile: run() accounts l1_hits and busy_cycles analytically
-        # instead of per reference (every access of a completed run
-        # executes exactly once and contributes think+1 busy cycles,
-        # hit or miss).  Compiled programs memoize the scan across the
-        # protocols of a sweep; for raw columns it runs lazily, only
-        # for the engine that needs it (the reference loop does not).
-        self._profile_fn = getattr(traces, "per_cpu_profile", None)
-
         #: Scheduler counters, populated by :meth:`run`.
         self.sched_stats: Dict[str, int] = {}
-
-    def _cpu_profile(self):
-        if self._profile_fn is not None:
-            return self._profile_fn()
-        return [column_profile(column) for column in self._columns]
 
     def reset(self) -> None:
         """Restore the engine (machine included) to its pre-run state.
@@ -429,10 +411,12 @@ class SimulationEngine:
 
         # Settle the deferred counters: hits = accesses - misses, and
         # every access contributed think+1 busy cycles, hit or miss —
-        # both schedule-independent, both per node.
+        # both schedule-independent, both per node.  The program
+        # memoizes the per-CPU profile across the protocols of a sweep.
         access_acc = [0] * n_nodes
         busy_acc = [0] * n_nodes
-        for c, (accesses, think, _runs) in enumerate(self._cpu_profile()):
+        profile = self.program.per_cpu_profile()
+        for c, (accesses, think, _runs) in enumerate(profile):
             access_acc[node_of[c]] += accesses
             busy_acc[node_of[c]] += accesses + think
         machine = self.machine
@@ -489,7 +473,7 @@ class SimulationEngine:
                 node.page_table.map_local(g)
                 mapping = MAP_LOCAL
             else:
-                lat += self.policy.on_page_fault(self.machine, node, g)
+                lat += self._map_remote_page(self.machine, node, g)
                 mapping = pmap.get(g, MAP_UNMAPPED)
 
         # Every miss is a bus transaction on the node's memory bus
@@ -805,7 +789,7 @@ class SimulationEngine:
         self, node: Node, b: int, g: int, write: bool, now: int, upgrade: bool = False
     ) -> int:
         """Fetch ``b`` from its home; returns latency including
-        contention, refetch policy action, and invalidation fan-out."""
+        contention, R-NUMA's refetch counting, and invalidation fan-out."""
         machine = self.machine
         costs = self._costs
         nid = node.node_id
@@ -904,7 +888,8 @@ class SimulationEngine:
         if refetch:
             node.stats.refetches += 1
             machine.record_refetch(nid, g)
-            lat += self.policy.on_refetch(machine, node, g)
+            if self._counts_refetches:
+                lat += count_refetch(machine, node, g)
         elif b in node.coherence_lost:
             node.stats.coherence_misses += 1
             node.coherence_lost.discard(b)

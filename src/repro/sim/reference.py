@@ -40,6 +40,7 @@ from repro.common.params import SystemConfig
 from repro.common.records import ADDR_SHIFT, THINK_MASK
 from repro.machine.node import Node
 from repro.osint.placement import resolve_home
+from repro.osint.services import count_refetch
 from repro.sim.engine import SimulationEngine
 from repro.sim.legacy import LegacyBlockCache, LegacyDirectory, LegacyPageCache
 from repro.sim.results import SimulationResult
@@ -206,7 +207,7 @@ class ReferenceEngine(SimulationEngine):
                 node.page_table.map_local(g)
                 mapping = MAP_LOCAL
             else:
-                lat += self.policy.on_page_fault(self.machine, node, g)
+                lat += self._map_remote_page(self.machine, node, g)
                 mapping = node.page_table.mapping_of(g)
 
         # Every miss is a bus transaction on the node's memory bus.
@@ -271,7 +272,7 @@ class ReferenceEngine(SimulationEngine):
                 return costs.local_fill
             node.stats.block_cache_misses += 1
             lat = self._remote_fetch(node, b, g, False, now)
-            # The policy may have relocated the page mid-fetch (R-NUMA).
+            # R-NUMA may have relocated the page mid-fetch.
             if node.page_table.mapping_of(g) == MAP_SCOMA:
                 self._scoma_install(node, b, g, writable=False)
             else:
@@ -483,7 +484,7 @@ class ReferenceEngine(SimulationEngine):
         self, node: Node, b: int, g: int, write: bool, now: int, upgrade: bool = False
     ) -> int:
         """Fetch ``b`` from its home; returns latency including
-        contention, refetch policy action, and invalidation fan-out."""
+        contention, R-NUMA's refetch counting, and invalidation fan-out."""
         machine = self.machine
         costs = self.config.costs
         nid = node.node_id
@@ -517,7 +518,8 @@ class ReferenceEngine(SimulationEngine):
         if out.refetch:
             node.stats.refetches += 1
             machine.record_refetch(nid, g)
-            lat += self.policy.on_refetch(machine, node, g)
+            if self._counts_refetches:
+                lat += count_refetch(machine, node, g)
         elif b in node.coherence_lost:
             node.stats.coherence_misses += 1
             node.coherence_lost.discard(b)

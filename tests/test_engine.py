@@ -345,34 +345,16 @@ class TestRunAheadScheduler:
 
 
 class TestBarrierValidationMemo:
-    def test_replayed_columns_validate_once(self, cc_tiny, monkeypatch):
-        import repro.common.records as records
-        from repro.workloads.compile import CompiledProgram
-
-        program = CompiledProgram(
-            "memo", traces=[[Access(0)], [Access(512)]]
-        )
-        calls = []
-        real = records.validate_barrier_sequences
-        monkeypatch.setattr(
-            records,
-            "validate_barrier_sequences",
-            lambda columns: calls.append(1) or real(columns),
-        )
-        # Raw columns (not the program object): the engine cannot trust
-        # them, but the memo collapses the four-protocol revalidation.
-        for _ in range(4):
-            simulate(cc_tiny, list(program.columns), dict(HOMES2))
-        assert len(calls) == 1
-
     def test_compiled_program_skips_engine_validation(self, cc_tiny, monkeypatch):
-        import repro.sim.engine as engine_mod
+        import repro.workloads.compile as compile_mod
         from repro.workloads.compile import CompiledProgram
 
         program = CompiledProgram("skip", traces=[[Access(0)], [Access(512)]])
+        # The program was checked when it was built; the engine must
+        # not check it again.
         monkeypatch.setattr(
-            engine_mod,
-            "ensure_barriers_validated",
+            compile_mod,
+            "validate_barrier_sequences",
             lambda columns: pytest.fail("compiled programs are pre-validated"),
         )
         simulate(cc_tiny, program, dict(HOMES2))

@@ -1,9 +1,10 @@
 """Page- and block-operation costs pinned to the paper's Table 2, by hand.
 
 The differential suites compare the run-ahead engine with the frozen
-reference, but both share the OS page services, the protocol policies
-and ``CostParams``, so a cost bug there is invisible to them.  Each row
-here is one access on an idle tiny machine (see ``tests/conftest.py``:
+reference, but both share the OS page services (the remote-fault
+handlers and R-NUMA's refetch counter among them) and ``CostParams``,
+so a cost bug there is invisible to them.  Each row here is one
+access on an idle tiny machine (see ``tests/conftest.py``:
 2 nodes x 1 CPU, 8 blocks per page, 2-line L1 and block cache, 2-frame
 page cache, relocation threshold 2).  A block row that needs a second
 CPU on the node, or a third node, widens only the machine.  Its
@@ -231,7 +232,7 @@ BLOCK_ROWS = {
     ),
     # Block 10 displaced block 8 from block-cache set 0, and the home
     # still records that node 0 held it: a refetch, "remote fetch"
-    # (376).  CC-NUMA's policy charges nothing more for it.
+    # (376).  CC-NUMA counts no refetch, so it charges nothing more.
     "refetch": BlockRow(
         "ccnuma", TINY_MACHINE, [_reads(P1, P1 + 2 * BLOCK), []], 0,
         Access(P1, think=IDLE),

@@ -17,8 +17,8 @@ def test_quickstart_snippet():
     from repro import base_rnuma_config, build_program, ideal_config, simulate
 
     program = build_program("fft", scale=0.1)
-    baseline = simulate(ideal_config(), program.traces)
-    result = simulate(base_rnuma_config(), program.traces)
+    baseline = simulate(ideal_config(), program)
+    result = simulate(base_rnuma_config(), program)
     assert result.normalized_to(baseline) > 0
     assert "refetches" in result.summary()
 
