@@ -3,8 +3,8 @@
 Everything the paper's OS does on behalf of the protocols lives here:
 first-touch page placement, page-fault handling, S-COMA page
 allocation/replacement, TLB shootdowns, and R-NUMA's refetch counter
-and CC->S-COMA page relocation.  Each service mutates machine state and returns the cycle
-cost the faulting processor pays.
+and CC->S-COMA page relocation.  Each service mutates machine state
+and returns the cycle cost the faulting processor pays.
 """
 
 from repro.osint.placement import first_touch_homes, round_robin_homes
