@@ -134,12 +134,6 @@ class BlockCache:
     def is_infinite(self) -> bool:
         return self.mask == -1
 
-    def reset(self) -> None:
-        """Drop every line (fresh-machine state for a re-run).  The
-        columns keep their identity: the engine hoists them."""
-        for block in self.resident_blocks():
-            self.invalidate_probe(block)
-
     # ------------------------------------------------------------------
     # packed-int probes (the miss path; never allocate)
     # ------------------------------------------------------------------

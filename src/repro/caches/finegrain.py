@@ -53,13 +53,9 @@ class FineGrainTags:
         # page -> per-offset tag bytes; a zero byte == BLOCK_INVALID.
         # ``rows`` is public on purpose: the engine probes it directly
         # on the S-COMA miss path (dict get + byte load, no method
-        # call), and the dict keeps its identity for the lifetime of
-        # the store (reset() clears it in place).
+        # call), and no method replaces the dict, so its identity holds
+        # for the length of a run.
         self.rows: Dict[int, bytearray] = {}
-
-    def reset(self) -> None:
-        """Drop every page's tags (fresh-machine state for a re-run)."""
-        self.rows.clear()
 
     def map_page(self, page: int) -> None:
         """Create all-invalid tags for a freshly mapped page."""

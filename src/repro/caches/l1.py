@@ -54,12 +54,6 @@ class L1Cache:
         self.block_at: array = array("q", [EMPTY]) * num_blocks
         self.state_at: bytearray = bytearray(num_blocks)
 
-    def reset(self) -> None:
-        """Empty every set in place (the buffers keep their identity —
-        the engine may have hoisted them into locals)."""
-        self.block_at[:] = array("q", [EMPTY]) * self.num_blocks
-        self.state_at[:] = bytes(self.num_blocks)
-
     def state_of(self, block: int) -> int:
         """MOESI state of ``block``, or INVALID if not resident."""
         idx = block & self.mask

@@ -94,17 +94,6 @@ class PageCache:
     def has_free_frame(self) -> bool:
         return len(self._frame_of) < self.capacity
 
-    def reset(self) -> None:
-        """Unmap every page (fresh-machine state for a re-run)."""
-        self._frame_of.clear()
-        n = self.capacity + 1
-        anchor = self.capacity
-        self._page[:] = array("q", [-1]) * n
-        self._next[:] = array("q", [anchor]) * n
-        self._prev[:] = array("q", [anchor]) * n
-        del self._free[:]
-        self._free.extend(range(self.capacity - 1, -1, -1))
-
     # -- list plumbing -------------------------------------------------
 
     def _unlink(self, frame: int) -> None:

@@ -151,8 +151,8 @@ class Directory:
     def __init__(self) -> None:
         # Public columns on purpose (same contract as L1Cache.block_at):
         # the engine probes owner/sharer state directly on its miss
-        # path, and all four containers keep their identity for the
-        # directory's lifetime (reset() clears them in place).
+        # path, and no method replaces any of the four containers, so
+        # their identity holds for the length of a run.
         self.slots: Dict[int, int] = {}
         self.owners: List[int] = []
         self.sharer_masks: List[int] = []
@@ -171,13 +171,6 @@ class Directory:
 
     def __contains__(self, block: int) -> bool:
         return block in self.slots
-
-    def reset(self) -> None:
-        """Forget every entry (fresh-machine state for a re-run)."""
-        self.slots.clear()
-        del self.owners[:]
-        del self.sharer_masks[:]
-        del self.held_masks[:]
 
     # ------------------------------------------------------------------
     # requests from remote nodes (and from the home itself)
@@ -401,10 +394,6 @@ class LimitedPointerDirectory(Directory):
             and self.pointers < self.nodes
             and not self.evict_on_overflow
         )
-
-    def reset(self) -> None:
-        super().reset()
-        self.overflows = 0
 
     def read_request(self, block: int, node: int) -> int:
         s = self.slots.get(block)

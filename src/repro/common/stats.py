@@ -61,12 +61,6 @@ class NodeStats:
         """All counters as a plain dict (stable key order)."""
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
-    def reset(self) -> None:
-        """Zero every counter in place (the StatsRegistry keeps a
-        reference to this object, so it must not be replaced)."""
-        for name in self.__dataclass_fields__:
-            setattr(self, name, 0)
-
 
 @dataclass
 class StatsRegistry:

@@ -154,14 +154,3 @@ class Network:
         if dst >= 0 and self.links:
             self._traverse(src, dst, now + wait + self._ni_occ)
         return wait
-
-    def reset(self) -> None:
-        for r in self.nis:
-            r.reset()
-        for r in self.rads:
-            r.reset()
-        for r in self.links:
-            r.reset()
-        self.messages = 0
-        self.round_trips = 0
-        self.one_ways = 0

@@ -44,8 +44,3 @@ class BusyResource:
     def peek_wait(self, now: int) -> int:
         """Queueing delay a transaction arriving at ``now`` would see."""
         return self.free_at - now if self.free_at > now else 0
-
-    def reset(self) -> None:
-        self.free_at = 0
-        self.busy_cycles = 0
-        self.transactions = 0

@@ -49,19 +49,6 @@ class Machine:
         self.page_writers: Dict[int, int] = {}
         self.refetch_counts: Dict[int, Dict[int, int]] = {}
 
-    def reset(self) -> None:
-        """Restore fresh-machine state in place for a deterministic
-        re-run: nodes, directory, network, stats, and the page-level
-        characterization maps."""
-        for node in self.nodes:
-            node.reset()
-        self.directory.reset()
-        self.network.reset()
-        self.stats.barriers_crossed = 0
-        self.page_requesters.clear()
-        self.page_writers.clear()
-        self.refetch_counts.clear()
-
     def node(self, node_id: int) -> Node:
         return self.nodes[node_id]
 

@@ -75,9 +75,8 @@ class Node:
         # The engine's snoop/invalidate loops read raw L1 columns:
         # precompute (mask, block_at, state_at) triples — all slots and
         # per-slot peers — so a loop iteration costs zero attribute
-        # loads.  The arrays keep their identity for the node's
-        # lifetime (L1Cache.reset zeroes in place), so these aliases
-        # stay live.
+        # loads.  No structure replaces the arrays while the engine
+        # runs, so these aliases stay live for the run.
         self.l1_arrays = [(l1.mask, l1.block_at, l1.state_at) for l1 in self.l1s]
         self.peer_arrays = [
             [self.l1_arrays[j] for j in range(cpus) if j != i]
@@ -107,7 +106,7 @@ class Node:
         self.page_table = PageTable()
         # The page table's public mapping column, cached one attribute
         # hop closer: the engine probes it on every miss.  PageTable
-        # mutates and resets the dict in place, so the alias stays live.
+        # mutates the dict in place, so the alias stays live.
         self.page_state = self.page_table.state
 
         # R-NUMA per-page refetch counters (the RAD's reactive counters).
@@ -117,26 +116,6 @@ class Node:
         self.coherence_lost: Set[int] = set()
 
         self.stats = NodeStats()
-
-    def reset(self) -> None:
-        """Restore fresh-node state in place for a deterministic re-run.
-
-        Every array-backed structure zeroes its columns without
-        replacing the underlying buffers (their identity is contract —
-        the engine hoists them into locals), and the stats object is
-        zeroed rather than swapped (the machine's StatsRegistry holds a
-        reference to it).
-        """
-        for l1 in self.l1s:
-            l1.reset()
-        self.bus.reset()
-        self.block_cache.reset()
-        self.page_cache.reset()
-        self.tags.reset()
-        self.page_table.reset()
-        self.refetch_counters.clear()
-        self.coherence_lost.clear()
-        self.stats.reset()
 
     @property
     def cpu_count(self) -> int:

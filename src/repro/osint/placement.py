@@ -28,9 +28,9 @@ def resolve_home(homes: Dict[int, int], page: int, node_id: int) -> int:
     The shared late-first-touch fallback of every engine's miss
     preamble: a page missing from the (possibly user-supplied, possibly
     partial) placement map is adopted by the first node to fault on it,
-    and the map is updated so all later misses — and a reset() replay —
-    see the same home.  Called only on unmapped-page faults (once per
-    page per node), so it stays off the per-miss hot path.
+    and the map is updated so all later misses see the same home.
+    Called only on unmapped-page faults (once per page per node), so it
+    stays off the per-miss hot path.
     """
     home = homes.get(page)
     if home is None:

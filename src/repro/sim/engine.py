@@ -134,6 +134,9 @@ class SimulationEngine:
     """One simulation run: a machine, its protocol's OS actions, and a
     compiled program.
 
+    An engine runs once: :meth:`run` consumes the fresh machine built
+    at construction, and :func:`simulate` builds a new engine per call.
+
     ``traces`` is a :class:`~repro.workloads.compile.CompiledProgram`,
     whose columns, memoized first-touch map and memoized profile the
     engine reads directly.  Anything else — packed columns, TraceViews
@@ -194,8 +197,8 @@ class SimulationEngine:
             self._cpu_slot.append(slot)
 
         # Per-CPU miss context: everything _miss needs that is fixed
-        # for the run, gathered behind one list index.  All members
-        # keep their identity across Machine.reset().
+        # for the run, gathered behind one list index.  No structure
+        # replaces any member while the engine runs.
         self._mctx = []
         for c in range(mp.total_cpus):
             node = self.machine.nodes[self._node_of_cpu[c]]
@@ -220,9 +223,9 @@ class SimulationEngine:
         self._bpp_mask = space.blocks_per_page - 1
 
         # Hot cross-object references, bound once: every miss reads
-        # these, and the directory/network/stats objects keep their
-        # identity for the life of the machine (reset() works in
-        # place), so per-miss attribute chains are pure overhead.
+        # these, and no structure replaces the directory, network or
+        # stats objects while the engine runs, so per-miss attribute
+        # chains are pure overhead.
         self._costs = config.costs
         self._directory = self.machine.directory
         self._network = self.machine.network
@@ -242,21 +245,6 @@ class SimulationEngine:
 
         #: Scheduler counters, populated by :meth:`run`.
         self.sched_stats: Dict[str, int] = {}
-
-    def reset(self) -> None:
-        """Restore the engine (machine included) to its pre-run state.
-
-        Back-to-back :meth:`run` calls on one engine then yield
-        bit-identical results: every structure resets in place and the
-        home pre-mapping is reapplied.  Pages first-touched *during* a
-        previous run are pre-mapped local at their (local) home, which
-        is indistinguishable from the lazy mapping the first run
-        performed — the unmapped->local transition charges nothing.
-        """
-        self.machine.reset()
-        for page, home in self.homes.items():
-            self.machine.nodes[home].page_table.map_local(page)
-        self.sched_stats = {}
 
     # ------------------------------------------------------------------
     # main loop

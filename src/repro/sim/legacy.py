@@ -72,9 +72,6 @@ class LegacyDirectory:
     def __init__(self) -> None:
         self._entries: Dict[int, LegacyDirectoryEntry] = {}
 
-    def reset(self) -> None:
-        self._entries.clear()
-
     def entry(self, block: int) -> LegacyDirectoryEntry:
         e = self._entries.get(block)
         if e is None:
@@ -203,9 +200,6 @@ class LegacyBlockCache:
     def is_infinite(self) -> bool:
         return self._infinite
 
-    def reset(self) -> None:
-        self._lines.clear()
-
     def _index(self, block: int) -> int:
         return block if self._infinite else block & self._mask
 
@@ -288,9 +282,6 @@ class LegacyPageCache:
         self.capacity = capacity
         self.policy = policy
         self._frames: Dict[int, None] = {}
-
-    def reset(self) -> None:
-        self._frames.clear()
 
     @property
     def reorders_on_hit(self) -> bool:

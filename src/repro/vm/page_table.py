@@ -45,19 +45,14 @@ class PageTable:
     ``state`` (page -> mapping constant, absent = MAP_UNMAPPED) is a
     public column on purpose: the simulation engine probes it directly
     on its miss path — one dict ``get`` instead of a method call — and
-    the dict keeps its identity for the lifetime of the table
-    (:meth:`reset` clears it in place), so the engine may cache a
-    reference to it.
+    no method replaces the dict, so the engine may cache a reference to
+    it for the length of a run.
     """
 
     __slots__ = ("state",)
 
     def __init__(self) -> None:
         self.state: Dict[int, int] = {}
-
-    def reset(self) -> None:
-        """Unmap every page (fresh-machine state for a re-run)."""
-        self.state.clear()
 
     def mapping_of(self, page: int) -> int:
         return self.state.get(page, MAP_UNMAPPED)

@@ -44,8 +44,6 @@ class TestBusyResource:
         r.acquire(0, 5)
         assert r.transactions == 2
         assert r.busy_cycles == 10
-        r.reset()
-        assert r.transactions == 0 and r.free_at == 0
 
     def test_negative_occupancy_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -85,13 +83,6 @@ class TestNetwork:
         net = Network(4, CostParams())
         assert net.one_way_delay(2, now=0) == 0
         assert net.one_way_delay(2, now=0) > 0
-
-    def test_reset(self):
-        net = Network(2, CostParams())
-        net.round_trip_delay(0, 1, now=0)
-        net.reset()
-        assert net.messages == 0
-        assert net.round_trip_delay(0, 1, now=0) == 0
 
     def test_message_kind_counters(self):
         net = Network(4, CostParams())
@@ -164,20 +155,3 @@ class TestTopologyNetwork:
         net2.one_way_delay(0, now=0)  # no destination: no link charged
         undelayed = net2.round_trip_delay(0, 1, now=0)
         assert delayed > undelayed
-
-    def test_reset_regression_back_to_back_runs_identical(self):
-        # Regression: reset() must restore the network — links and
-        # message counters included — so two identical runs on one
-        # Network report identical message counts and delays.
-        costs = CostParams(link_latency=10, link_occupancy=20)
-        for topology in ("uniform", "ring", "torus"):
-            net = Network(8, costs, topology=topology)
-            first_delays = _burn(net)
-            first_messages = net.messages
-            first_busy = sum(r.busy_cycles for r in net.links)
-            net.reset()
-            assert net.messages == 0
-            assert all(r.free_at == 0 for r in net.links)
-            assert _burn(net) == first_delays
-            assert net.messages == first_messages
-            assert sum(r.busy_cycles for r in net.links) == first_busy
