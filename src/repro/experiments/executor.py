@@ -271,16 +271,15 @@ def _run_supervised(payload: Tuple) -> Tuple:
         result = simulate(config, program)
         return (True, result, time.perf_counter() - t0, queue_wait)
     except Exception as exc:
-        return (
-            False,
-            (
-                "crash",
-                f"{type(exc).__name__}: {exc}",
-                traceback_module.format_exc(),
-            ),
-            0.0,
-            queue_wait,
-        )
+        return _crash(exc, traceback_module.format_exc(), queue_wait)
+
+
+def _crash(
+    exc: BaseException, traceback: str = "", queue_wait: float = 0.0
+) -> Tuple:
+    """The ``crash`` envelope of an attempt that raised ``exc``."""
+    error = f"{type(exc).__name__}: {exc}"
+    return (False, ("crash", error, traceback), 0.0, queue_wait)
 
 
 def _post(completions: SimpleQueue, index: int, submission: int, outcome: Any) -> None:
@@ -290,12 +289,7 @@ def _post(completions: SimpleQueue, index: int, submission: int, outcome: Any) -
     raises — such as a result that would not pickle, so it becomes a
     ``crash`` envelope of that job."""
     if isinstance(outcome, BaseException):
-        outcome = (
-            False,
-            ("crash", f"{type(outcome).__name__}: {outcome}", ""),
-            0.0,
-            0.0,
-        )
+        outcome = _crash(outcome)
     completions.put((index, submission, outcome))
 
 
@@ -894,7 +888,8 @@ class Executor:
         old pool still delivers for them is ignored: every submission
         has its own number.  A job's payload is built
         (:func:`_job_payload`) on its first dispatch; that time is
-        :attr:`build_seconds`.
+        :attr:`build_seconds`.  A build that raises is a crashed attempt
+        of its job, retried and recorded like one.
 
         Without a ``job_timeout`` each worker has one attempt running and
         one queued, so it starts its next job without a round trip
@@ -940,20 +935,28 @@ class Executor:
                         continue
                     attempt = attempts.get(index, 0) + 1
                     attempts[index] = attempt
+                    submission = next(submissions)
+                    post = partial(_post, completions, index, submission)
                     base = payloads.get(index)
                     if base is None:
                         t0 = time.perf_counter()
-                        base = payloads[index] = _job_payload(job)
-                        self.build_seconds += time.perf_counter() - t0
+                        try:
+                            base = payloads[index] = _job_payload(job)
+                        except Exception as exc:
+                            # A build that raises is a crashed attempt
+                            # of its job: retried, then recorded.
+                            inflight[index] = (job, submission, None)
+                            post(_crash(exc, traceback_module.format_exc()))
+                            continue
+                        finally:
+                            self.build_seconds += time.perf_counter() - t0
                     payload = base + (time.time(), spec, job.app, index, attempt)
                     deadline = (
                         time.monotonic() + policy.job_timeout
                         if policy.job_timeout is not None
                         else None
                     )
-                    submission = next(submissions)
                     inflight[index] = (job, submission, deadline)
-                    post = partial(_post, completions, index, submission)
                     pool.apply_async(
                         _run_supervised,
                         (payload,),

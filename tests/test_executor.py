@@ -20,10 +20,12 @@ from repro.experiments.executor import (
     Executor,
     Job,
     ResultStore,
+    SweepFailure,
     backoff_delay,
 )
 from repro.experiments.runner import run_key
 from repro.sim.results import SimulationResult
+from repro.workloads import registry
 
 SCALE = 0.1
 APP = "em3d"
@@ -176,6 +178,29 @@ class TestExecutor:
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
             Executor(workers=0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_raising_program_build_is_a_crashed_attempt(self, monkeypatch, workers):
+        """A build fails only its own job: it is retried like a crashed
+        attempt, then recorded with its traceback, and the other job
+        still runs."""
+
+        def broken_builder(*args, **kwargs):
+            raise RuntimeError("builder broke")
+
+        monkeypatch.setattr(registry, "_cache", {})
+        entry = registry.APPLICATIONS[APP]
+        monkeypatch.setitem(registry.APPLICATIONS, APP, (broken_builder,) + entry[1:])
+        broken, other = Job(APP, cc_config(), SCALE), Job("fft", cc_config(), SCALE)
+        exe = Executor(workers=workers, retry=RetryPolicy(retries=1, backoff=0))
+        with pytest.raises(SweepFailure) as info:
+            exe.run([broken, other])
+        (failure,) = info.value.failures
+        assert failure.key == repr(broken.key)
+        assert failure.kind == "crash" and failure.attempts == 2
+        assert failure.error == "RuntimeError: builder broke"
+        assert "broken_builder" in failure.traceback
+        assert other.key in exe.cache
 
 
 def _instant_attempt(payload):
