@@ -809,17 +809,20 @@ def _resume_reproduce(args: argparse.Namespace, executor: Executor) -> int:
             "repro: --resume needs the on-disk store (drop --no-store)"
         )
     manifest = executor.store.read_manifest()
-    if manifest is None:
+    if manifest is None and not executor.store.manifest_path.exists():
         raise SystemExit(
             f"repro: --resume found no run manifest under "
             f"{executor.store.root}; run `python -m repro reproduce` first"
         )
-    # The manifest is a file on disk: a record of the wrong shape is a
-    # usage error, and nothing is run or rewritten.
-    entries = manifest.get("failures", [])
+    # The manifest is a file on disk: one that is damaged or holds a
+    # record of the wrong shape is a usage error, and nothing is run or
+    # rewritten.
+    entries = manifest.get("failures", []) if manifest is not None else None
     jobs = []
     problem = None
-    if not isinstance(entries, list):
+    if manifest is None:
+        problem = "not a JSON object"
+    elif not isinstance(entries, list):
         problem = f"'failures' is {reprlib.repr(entries)}, not a list"
     else:
         for entry in entries:

@@ -571,7 +571,8 @@ class ResultStore:
         }
 
     def read_manifest(self) -> Optional[Dict[str, Any]]:
-        """The last sweep's ``run_manifest.json``, or None."""
+        """The last sweep's ``run_manifest.json``, or None when it is
+        absent or does not read as a JSON object."""
         try:
             payload = json.loads(self.manifest_path.read_text(encoding="utf-8"))
         except (OSError, UnicodeDecodeError, json.JSONDecodeError):

@@ -420,17 +420,24 @@ def test_resume_requires_store():
         main(["reproduce", "--resume", "--no-store"])
 
 
-@pytest.mark.parametrize(
-    "manifest",
-    [None, b'{"failures": [', b"\xff\xfe\x00garbage"],
-    ids=["absent", "truncated", "not-utf8"],
-)
-def test_resume_without_manifest_rejected(tmp_path, manifest):
-    # An unreadable manifest is no manifest: a usage error, not a crash.
-    if manifest is not None:
-        (tmp_path / "run_manifest.json").write_bytes(manifest)
+def test_resume_without_manifest_rejected(tmp_path):
     with pytest.raises(SystemExit, match="no run manifest"):
         main(["reproduce", "--resume", "--store", str(tmp_path)])
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    [b'{"failures": [', b"\xff\xfe\x00garbage", b"[]"],
+    ids=["truncated", "not-utf8", "not-an-object"],
+)
+def test_resume_rejects_a_damaged_manifest(capsys, tmp_path, manifest):
+    """A manifest that does not read as a JSON object is damaged, not
+    missing: a usage error that runs nothing and rewrites nothing."""
+    path = tmp_path / "run_manifest.json"
+    path.write_bytes(manifest)
+    assert main(["reproduce", "--resume", "--store", str(tmp_path)]) == 2
+    assert f"repro: cannot resume: {path}: " in capsys.readouterr().err
+    assert path.read_bytes() == manifest
 
 
 def _record_whose_config_lacks_a_field():
