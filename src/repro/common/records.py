@@ -236,22 +236,20 @@ def validate_barrier_sequences(columns: Sequence[array]) -> List[int]:
     return first
 
 
-def as_columns(traces) -> Tuple[List[array], bool]:
+def as_columns(traces) -> List[array]:
     """Normalize any trace representation to a list of packed columns.
 
     Accepts a compiled program (anything with a ``columns`` attribute),
     a sequence of columns/:class:`TraceView` — passed through without
     copying — or legacy per-CPU Access/Barrier sequences, which are
-    packed here.  Returns ``(columns, converted)``.  Barrier-sequence
-    consistency is *not* checked here: a
+    packed here.  Barrier-sequence consistency is *not* checked here: a
     :class:`~repro.workloads.compile.CompiledProgram` built from foreign
     input runs :func:`validate_barrier_sequences` on the result.
     """
     ready = getattr(traces, "columns", None)
     if ready is not None:
-        return list(ready), False
+        return list(ready)
     columns: List[array] = []
-    converted = False
     for trace in traces:
         if isinstance(trace, array):
             columns.append(trace)
@@ -259,5 +257,4 @@ def as_columns(traces) -> Tuple[List[array], bool]:
             columns.append(trace.column)
         else:
             columns.append(compile_trace(trace))
-            converted = True
-    return columns, converted
+    return columns

@@ -51,7 +51,7 @@ def round_robin_homes(
     ``p % nodes`` regardless of who uses it.  Used by the placement
     ablation benchmark.
     """
-    columns, _ = as_columns(traces)
+    columns = as_columns(traces)
     page_unpack = ADDR_SHIFT + space.page_shift
     nodes = machine.nodes
     homes: Dict[int, int] = {}
@@ -79,7 +79,7 @@ def first_touch_homes(
 
     Returns a page -> home-node dict.
     """
-    columns, _ = as_columns(traces)
+    columns = as_columns(traces)
     page_unpack = ADDR_SHIFT + space.page_shift
     homes: Dict[int, int] = {}
     cursors: List[int] = [0] * len(columns)

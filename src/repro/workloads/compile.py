@@ -61,7 +61,7 @@ class CompiledProgram:
         if columns is None:
             if traces is None:
                 raise TraceError(f"program {name!r} needs traces or columns")
-            columns, _ = as_columns(traces)
+            columns = as_columns(traces)
             access_counts = None  # never trust counters for foreign input
             barrier_ids = None
         self.name = name

@@ -237,11 +237,9 @@ class TestCompiledProgram:
 
     def test_as_columns_passthrough_shares_buffers(self):
         prog = self.build_program()
-        cols, converted = as_columns(prog)
-        assert not converted
+        cols = as_columns(prog)
         assert all(a is b for a, b in zip(cols, prog.columns))
-        cols2, converted2 = as_columns(prog.traces)
-        assert not converted2
+        cols2 = as_columns(prog.traces)
         assert all(a is b for a, b in zip(cols2, prog.columns))
 
     def test_build_transfers_ownership_and_resets_builder(self):
