@@ -56,14 +56,6 @@ class Machine:
         per_node = self.refetch_counts.setdefault(node_id, {})
         per_node[page] = per_node.get(page, 0) + 1
 
-    def refetches_by_page(self) -> Dict[int, int]:
-        """Total refetches per page, summed over nodes (Figure 5 data)."""
-        totals: Dict[int, int] = {}
-        for per_node in self.refetch_counts.values():
-            for page, count in per_node.items():
-                totals[page] = totals.get(page, 0) + count
-        return totals
-
     def read_write_shared_pages(self) -> set:
         """Pages with sharing traffic in both directions (Table 4 col 1).
 

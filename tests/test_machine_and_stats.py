@@ -42,8 +42,7 @@ class TestMachine:
         machine.record_refetch(0, 5)
         machine.record_refetch(0, 5)
         machine.record_refetch(1, 5)
-        assert machine.refetch_counts[0][5] == 2
-        assert machine.refetches_by_page() == {5: 3}
+        assert machine.refetch_counts == {0: {5: 2}, 1: {5: 1}}
 
     def test_rw_shared_pages(self):
         machine = Machine(tiny_config("rnuma"))
