@@ -120,6 +120,22 @@ def _burn(net: Network) -> list:
 
 
 class TestTopologyNetwork:
+    def test_fresh_networks_share_routes_and_repeat(self):
+        # Every network of a (topology, size) shares one memoized
+        # routing table; a run must leave it as it found it, so a fresh
+        # network repeats the same message mix exactly.
+        costs = CostParams(link_latency=10, link_occupancy=20)
+        for topology in ("uniform", "ring", "torus"):
+            first = Network(8, costs, topology=topology)
+            first_delays = _burn(first)
+            second = Network(8, costs, topology=topology)
+            assert second.routing is first.routing
+            assert _burn(second) == first_delays
+            assert second.messages == first.messages
+            assert [r.busy_cycles for r in second.links] == [
+                r.busy_cycles for r in first.links
+            ]
+
     def test_uniform_matches_topologyless_construction(self):
         costs = CostParams()
         plain = Network(8, costs)
