@@ -21,8 +21,13 @@ import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.common.params import RetryPolicy
-from repro.experiments.config import cc_config, ideal, rnuma_config, scoma_config
+from repro.common.params import (
+    RetryPolicy,
+    base_ccnuma_config,
+    base_rnuma_config,
+    base_scoma_config,
+    ideal_config,
+)
 from repro.experiments.executor import (
     Executor,
     Job,
@@ -38,7 +43,12 @@ def main() -> None:
     scale = float(sys.argv[2]) if len(sys.argv) > 2 else 0.2
     jobs = [
         Job(app, cfg, scale)
-        for cfg in (ideal(), cc_config(), scoma_config(), rnuma_config())
+        for cfg in (
+            ideal_config(),
+            base_ccnuma_config(),
+            base_scoma_config(),
+            base_rnuma_config(),
+        )
     ]
 
     print(f"1. fault-free sweep of {app!r} at scale {scale} ...")

@@ -12,8 +12,8 @@ Run:  python examples/threshold_tuning.py [app] [scale]
 
 import sys
 
-from repro.common.params import BASE_COSTS
-from repro.experiments import Executor, ideal, rnuma_config
+from repro.common.params import BASE_COSTS, base_rnuma_config, ideal_config
+from repro.experiments import Executor
 from repro.model.competitive import CompetitiveModel, ModelParameters
 
 
@@ -32,11 +32,11 @@ def main() -> None:
 
     # --- simulation ---------------------------------------------------
     executor = Executor()
-    base = executor.run_app(app, ideal(), scale=scale)
+    base = executor.run_app(app, ideal_config(), scale=scale)
     print(f"simulated sweep on {app!r} (normalized to ideal CC-NUMA):")
     print(f"  {'T':>6} {'norm time':>10} {'relocations':>12} {'replacements':>13}")
     for threshold in (8, 16, 32, 64, 128, 256, 1024):
-        result = executor.run_app(app, rnuma_config(threshold=threshold), scale=scale)
+        result = executor.run_app(app, base_rnuma_config(threshold), scale=scale)
         print(
             f"  {threshold:>6} {result.normalized_to(base):>10.3f} "
             f"{result.total('relocations'):>12,} "

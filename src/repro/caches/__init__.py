@@ -6,18 +6,3 @@ simulation engine and the directory.  All of them are deliberately
 dict-based and allocation-light because they sit on the simulator's hot
 path.
 """
-
-from repro.caches.block_cache import BlockCache
-from repro.caches.finegrain import BLOCK_INVALID, BLOCK_READONLY, BLOCK_WRITABLE, FineGrainTags
-from repro.caches.l1 import L1Cache
-from repro.caches.page_cache import PageCache
-
-__all__ = [
-    "BLOCK_INVALID",
-    "BLOCK_READONLY",
-    "BLOCK_WRITABLE",
-    "BlockCache",
-    "FineGrainTags",
-    "L1Cache",
-    "PageCache",
-]

@@ -59,10 +59,12 @@ import argparse
 import math
 import reprlib
 import sys
+import traceback
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
+from repro.coherence.directory import OVERFLOW_POLICIES, REPRESENTATIONS
 from repro.common.addressing import AddressSpace
 from repro.common.errors import ConfigurationError
 from repro.common.params import (
@@ -383,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument(
         "--directory",
-        choices=DirectoryParams._REPRESENTATIONS,
+        choices=REPRESENTATIONS,
         default="fullmap",
         help="directory sharer-set representation (default: fullmap, exact)",
     )
@@ -396,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument(
         "--dir-overflow",
-        choices=DirectoryParams._OVERFLOW_POLICIES,
+        choices=OVERFLOW_POLICIES,
         default="broadcast",
         help="limited-pointer overflow policy (default: broadcast)",
     )
@@ -888,12 +890,12 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 
     # Enumerate every section's simulations up front so overlapping
     # configurations are submitted exactly once.
-    section_jobs = {
-        s.label: grid_jobs(s.grid(scale, apps))
+    jobs = [
+        job
         for s in SECTIONS
         if s.grid is not None
-    }
-    jobs = [job for needed in section_jobs.values() for job in needed]
+        for job in grid_jobs(s.grid(scale, apps))
+    ]
     unique = len({job.key for job in jobs})
     print(
         f"reproduce: {len(jobs)} simulations, {unique} unique after "
@@ -921,24 +923,28 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     # progress.
     executor.progress = None
 
-    # Render.  All compute calls hit the warm executor; a section whose
-    # job set includes a permanently failed key is replaced with a skip
-    # marker instead of re-simulating a known-bad job (or crashing the
-    # report).
-    failed_keys = executor.failed_keys
+    # Render.  All compute calls hit the warm executor, which re-reports
+    # a permanently failed job without simulating it again.  A section
+    # that needs a failed job, or whose render raises, becomes a skip
+    # line; the rest of the report and the manifest are still written.
+    render_failed = False
 
     def _render(section: Section) -> str:
-        needed = section_jobs.get(section.label, ()) if failed_keys else ()
-        blocked = {repr(job.key) for job in needed} & failed_keys
-        if not blocked:
-            try:
-                return section.render(scale, apps, executor)
-            except SweepFailure as exc:
-                blocked = exc.failures
-        return (
-            f"{section.label}: skipped — {len(blocked)} required job(s) "
-            "permanently failed (see failure table)"
-        )
+        nonlocal render_failed
+        try:
+            return section.render(scale, apps, executor)
+        except SweepFailure as exc:
+            return (
+                f"{section.label}: skipped — {len(exc.failures)} required "
+                "job(s) permanently failed (see failure table)"
+            )
+        except Exception as exc:
+            render_failed = True
+            traceback.print_exc()
+            return (
+                f"{section.label}: skipped — render failed: "
+                f"{type(exc).__name__}: {exc}"
+            )
 
     t0 = time.perf_counter()
     sections = [_render(section) for section in SECTIONS]
@@ -988,17 +994,19 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
 
+    if not (failures or render_failed):
+        return 0
+    hint = ""
     if failures:
         _print_failure_table(failures)
-        hint = (
-            "; re-run only the failed jobs with "
-            "`python -m repro reproduce --resume`"
-            if executor.store is not None
-            else ""
-        )
-        print(f"reproduce: partial results kept{hint}", file=sys.stderr)
-        return 1
-    return 0
+        if executor.store is not None:
+            # A resume re-runs failed jobs; it cannot mend a render.
+            hint = (
+                "; re-run only the failed jobs with "
+                "`python -m repro reproduce --resume`"
+            )
+    print(f"reproduce: partial results kept{hint}", file=sys.stderr)
+    return 1
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -1,41 +1,3 @@
 """Coherence machinery: MOESI line states, the inter-node directory
 protocol, and refetch detection (the signal R-NUMA reacts to).
 """
-
-from repro.coherence.directory import (
-    NO_OWNER,
-    Directory,
-    bits_of,
-    out_inval_mask,
-    out_invalidated,
-    out_prev_owner,
-    out_refetch,
-)
-from repro.coherence.states import (
-    EXCLUSIVE,
-    INVALID,
-    MODIFIED,
-    OWNED,
-    SHARED,
-    is_dirty,
-    is_valid,
-    state_name,
-)
-
-__all__ = [
-    "Directory",
-    "EXCLUSIVE",
-    "INVALID",
-    "MODIFIED",
-    "NO_OWNER",
-    "OWNED",
-    "SHARED",
-    "bits_of",
-    "is_dirty",
-    "is_valid",
-    "out_inval_mask",
-    "out_invalidated",
-    "out_prev_owner",
-    "out_refetch",
-    "state_name",
-]

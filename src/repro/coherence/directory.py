@@ -95,6 +95,11 @@ from repro.common.errors import ConfigurationError, ProtocolError
 
 NO_OWNER = -1
 
+#: sharer-set representations :func:`make_directory` builds.
+REPRESENTATIONS = ("fullmap", "limited", "coarse")
+#: :class:`LimitedPointerDirectory` overflow policies.
+OVERFLOW_POLICIES = ("broadcast", "evict")
+
 #: packed-outcome layout (see module docstring)
 OUT_OWNER_SHIFT = 1
 OUT_OWNER_MASK = 0x7FFF_FFFF
@@ -376,7 +381,7 @@ class LimitedPointerDirectory(Directory):
             raise ConfigurationError("directory needs at least one node")
         if pointers < 1:
             raise ConfigurationError("directory pointers must be positive")
-        if overflow not in ("broadcast", "evict"):
+        if overflow not in OVERFLOW_POLICIES:
             raise ConfigurationError(
                 f"unknown overflow policy {overflow!r}; "
                 "expected 'broadcast' or 'evict'"
@@ -579,8 +584,9 @@ def make_directory(params, nodes: int) -> Directory:
 
     ``params`` may be ``None`` (exact full-map) or any object with
     ``representation`` / ``pointers`` / ``overflow`` / ``region_size``
-    attributes; keeping this duck-typed avoids importing
-    :mod:`repro.common.params` (which must stay import-cycle-free).
+    attributes.  It stays duck-typed: :mod:`repro.common.params` imports
+    this module for :data:`REPRESENTATIONS` and :data:`OVERFLOW_POLICIES`,
+    so importing ``DirectoryParams`` here would be a cycle.
     """
     if params is None:
         return Directory()

@@ -4,36 +4,3 @@ Everything in this package is protocol-agnostic.  The simulator, the three
 DSM protocols, and the workload generators all speak in terms of the types
 defined here.
 """
-
-from repro.common.addressing import AddressSpace
-from repro.common.errors import (
-    ConfigurationError,
-    ProtocolError,
-    ReproError,
-    TraceError,
-)
-from repro.common.params import (
-    CacheParams,
-    CostParams,
-    MachineParams,
-    SystemConfig,
-)
-from repro.common.records import Access, Barrier, TraceItem
-from repro.common.stats import NodeStats, StatsRegistry
-
-__all__ = [
-    "Access",
-    "AddressSpace",
-    "Barrier",
-    "CacheParams",
-    "ConfigurationError",
-    "CostParams",
-    "MachineParams",
-    "NodeStats",
-    "ProtocolError",
-    "ReproError",
-    "StatsRegistry",
-    "SystemConfig",
-    "TraceError",
-    "TraceItem",
-]

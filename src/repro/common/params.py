@@ -33,8 +33,11 @@ import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Dict, Optional, Tuple
 
+from repro.caches.page_cache import POLICIES
+from repro.coherence.directory import OVERFLOW_POLICIES, REPRESENTATIONS
 from repro.common.addressing import AddressSpace
 from repro.common.errors import ConfigurationError
+from repro.interconnect.topology import TOPOLOGIES
 
 KB = 1024
 MB = 1024 * 1024
@@ -136,8 +139,6 @@ class CacheParams:
     #: page-cache replacement policy: "lrm" (paper), "lru", or "fifo"
     page_replacement: str = "lrm"
 
-    _REPLACEMENT_POLICIES = ("lrm", "lru", "fifo")
-
     def __post_init__(self) -> None:
         if self.l1_size <= 0:
             raise ConfigurationError("l1_size must be positive")
@@ -145,10 +146,10 @@ class CacheParams:
             raise ConfigurationError("block_cache_size must be >= 0")
         if self.page_cache_size < 0:
             raise ConfigurationError("page_cache_size must be >= 0")
-        if self.page_replacement not in self._REPLACEMENT_POLICIES:
+        if self.page_replacement not in POLICIES:
             raise ConfigurationError(
                 f"unknown page_replacement {self.page_replacement!r}; "
-                f"expected one of {self._REPLACEMENT_POLICIES}"
+                f"expected one of {POLICIES}"
             )
 
     def l1_blocks(self, space: AddressSpace) -> int:
@@ -197,19 +198,16 @@ class DirectoryParams:
     #: nodes per sharer bit for ``"coarse"``.
     region_size: int = 4
 
-    _REPRESENTATIONS = ("fullmap", "limited", "coarse")
-    _OVERFLOW_POLICIES = ("broadcast", "evict")
-
     def __post_init__(self) -> None:
-        if self.representation not in self._REPRESENTATIONS:
+        if self.representation not in REPRESENTATIONS:
             raise ConfigurationError(
                 f"unknown directory representation {self.representation!r}; "
-                f"expected one of {self._REPRESENTATIONS}"
+                f"expected one of {REPRESENTATIONS}"
             )
-        if self.overflow not in self._OVERFLOW_POLICIES:
+        if self.overflow not in OVERFLOW_POLICIES:
             raise ConfigurationError(
                 f"unknown directory overflow policy {self.overflow!r}; "
-                f"expected one of {self._OVERFLOW_POLICIES}"
+                f"expected one of {OVERFLOW_POLICIES}"
             )
         if self.pointers < 1:
             raise ConfigurationError("directory pointers must be positive")
@@ -278,12 +276,12 @@ class ObsParams:
         deadline.
     """
 
+    TRACE_CATEGORIES = ("miss", "coherence", "page", "counter")
+
     trace_path: Optional[str] = None
     metrics_path: Optional[str] = None
-    trace_categories: Tuple[str, ...] = ("miss", "coherence", "page", "counter")
+    trace_categories: Tuple[str, ...] = TRACE_CATEGORIES
     metrics_interval: int = 100_000
-
-    TRACE_CATEGORIES = ("miss", "coherence", "page", "counter")
 
     def __post_init__(self) -> None:
         # Tolerate (and normalize) a list from keyword construction.
@@ -408,10 +406,6 @@ class SystemConfig:
     obs: ObsParams = field(default_factory=ObsParams, compare=False)
 
     _PROTOCOLS = ("ccnuma", "scoma", "rnuma", "ideal")
-    # Mirrors repro.interconnect.topology.TOPOLOGIES (params cannot
-    # import it without a package-init cycle); tests/test_topology.py
-    # asserts the two stay in sync.
-    _TOPOLOGIES = ("uniform", "ring", "mesh", "torus", "fattree")
     _RELOCATION_MODES = ("local", "flush")
 
     def __post_init__(self) -> None:
@@ -420,10 +414,10 @@ class SystemConfig:
                 f"unknown protocol {self.protocol!r}; "
                 f"expected one of {self._PROTOCOLS}"
             )
-        if self.topology not in self._TOPOLOGIES:
+        if self.topology not in TOPOLOGIES:
             raise ConfigurationError(
                 f"unknown topology {self.topology!r}; "
-                f"expected one of {self._TOPOLOGIES}"
+                f"expected one of {tuple(TOPOLOGIES)}"
             )
         if self.relocation_threshold <= 0:
             raise ConfigurationError("relocation_threshold must be positive")
@@ -441,29 +435,37 @@ class SystemConfig:
         """
         return replace(self, obs=obs)
 
-    def with_protocol(self, protocol: str, **overrides) -> "SystemConfig":
-        """A copy of this config running a different protocol.
 
-        Keyword overrides are applied with :func:`dataclasses.replace`.
-        """
-        return replace(self, protocol=protocol, **overrides)
-
-
-def base_ccnuma_config() -> SystemConfig:
-    """Paper base CC-NUMA: 32-KB block cache."""
-    return SystemConfig(protocol="ccnuma", caches=CacheParams(block_cache_size=32 * KB))
+# The paper's four systems.  ``python -m repro run`` and every figure,
+# table and extension build theirs with these, so a paper system is
+# defined here and nowhere else.
+def base_ccnuma_config(block_cache: int = 32 * KB) -> SystemConfig:
+    """CC-NUMA with a ``block_cache``-byte block cache (paper base: 32 KB)."""
+    return SystemConfig(
+        protocol="ccnuma", caches=CacheParams(block_cache_size=block_cache)
+    )
 
 
-def base_scoma_config() -> SystemConfig:
-    """Paper base S-COMA: 320-KB page cache."""
-    return SystemConfig(protocol="scoma", caches=CacheParams(page_cache_size=320 * KB))
+def base_scoma_config(
+    page_cache: int = 320 * KB, costs: CostParams = BASE_COSTS
+) -> SystemConfig:
+    """S-COMA with a ``page_cache``-byte page cache (paper base: 320 KB)."""
+    return SystemConfig(
+        protocol="scoma", caches=CacheParams(page_cache_size=page_cache), costs=costs
+    )
 
 
-def base_rnuma_config(threshold: int = 64) -> SystemConfig:
-    """Paper base R-NUMA: 128-byte block cache, 320-KB page cache, T=64."""
+def base_rnuma_config(
+    threshold: int = 64,
+    block_cache: int = 128,
+    page_cache: int = 320 * KB,
+    costs: CostParams = BASE_COSTS,
+) -> SystemConfig:
+    """R-NUMA (paper base: 128-B block cache, 320-KB page cache, T=64)."""
     return SystemConfig(
         protocol="rnuma",
-        caches=CacheParams(block_cache_size=128, page_cache_size=320 * KB),
+        caches=CacheParams(block_cache_size=block_cache, page_cache_size=page_cache),
+        costs=costs,
         relocation_threshold=threshold,
     )
 
@@ -499,10 +501,8 @@ def config_from_dict(data: Dict[str, Any]) -> SystemConfig:
         caches=CacheParams(**data["caches"]),
         costs=CostParams(**data["costs"]),
         space=AddressSpace(**data["space"]),
-        # Absent in payloads serialized before the topology subsystem.
-        topology=data.get("topology", "uniform"),
-        # Absent in payloads serialized before the directory knob.
-        directory=DirectoryParams(**data.get("directory", {})),
+        topology=data["topology"],
+        directory=DirectoryParams(**data["directory"]),
         relocation_threshold=data["relocation_threshold"],
         relocation_mode=data["relocation_mode"],
     )

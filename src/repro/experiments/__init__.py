@@ -7,15 +7,13 @@ functions); its ``compute_*`` function runs that grid through an
 overlapping configurations, fans them out across worker processes, and
 persists results in an on-disk :class:`ResultStore`; every ``format_*``
 function renders the same rows/series the paper reports as ASCII.
+
+Unlike the other subpackages, this one re-exports: ``repro.cli``'s
+``SECTIONS`` binds the ``compute_*``/``format_*`` names from here at
+import, and perfbench's traced run wraps them through ``__all__``
+before it imports the CLI.
 """
 
-from repro.experiments.config import (
-    EXPERIMENT_APPS,
-    cc_config,
-    ideal,
-    rnuma_config,
-    scoma_config,
-)
 from repro.experiments.executor import (
     Executor,
     ResultStore,
@@ -63,12 +61,10 @@ from repro.experiments.tables import (
 )
 
 __all__ = [
-    "EXPERIMENT_APPS",
     "Executor",
     "Job",
     "ResultStore",
     "STORE_SCHEMA_VERSION",
-    "cc_config",
     "compute_directory_scaling",
     "compute_figure5",
     "compute_placement_ablation",
@@ -102,15 +98,12 @@ __all__ = [
     "format_table3",
     "format_table4",
     "grid_jobs",
-    "ideal",
     "placement_ablation_grid",
     "relocation_ablation_grid",
     "replacement_ablation_grid",
-    "rnuma_config",
     "run_grid",
     "run_key",
     "scaling_grid",
-    "scoma_config",
     "table4_grid",
     "topology_scaling_grid",
 ]

@@ -24,7 +24,12 @@ from dataclasses import dataclass, field
 from dataclasses import replace as dc_replace
 from typing import Dict, Optional, Sequence
 
-from repro.experiments.config import cc_config, ideal, rnuma_config, scoma_config
+from repro.common.params import (
+    base_ccnuma_config,
+    base_rnuma_config,
+    base_scoma_config,
+    ideal_config,
+)
 from repro.experiments.executor import Executor
 from repro.experiments.reporting import render_table
 from repro.experiments.runner import Grid, app_grid, normalized, run_grid
@@ -54,9 +59,9 @@ def relocation_ablation_grid(
 ) -> Grid:
     """R-NUMA relocating by local block moves and by flushing home."""
     systems = {
-        "ideal": ideal(),
-        "R-NUMA local-move": rnuma_config(),
-        "R-NUMA flush-home": dc_replace(rnuma_config(), relocation_mode="flush"),
+        "ideal": ideal_config(),
+        "R-NUMA local-move": base_rnuma_config(),
+        "R-NUMA flush-home": dc_replace(base_rnuma_config(), relocation_mode="flush"),
     }
     return app_grid(systems, scale, apps or DEFAULT_ABLATION_APPS)
 
@@ -79,8 +84,8 @@ def replacement_ablation_grid(
     scale: float = 1.0, apps: Optional[Sequence[str]] = None
 ) -> Grid:
     """S-COMA under each page-replacement policy."""
-    cfg = scoma_config()
-    systems = {"ideal": ideal()}
+    cfg = base_scoma_config()
+    systems = {"ideal": ideal_config()}
     for policy in ("lrm", "lru", "fifo"):
         caches = dc_replace(cfg.caches, page_replacement=policy)
         systems[f"S-COMA {policy}"] = dc_replace(cfg, caches=caches)
@@ -106,7 +111,7 @@ def placement_ablation_grid(
 ) -> Grid:
     """CC-NUMA with first-touch placement; the round-robin runs are not
     in the grid (see :func:`compute_placement_ablation`)."""
-    systems = {"ideal": ideal(), "CC first-touch": cc_config()}
+    systems = {"ideal": ideal_config(), "CC first-touch": base_ccnuma_config()}
     return app_grid(systems, scale, apps or DEFAULT_ABLATION_APPS)
 
 

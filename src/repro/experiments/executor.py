@@ -662,11 +662,6 @@ class Executor:
         profile at phase granularity."""
         return self.store_read_seconds + self.store_write_seconds
 
-    @property
-    def failed_keys(self) -> frozenset:
-        """``repr(run_key)`` of every permanently failed job so far."""
-        return frozenset(self._failed)
-
     # -- lookup layers -------------------------------------------------
 
     def _lookup(self, job: Job) -> Optional[SimulationResult]:

@@ -19,8 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.common.params import MachineParams
-from repro.experiments.config import cc_config, ideal, rnuma_config, scoma_config
+from repro.common.params import (
+    MachineParams,
+    base_ccnuma_config,
+    base_rnuma_config,
+    base_scoma_config,
+    ideal_config,
+)
 from repro.experiments.executor import Executor
 from repro.experiments.reporting import render_table
 from repro.experiments.runner import Grid, Job, normalized, run_grid
@@ -54,11 +59,11 @@ def cluster_row(app: str, nodes: int, scale: float, **overrides) -> Dict[str, Jo
     S-COMA and R-NUMA with ``overrides`` applied."""
     machine = MachineParams(nodes=nodes, cpus_per_node=4)
     systems = {
-        "CC-NUMA": cc_config(),
-        "S-COMA": scoma_config(),
-        "R-NUMA": rnuma_config(),
+        "CC-NUMA": base_ccnuma_config(),
+        "S-COMA": base_scoma_config(),
+        "R-NUMA": base_rnuma_config(),
     }
-    row = {"ideal": Job(app, replace(ideal(), machine=machine), scale)}
+    row = {"ideal": Job(app, replace(ideal_config(), machine=machine), scale)}
     for name, cfg in systems.items():
         row[name] = Job(app, replace(cfg, machine=machine, **overrides), scale)
     return row

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.config import EXPERIMENT_APPS, cc_config
+from repro.common.params import base_ccnuma_config
 from repro.experiments.executor import Executor
-from repro.experiments.runner import Grid, app_grid, run_grid
+from repro.experiments.runner import EXPERIMENT_APPS, Grid, app_grid, run_grid
 from repro.experiments.reporting import render_table
 
 #: the paper omits fft from this figure
@@ -53,7 +53,7 @@ class Figure5Result:
 def figure5_grid(scale: float = 1.0, apps: Optional[Sequence[str]] = None) -> Grid:
     """Figure 5's simulations: CC-NUMA (32-KB block cache) per app."""
     apps = [app for app in apps or EXPERIMENT_APPS if app not in OMITTED]
-    return app_grid({"CC-NUMA": cc_config()}, scale, apps)
+    return app_grid({"CC-NUMA": base_ccnuma_config()}, scale, apps)
 
 
 def compute_figure5(

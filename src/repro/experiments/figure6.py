@@ -16,15 +16,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
-from repro.experiments.config import (
-    EXPERIMENT_APPS,
-    cc_config,
-    ideal,
-    rnuma_config,
-    scoma_config,
+from repro.common.params import (
+    base_ccnuma_config,
+    base_rnuma_config,
+    base_scoma_config,
+    ideal_config,
 )
 from repro.experiments.executor import Executor
-from repro.experiments.runner import Grid, app_grid, normalized, run_grid
+from repro.experiments.runner import (
+    EXPERIMENT_APPS,
+    Grid,
+    app_grid,
+    normalized,
+    run_grid,
+)
 from repro.experiments.reporting import render_bar_chart, render_table
 
 PROTOCOLS = ("CC-NUMA", "S-COMA", "R-NUMA")
@@ -68,10 +73,10 @@ class Figure6Result:
 def figure6_grid(scale: float = 1.0, apps: Optional[Sequence[str]] = None) -> Grid:
     """Figure 6's simulations: the base systems and the ideal baseline."""
     systems = {
-        "ideal": ideal(),
-        "CC-NUMA": cc_config(),
-        "S-COMA": scoma_config(),
-        "R-NUMA": rnuma_config(),
+        "ideal": ideal_config(),
+        "CC-NUMA": base_ccnuma_config(),
+        "S-COMA": base_scoma_config(),
+        "R-NUMA": base_rnuma_config(),
     }
     return app_grid(systems, scale, apps or EXPERIMENT_APPS)
 

@@ -20,21 +20,30 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
-from repro.experiments.config import (
-    EXPERIMENT_APPS,
-    FIG7_CC_LARGE,
-    FIG7_CC_SMALL,
-    FIG7_R_BASE_PAGE,
-    FIG7_R_HUGE_PAGE,
-    FIG7_R_LARGE_BLOCK,
-    FIG7_R_SMALL_BLOCK,
-    cc_config,
-    ideal,
-    rnuma_config,
+from repro.common.params import (
+    KB,
+    MB,
+    base_ccnuma_config,
+    base_rnuma_config,
+    ideal_config,
 )
 from repro.experiments.executor import Executor
-from repro.experiments.runner import Grid, app_grid, normalized, run_grid
+from repro.experiments.runner import (
+    EXPERIMENT_APPS,
+    Grid,
+    app_grid,
+    normalized,
+    run_grid,
+)
 from repro.experiments.reporting import render_table
+
+# The cache-size points, in bytes.
+CC_SMALL_BLOCK = 1 * KB
+CC_LARGE_BLOCK = 32 * KB
+R_SMALL_BLOCK = 128
+R_LARGE_BLOCK = 32 * KB
+R_BASE_PAGE = 320 * KB
+R_HUGE_PAGE = 40 * MB
 
 SYSTEMS = (
     "CC b=1K",
@@ -64,12 +73,18 @@ def figure7_grid(scale: float = 1.0, apps: Optional[Sequence[str]] = None) -> Gr
     """Figure 7's simulations: the five cache-size points and the ideal
     baseline."""
     systems = {
-        "ideal": ideal(),
-        "CC b=1K": cc_config(FIG7_CC_SMALL),
-        "CC b=32K": cc_config(FIG7_CC_LARGE),
-        "R b=128,p=320K": rnuma_config(FIG7_R_SMALL_BLOCK, FIG7_R_BASE_PAGE),
-        "R b=32K,p=320K": rnuma_config(FIG7_R_LARGE_BLOCK, FIG7_R_BASE_PAGE),
-        "R b=128,p=40M": rnuma_config(FIG7_R_SMALL_BLOCK, FIG7_R_HUGE_PAGE),
+        "ideal": ideal_config(),
+        "CC b=1K": base_ccnuma_config(CC_SMALL_BLOCK),
+        "CC b=32K": base_ccnuma_config(CC_LARGE_BLOCK),
+        "R b=128,p=320K": base_rnuma_config(
+            block_cache=R_SMALL_BLOCK, page_cache=R_BASE_PAGE
+        ),
+        "R b=32K,p=320K": base_rnuma_config(
+            block_cache=R_LARGE_BLOCK, page_cache=R_BASE_PAGE
+        ),
+        "R b=128,p=40M": base_rnuma_config(
+            block_cache=R_SMALL_BLOCK, page_cache=R_HUGE_PAGE
+        ),
     }
     return app_grid(systems, scale, apps or EXPERIMENT_APPS)
 

@@ -12,19 +12,26 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
-from repro.experiments.config import EXPERIMENT_APPS, FIG8_THRESHOLDS, rnuma_config
+from repro.common.params import base_rnuma_config
 from repro.experiments.executor import Executor
-from repro.experiments.runner import Grid, app_grid, normalized, run_grid
+from repro.experiments.runner import (
+    EXPERIMENT_APPS,
+    Grid,
+    app_grid,
+    normalized,
+    run_grid,
+)
 from repro.experiments.reporting import render_table
 
 BASE_THRESHOLD = 64
+THRESHOLDS = (16, 64, 256, 1024)
 
 
 @dataclass
 class Figure8Result:
     #: normalized[app][threshold] = exec time relative to T=64
     normalized: Dict[str, Dict[int, float]] = field(default_factory=dict)
-    thresholds: Sequence[int] = FIG8_THRESHOLDS
+    thresholds: Sequence[int] = THRESHOLDS
 
     def variation(self, app: str) -> float:
         """Spread (max/min - 1) across thresholds for one app."""
@@ -39,20 +46,20 @@ class Figure8Result:
 def figure8_grid(
     scale: float = 1.0,
     apps: Optional[Sequence[str]] = None,
-    thresholds: Sequence[int] = FIG8_THRESHOLDS,
+    thresholds: Sequence[int] = THRESHOLDS,
 ) -> Grid:
     """Figure 8's simulations: R-NUMA at the T=64 baseline (column
     ``"base"``), then at each threshold."""
-    systems = {"base": rnuma_config(threshold=BASE_THRESHOLD)}
+    systems = {"base": base_rnuma_config(BASE_THRESHOLD)}
     for t in thresholds:
-        systems[t] = rnuma_config(threshold=t)
+        systems[t] = base_rnuma_config(t)
     return app_grid(systems, scale, apps or EXPERIMENT_APPS)
 
 
 def compute_figure8(
     scale: float = 1.0,
     apps: Optional[Sequence[str]] = None,
-    thresholds: Sequence[int] = FIG8_THRESHOLDS,
+    thresholds: Sequence[int] = THRESHOLDS,
     executor: Optional[Executor] = None,
 ) -> Figure8Result:
     rows = run_grid(figure8_grid(scale, apps, thresholds), executor)

@@ -16,16 +16,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
-from repro.experiments.config import (
-    EXPERIMENT_APPS,
-    ideal,
-    rnuma_config,
-    rnuma_soft_config,
-    scoma_config,
-    scoma_soft_config,
+from repro.common.params import (
+    SOFT_COSTS,
+    base_rnuma_config,
+    base_scoma_config,
+    ideal_config,
 )
 from repro.experiments.executor import Executor
-from repro.experiments.runner import Grid, app_grid, normalized, run_grid
+from repro.experiments.runner import (
+    EXPERIMENT_APPS,
+    Grid,
+    app_grid,
+    normalized,
+    run_grid,
+)
 from repro.experiments.reporting import render_table
 
 SYSTEMS = ("S-COMA", "S-COMA-SOFT", "R-NUMA", "R-NUMA-SOFT")
@@ -48,11 +52,11 @@ def figure9_grid(scale: float = 1.0, apps: Optional[Sequence[str]] = None) -> Gr
     """Figure 9's simulations: S-COMA and R-NUMA under base and SOFT
     costs, and the ideal baseline."""
     systems = {
-        "ideal": ideal(),
-        "S-COMA": scoma_config(),
-        "S-COMA-SOFT": scoma_soft_config(),
-        "R-NUMA": rnuma_config(),
-        "R-NUMA-SOFT": rnuma_soft_config(),
+        "ideal": ideal_config(),
+        "S-COMA": base_scoma_config(),
+        "S-COMA-SOFT": base_scoma_config(costs=SOFT_COSTS),
+        "R-NUMA": base_rnuma_config(),
+        "R-NUMA-SOFT": base_rnuma_config(costs=SOFT_COSTS),
     }
     return app_grid(systems, scale, apps or EXPERIMENT_APPS)
 

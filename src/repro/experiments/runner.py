@@ -29,9 +29,13 @@ from typing import (
 
 from repro.common.params import SystemConfig
 from repro.sim.results import SimulationResult
+from repro.workloads.registry import workload_names
 
 if TYPE_CHECKING:
     from repro.experiments.executor import Executor
+
+#: the ten applications, in the paper's figure order
+EXPERIMENT_APPS = tuple(workload_names())
 
 #: type -> names of its compared dataclass fields (``()`` for a leaf
 #: type), looked up once per type so a key costs one pass over values.

@@ -16,14 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
-from repro.experiments.config import (
-    EXPERIMENT_APPS,
-    cc_config,
-    rnuma_config,
-    scoma_config,
-)
+from repro.common.params import base_ccnuma_config, base_rnuma_config, base_scoma_config
 from repro.experiments.executor import Executor
-from repro.experiments.runner import Grid, app_grid, run_grid
+from repro.experiments.runner import EXPERIMENT_APPS, Grid, app_grid, run_grid
 from repro.experiments.reporting import render_table
 
 OMITTED = ("fft",)
@@ -44,9 +39,9 @@ class Table4Result:
 def table4_grid(scale: float = 1.0, apps: Optional[Sequence[str]] = None) -> Grid:
     """Table 4's simulations: the three base systems per app."""
     systems = {
-        "CC-NUMA": cc_config(),
-        "S-COMA": scoma_config(),
-        "R-NUMA": rnuma_config(),
+        "CC-NUMA": base_ccnuma_config(),
+        "S-COMA": base_scoma_config(),
+        "R-NUMA": base_rnuma_config(),
     }
     apps = [app for app in apps or EXPERIMENT_APPS if app not in OMITTED]
     return app_grid(systems, scale, apps)

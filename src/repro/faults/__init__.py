@@ -2,36 +2,7 @@
 
 See :mod:`repro.faults.injection` for the spec grammar and the catalog
 of named injection points.  Production code paths call
-:func:`should_inject` (a single env lookup when nothing is armed);
-tests arm plans through the ``REPRO_FAULTS`` environment variable.
+:func:`repro.faults.injection.should_inject` (a single env lookup when
+nothing is armed); tests arm plans through the ``REPRO_FAULTS``
+environment variable.
 """
-
-from repro.common.errors import FaultInjected
-from repro.faults.injection import (
-    ATTEMPT_POINTS,
-    ENV_VAR,
-    HANG_SECONDS,
-    POINTS,
-    FaultRule,
-    active_spec,
-    maybe_crash,
-    maybe_hang,
-    parse_plan,
-    reset_counters,
-    should_inject,
-)
-
-__all__ = [
-    "ATTEMPT_POINTS",
-    "ENV_VAR",
-    "HANG_SECONDS",
-    "POINTS",
-    "FaultInjected",
-    "FaultRule",
-    "active_spec",
-    "maybe_crash",
-    "maybe_hang",
-    "parse_plan",
-    "reset_counters",
-    "should_inject",
-]

@@ -15,24 +15,3 @@ constant-latency point-to-point network exactly, while ``ring`` /
 precomputed link path (:mod:`repro.interconnect.routing`) and charge
 per-hop latency plus per-link busy-until occupancy.
 """
-
-from repro.interconnect.network import Network
-from repro.interconnect.resource import BusyResource
-from repro.interconnect.routing import RoutingTable, routing_table_for
-from repro.interconnect.topology import (
-    TOPOLOGIES,
-    Topology,
-    make_topology,
-    topology_names,
-)
-
-__all__ = [
-    "BusyResource",
-    "Network",
-    "RoutingTable",
-    "TOPOLOGIES",
-    "Topology",
-    "make_topology",
-    "routing_table_for",
-    "topology_names",
-]

@@ -31,10 +31,8 @@ node sequence a message visits.  The flat per-(src, dst) tables the
 simulation hot path indexes are precomputed from that shape by
 :mod:`repro.interconnect.routing`.
 
-The topology names are mirrored in
-:data:`repro.common.params.SystemConfig` validation (``params`` cannot
-import this module without a cycle through the package ``__init__``);
-``tests/test_topology.py`` asserts the two lists stay in sync.
+:data:`TOPOLOGIES` is the one list of topology names:
+:class:`repro.common.params.SystemConfig` validates against it.
 """
 
 from __future__ import annotations

@@ -1,8 +1,4 @@
 """Machine assembly: per-node hardware bundles and the whole-cluster
-:class:`Machine` (nodes + directory + network + home placement).
+:class:`~repro.machine.machine.Machine` (nodes + directory + network +
+home placement).
 """
-
-from repro.machine.node import Node
-from repro.machine.machine import Machine
-
-__all__ = ["Machine", "Node"]

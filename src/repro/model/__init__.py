@@ -1,15 +1,1 @@
 """Analytical performance models from the paper's Section 3.2."""
-
-from repro.model.competitive import (
-    CompetitiveModel,
-    ModelParameters,
-    optimal_threshold,
-    worst_case_bound,
-)
-
-__all__ = [
-    "CompetitiveModel",
-    "ModelParameters",
-    "optimal_threshold",
-    "worst_case_bound",
-]

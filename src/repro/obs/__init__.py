@@ -40,9 +40,3 @@ Modules
     Git/host/timestamp provenance blocks shared by perfbench, the
     trace and metrics writers, and the executor's run manifests.
 """
-
-from repro.obs.provenance import provenance_block
-from repro.obs.trace import TraceWriter
-from repro.obs.metrics import MetricsWriter
-
-__all__ = ["MetricsWriter", "TraceWriter", "provenance_block"]

@@ -88,7 +88,6 @@ def build_program(
     machine: Optional[MachineParams] = None,
     space: Optional[AddressSpace] = None,
     scale: float = 1.0,
-    use_cache: bool = True,
 ) -> Program:
     """Build (or fetch from cache) the named application's program."""
     if name not in APPLICATIONS:
@@ -98,13 +97,12 @@ def build_program(
     machine = machine or MachineParams()
     space = space or AddressSpace()
     key = program_key(name, machine, space, scale)
-    if use_cache and key in _cache:
+    if key in _cache:
         return _cache[key]
     builder, _, _ = APPLICATIONS[name]
     program = builder(machine, space, scale=scale)
     _build_counts[key] += 1
-    if use_cache:
-        _cache[key] = program
+    _cache[key] = program
     return program
 
 

@@ -32,7 +32,8 @@ from repro.coherence.directory import (
 )
 from repro.common.errors import ProtocolError
 from repro.common.params import DirectoryParams
-from repro.sim import simulate, simulate_reference
+from repro.sim.engine import simulate
+from repro.sim.reference import simulate_reference
 
 from tests.conftest import tiny_config
 from tests.property.test_runahead_differential import (
@@ -385,15 +386,15 @@ class TestEngineLevel:
         least as many invalidations as the exact full map."""
         from dataclasses import replace
 
-        from repro.experiments.config import cc_config
+        from repro.common.params import base_ccnuma_config
         from repro.sim.engine import SimulationEngine
         from repro.workloads.registry import build_program
 
         program = build_program("em3d", scale=0.05)
-        base = simulate(cc_config(), program)
+        base = simulate(base_ccnuma_config(), program)
         base_invals = base.stats.total("invalidations_sent")
         for params in INEXACT_PARAMS:
-            config = replace(cc_config(), directory=params)
+            config = replace(base_ccnuma_config(), directory=params)
             engine = SimulationEngine(config, program)
             result = engine.run()
             directory = engine.machine.directory

@@ -13,8 +13,13 @@ import time
 
 import pytest
 
-from repro.common.params import RetryPolicy
-from repro.experiments.config import cc_config, ideal, rnuma_config, scoma_config
+from repro.common.params import (
+    RetryPolicy,
+    base_ccnuma_config,
+    base_rnuma_config,
+    base_scoma_config,
+    ideal_config,
+)
 from repro.experiments.executor import (
     Executor,
     Job,
@@ -38,7 +43,12 @@ def _clean_slate(monkeypatch):
 def sweep_jobs():
     return [
         Job(APP, cfg, SCALE)
-        for cfg in (ideal(), cc_config(), scoma_config(), rnuma_config())
+        for cfg in (
+            ideal_config(),
+            base_ccnuma_config(),
+            base_scoma_config(),
+            base_rnuma_config(),
+        )
     ]
 
 
@@ -129,7 +139,7 @@ class TestCrashRecovery:
     def test_known_failure_is_not_resimulated(self, monkeypatch):
         monkeypatch.setenv(injection.ENV_VAR, "worker-raise:index=0")
         exe = Executor(workers=1, retry=RetryPolicy(backoff=0.0))
-        job = Job(APP, cc_config(), SCALE)
+        job = Job(APP, base_ccnuma_config(), SCALE)
         with pytest.raises(SweepFailure):
             exe.run([job])
         (prior,) = exe.failures
@@ -146,7 +156,7 @@ class TestCrashRecovery:
             exe.run([job])
         assert exc_info.value.failures == [prior]
         with pytest.raises(SweepFailure):
-            exe.run_app(APP, cc_config(), SCALE)
+            exe.run_app(APP, base_ccnuma_config(), SCALE)
         assert attempts == []
 
     def test_run_app_follows_the_retry_policy(self, baseline, monkeypatch):
@@ -155,7 +165,7 @@ class TestCrashRecovery:
         monkeypatch.setenv(injection.ENV_VAR, "worker-raise")
         exe = Executor(workers=1, retry=RetryPolicy(backoff=0.0))
         with pytest.raises(SweepFailure):
-            exe.run_app(APP, cc_config(), SCALE)
+            exe.run_app(APP, base_ccnuma_config(), SCALE)
         (failure,) = exe.failures
         assert failure.kind == "crash" and failure.attempts == 1
 
@@ -164,7 +174,7 @@ class TestCrashRecovery:
             workers=1,
             retry=RetryPolicy(retries=1, backoff=0.0),
         )
-        assert_results_equal(baseline[1], exe.run_app(APP, cc_config(), SCALE))
+        assert_results_equal(baseline[1], exe.run_app(APP, base_ccnuma_config(), SCALE))
         assert exe.failures == []
 
 
@@ -210,7 +220,7 @@ class TestHangRecovery:
             workers=1,
             retry=RetryPolicy(job_timeout=60.0),
         )
-        (result,) = exe.run([Job(APP, cc_config(), SCALE)])
+        (result,) = exe.run([Job(APP, base_ccnuma_config(), SCALE)])
         assert result.exec_cycles > 0
         assert [p["source"] for p in exe.job_profiles] == ["simulated"]
 

@@ -28,8 +28,7 @@ from repro.common.addressing import AddressSpace
 from repro.common.params import CacheParams, MachineParams, ObsParams, SystemConfig
 from repro.common.records import Access, Barrier
 from repro.obs.schema import validate_metrics_file, validate_trace_file
-from repro.sim import simulate
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import SimulationEngine, simulate
 from repro.sim.factory import make_engine
 from repro.workloads.compile import CompiledProgram
 
@@ -178,7 +177,7 @@ def test_disabled_obs_is_structurally_absent():
     code = (
         "import sys\n"
         "from tests.conftest import tiny_config\n"
-        "from repro.sim import simulate\n"
+        "from repro.sim.engine import simulate\n"
         "from repro.common.records import Access, Barrier\n"
         "simulate(tiny_config('rnuma'), [[Access(0), Barrier(0)], [Barrier(0)]])\n"
         "assert 'repro.obs.attach' not in sys.modules, 'hook module loaded'\n"

@@ -24,16 +24,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.caches.page_cache import POLICIES
 from repro.common.errors import FaultInjected
 from repro.common.params import (
     CacheParams,
     DirectoryParams,
     MachineParams,
     RetryPolicy,
+    base_ccnuma_config,
+    base_scoma_config,
 )
 from repro.common.records import Access, Barrier
 from repro.experiments import reuse
-from repro.experiments.config import cc_config, scoma_config
 from repro.experiments.executor import (
     Executor,
     ResultStore,
@@ -42,12 +44,11 @@ from repro.experiments.executor import (
 from repro.experiments.runner import Job
 from repro.experiments.reuse import answers
 from repro.faults import injection
-from repro.sim import simulate
+from repro.sim.engine import simulate
 
 from tests.conftest import TINY_SPACE, tiny_config
 
 PROTOCOLS = ("ccnuma", "scoma", "rnuma", "ideal")
-POLICIES = ("lrm", "lru", "fifo")
 NODES = 4
 PAGE = TINY_SPACE.page_size
 BLOCK = TINY_SPACE.block_size
@@ -365,7 +366,7 @@ def test_group_key_separates_what_no_rule_frees():
     for other in (
         Job("other", base.config),
         Job(APP, base.config, scale=0.5),
-        Job(APP, base.config.with_protocol("scoma")),
+        Job(APP, replace(base.config, protocol="scoma")),
         Job(APP, replace(base.config, topology="ring")),
         Job(APP, replace(base.config, caches=replace(base.config.caches, l1_size=256))),
     ):
@@ -411,7 +412,7 @@ def _no_faults(monkeypatch):
 
 
 def _job(page_cache=320 * 1024, directory=DirectoryParams()):
-    config = cc_config()
+    config = base_ccnuma_config()
     caches = replace(config.caches, page_cache_size=page_cache)
     return Job(APP_JOB, replace(config, caches=caches, directory=directory), SCALE)
 
@@ -464,7 +465,7 @@ def _scoma(page_cache, scale=SCALE):
     """An S-COMA job of em3d.  At 4 KB it replaces pages, so its result
     answers no larger page cache, and the group's next job is a
     follow-up; at 64 KB it replaces none."""
-    return Job(APP_JOB, scoma_config(page_cache), scale)
+    return Job(APP_JOB, base_scoma_config(page_cache), scale)
 
 
 def test_follow_ups_join_the_one_running_pool(monkeypatch):
@@ -525,7 +526,7 @@ def test_a_fault_index_names_the_same_follow_up_at_any_worker_count(
 def test_a_store_loaded_witness_answers_page_cache_but_not_directory(tmp_path):
     """A limited directory with a pointer per node never overflows, but
     once the result comes from the store nothing says so."""
-    limited = DirectoryParams("limited", pointers=cc_config().machine.nodes)
+    limited = DirectoryParams("limited", pointers=base_ccnuma_config().machine.nodes)
     rep = _job(directory=limited)
     Executor(store=ResultStore(tmp_path)).run([rep])
     exe = Executor(store=ResultStore(tmp_path))

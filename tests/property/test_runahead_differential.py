@@ -26,7 +26,8 @@ from hypothesis import strategies as st
 
 from repro.common.params import MachineParams
 from repro.common.records import Access, Barrier
-from repro.sim import simulate, simulate_reference
+from repro.sim.engine import simulate
+from repro.sim.reference import simulate_reference
 
 from tests.conftest import TINY_CACHES, tiny_config
 
@@ -110,11 +111,21 @@ def test_runahead_matches_reference_multi_cpu_nodes(traces):
 
 def test_runahead_matches_reference_on_an_app_program():
     """End-to-end: a real compiled workload, all four protocols."""
-    from repro.experiments.config import cc_config, ideal, rnuma_config, scoma_config
+    from repro.common.params import (
+        base_ccnuma_config,
+        base_rnuma_config,
+        base_scoma_config,
+        ideal_config,
+    )
     from repro.workloads.registry import build_program
 
     program = build_program("em3d", scale=0.05)
-    for config in (ideal(), cc_config(), scoma_config(), rnuma_config()):
+    for config in (
+        ideal_config(),
+        base_ccnuma_config(),
+        base_scoma_config(),
+        base_rnuma_config(),
+    ):
         fast = simulate(config, program)
         slow = simulate_reference(config, program)
         assert_identical_results(fast, slow)
@@ -126,12 +137,22 @@ def test_engines_agree_on_an_app_at_ten_nodes():
     order, so an invalidation fan-out whose round trip targets "the
     first sharer" diverges unless every engine orders sharers by node
     id."""
-    from repro.experiments.config import cc_config, ideal, rnuma_config, scoma_config
+    from repro.common.params import (
+        base_ccnuma_config,
+        base_rnuma_config,
+        base_scoma_config,
+        ideal_config,
+    )
     from repro.workloads.registry import build_program
 
     machine = MachineParams(nodes=10, cpus_per_node=4)
     program = build_program("em3d", machine=machine, scale=0.05)
-    for config in (ideal(), cc_config(), scoma_config(), rnuma_config()):
+    for config in (
+        ideal_config(),
+        base_ccnuma_config(),
+        base_scoma_config(),
+        base_rnuma_config(),
+    ):
         config = replace(config, machine=machine)
         slow = simulate_reference(config, program)
         assert_identical_results(simulate(config, program), slow)

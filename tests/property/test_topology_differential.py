@@ -25,7 +25,8 @@ from repro.common.records import Access, Barrier
 from repro.interconnect.network import Network
 from repro.interconnect.resource import BusyResource
 from repro.interconnect.topology import topology_names
-from repro.sim import simulate, simulate_reference
+from repro.sim.engine import simulate
+from repro.sim.reference import simulate_reference
 
 from tests.conftest import tiny_config
 from tests.property.test_runahead_differential import assert_identical_results
@@ -139,12 +140,22 @@ def test_runahead_matches_reference_on_an_app_across_topologies():
     """End-to-end: a real workload on every fabric, all four protocols."""
     from dataclasses import replace
 
-    from repro.experiments.config import cc_config, ideal, rnuma_config, scoma_config
+    from repro.common.params import (
+        base_ccnuma_config,
+        base_rnuma_config,
+        base_scoma_config,
+        ideal_config,
+    )
     from repro.workloads.registry import build_program
 
     program = build_program("em3d", scale=0.05)
     for topology in topology_names():
-        for base in (ideal(), cc_config(), scoma_config(), rnuma_config()):
+        for base in (
+            ideal_config(),
+            base_ccnuma_config(),
+            base_scoma_config(),
+            base_rnuma_config(),
+        ):
             config = replace(base, topology=topology)
             fast = simulate(config, program)
             slow = simulate_reference(config, program)

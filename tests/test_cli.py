@@ -405,6 +405,36 @@ def test_reproduce_failure_resume_cycle(capsys, tmp_path, monkeypatch):
         assert heading in out
 
 
+def test_a_section_whose_render_raises_is_skipped(capsys, tmp_path, monkeypatch):
+    """Table 3 builds every application, whatever ``--apps`` says.  A
+    builder that raises (radix without NumPy) turns that section into a
+    skip line naming the error; the rest of the report and the manifest
+    are still written, and the command exits 1."""
+    from repro.workloads import registry
+
+    def without_numpy(*args, **kwargs):
+        raise ModuleNotFoundError("No module named 'numpy'")
+
+    _, problem, paper_input = registry.APPLICATIONS["radix"]
+    monkeypatch.setattr(registry, "_cache", {})  # so the builders run
+    monkeypatch.setitem(
+        registry.APPLICATIONS, "radix", (without_numpy, problem, paper_input)
+    )
+    argv = [
+        "reproduce", "--scale", "0.05", "--apps", "em3d", "--store", str(tmp_path),
+    ]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (
+        "Table 3: skipped — render failed: ModuleNotFoundError: "
+        "No module named 'numpy'"
+    ) in captured.out
+    assert "Figure 6: execution time normalized" in captured.out
+    assert "Traceback" in captured.err
+    assert "--resume" not in captured.err  # a resume cannot mend a render
+    assert (tmp_path / "run_manifest.json").exists()
+
+
 def test_resume_with_clean_manifest_is_noop(capsys, tmp_path):
     argv = [
         "reproduce", "--scale", "0.1", "--apps", "em3d", "--store", str(tmp_path),

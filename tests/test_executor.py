@@ -13,8 +13,13 @@ import time
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.common.params import RetryPolicy
-from repro.experiments.config import cc_config, ideal, rnuma_config, scoma_config
+from repro.common.params import (
+    RetryPolicy,
+    base_ccnuma_config,
+    base_rnuma_config,
+    base_scoma_config,
+    ideal_config,
+)
 from repro.experiments.executor import (
     STORE_SCHEMA_VERSION,
     Executor,
@@ -33,7 +38,7 @@ APP = "em3d"
 
 @pytest.fixture(scope="module")
 def fresh_result():
-    return Executor().run_app(APP, cc_config(), SCALE)
+    return Executor().run_app(APP, base_ccnuma_config(), SCALE)
 
 
 def assert_results_equal(a: SimulationResult, b: SimulationResult) -> None:
@@ -63,7 +68,7 @@ class TestSerialization:
 class TestResultStore:
     def test_round_trip_equals_fresh_simulation(self, tmp_path, fresh_result):
         store = ResultStore(tmp_path)
-        job = Job(APP, cc_config(), SCALE)
+        job = Job(APP, base_ccnuma_config(), SCALE)
         store.save(job, fresh_result)
         assert len(store) == 1
         loaded = store.load(job)
@@ -72,10 +77,10 @@ class TestResultStore:
 
     def test_missing_entry_loads_none(self, tmp_path):
         store = ResultStore(tmp_path)
-        assert store.load(Job(APP, cc_config(), SCALE)) is None
+        assert store.load(Job(APP, base_ccnuma_config(), SCALE)) is None
 
     def test_schema_version_bump_invalidates(self, tmp_path, fresh_result):
-        job = Job(APP, cc_config(), SCALE)
+        job = Job(APP, base_ccnuma_config(), SCALE)
         ResultStore(tmp_path, schema_version=STORE_SCHEMA_VERSION).save(
             job, fresh_result
         )
@@ -84,14 +89,14 @@ class TestResultStore:
 
     def test_corrupt_entry_loads_none(self, tmp_path, fresh_result):
         store = ResultStore(tmp_path)
-        job = Job(APP, cc_config(), SCALE)
+        job = Job(APP, base_ccnuma_config(), SCALE)
         store.save(job, fresh_result)
         store.path_for(job).write_text("{not json")
         assert store.load(job) is None
 
     def test_tampered_config_loads_none(self, tmp_path, fresh_result):
         store = ResultStore(tmp_path)
-        job = Job(APP, cc_config(), SCALE)
+        job = Job(APP, base_ccnuma_config(), SCALE)
         store.save(job, fresh_result)
         path = store.path_for(job)
         payload = json.loads(path.read_text())
@@ -101,17 +106,17 @@ class TestResultStore:
 
     def test_clear_empties_store(self, tmp_path, fresh_result):
         store = ResultStore(tmp_path)
-        store.save(Job(APP, cc_config(), SCALE), fresh_result)
+        store.save(Job(APP, base_ccnuma_config(), SCALE), fresh_result)
         store.clear()
         assert len(store) == 0
 
     def test_distinct_jobs_get_distinct_paths(self, tmp_path):
         store = ResultStore(tmp_path)
         paths = {
-            store.path_for(Job(APP, cc_config(), SCALE)),
-            store.path_for(Job(APP, scoma_config(), SCALE)),
-            store.path_for(Job("moldyn", cc_config(), SCALE)),
-            store.path_for(Job(APP, cc_config(), SCALE / 2)),
+            store.path_for(Job(APP, base_ccnuma_config(), SCALE)),
+            store.path_for(Job(APP, base_scoma_config(), SCALE)),
+            store.path_for(Job("moldyn", base_ccnuma_config(), SCALE)),
+            store.path_for(Job(APP, base_ccnuma_config(), SCALE / 2)),
         }
         assert len(paths) == 4
 
@@ -120,7 +125,12 @@ class TestExecutor:
     def test_parallel_matches_serial_for_all_protocols(self):
         jobs = [
             Job(APP, cfg, SCALE)
-            for cfg in (ideal(), cc_config(), scoma_config(), rnuma_config())
+            for cfg in (
+                ideal_config(),
+                base_ccnuma_config(),
+                base_scoma_config(),
+                base_rnuma_config(),
+            )
         ]
         serial = Executor(workers=1).run(jobs)
         parallel = Executor(workers=2).run(jobs)
@@ -130,7 +140,7 @@ class TestExecutor:
 
     def test_duplicate_jobs_simulated_once(self):
         exe = Executor(workers=1)
-        job = Job(APP, cc_config(), SCALE)
+        job = Job(APP, base_ccnuma_config(), SCALE)
         results = exe.run([job, job, job])
         assert len(results) == 3
         assert results[0] is results[1] is results[2]
@@ -143,20 +153,21 @@ class TestExecutor:
             raise AssertionError("started a worker pool for one slot")
 
         monkeypatch.setattr("multiprocessing.Pool", no_pool)
-        jobs = [Job(APP, cc_config(), SCALE), Job(APP, ideal(), SCALE)]
+        jobs = [Job(APP, base_ccnuma_config(), SCALE), Job(APP, ideal_config(), SCALE)]
         assert len(Executor(workers=1).run(jobs)) == 2
         (result,) = Executor(workers=4).run(jobs[:1])
         assert result.exec_cycles > 0
 
     def test_results_in_input_order(self):
-        cc, sc = Job(APP, cc_config(), SCALE), Job(APP, scoma_config(), SCALE)
+        cc = Job(APP, base_ccnuma_config(), SCALE)
+        sc = Job(APP, base_scoma_config(), SCALE)
         exe = Executor(workers=1)
         first = exe.run([cc, sc])
         second = exe.run([sc, cc])
         assert first[0] is second[1] and first[1] is second[0]
 
     def test_warm_store_avoids_simulation(self, tmp_path, monkeypatch):
-        job = Job(APP, cc_config(), SCALE)
+        job = Job(APP, base_ccnuma_config(), SCALE)
         Executor(workers=1, store=ResultStore(tmp_path)).run([job])
 
         def boom(_payload):
@@ -166,14 +177,14 @@ class TestExecutor:
         cold_cache = Executor(workers=1, store=ResultStore(tmp_path))
         result = cold_cache.run([job])[0]
         assert result.exec_cycles > 0
-        assert cold_cache.run_app(APP, cc_config(), SCALE) is result
+        assert cold_cache.run_app(APP, base_ccnuma_config(), SCALE) is result
 
     def test_run_app_populates_cache_and_store(self, tmp_path):
         store = ResultStore(tmp_path)
         exe = Executor(workers=1, store=store)
-        result = exe.run_app(APP, cc_config(), SCALE)
+        result = exe.run_app(APP, base_ccnuma_config(), SCALE)
         assert len(store) == 1
-        assert exe.run_app(APP, cc_config(), SCALE) is result
+        assert exe.run_app(APP, base_ccnuma_config(), SCALE) is result
 
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
@@ -191,7 +202,8 @@ class TestExecutor:
         monkeypatch.setattr(registry, "_cache", {})
         entry = registry.APPLICATIONS[APP]
         monkeypatch.setitem(registry.APPLICATIONS, APP, (broken_builder,) + entry[1:])
-        broken, other = Job(APP, cc_config(), SCALE), Job("fft", cc_config(), SCALE)
+        broken = Job(APP, base_ccnuma_config(), SCALE)
+        other = Job("fft", base_ccnuma_config(), SCALE)
         exe = Executor(workers=workers, retry=RetryPolicy(retries=1, backoff=0))
         with pytest.raises(SweepFailure) as info:
             exe.run([broken, other])
@@ -211,7 +223,7 @@ def _instant_attempt(payload):
 
 def _instant_jobs(n):
     """``n`` distinct jobs."""
-    return [Job(APP, cc_config(), SCALE * (i + 1)) for i in range(n)]
+    return [Job(APP, base_ccnuma_config(), SCALE * (i + 1)) for i in range(n)]
 
 
 @pytest.fixture
@@ -309,7 +321,7 @@ class TestTelemetry:
 
     def test_job_profiles_record_every_job_with_source(self, tmp_path):
         exe = Executor(workers=1, store=ResultStore(tmp_path))
-        job = Job(APP, cc_config(), SCALE)
+        job = Job(APP, base_ccnuma_config(), SCALE)
         exe.run([job])
         exe.run([job])  # second pass: in-memory cache hit
         assert [p["source"] for p in exe.job_profiles] == ["simulated", "cache"]
@@ -323,7 +335,7 @@ class TestTelemetry:
         assert [p["source"] for p in cold.job_profiles] == ["store"]
 
     def test_store_io_seconds_split(self, tmp_path):
-        job = Job(APP, cc_config(), SCALE)
+        job = Job(APP, base_ccnuma_config(), SCALE)
         writer = Executor(workers=1, store=ResultStore(tmp_path))
         writer.run([job])
         assert writer.store_write_seconds > 0
@@ -344,7 +356,10 @@ class TestTelemetry:
                 (done, total, job.config.protocol, source)
             ),
         )
-        jobs = [Job(APP, cc_config(), SCALE), Job(APP, scoma_config(), SCALE)]
+        jobs = [
+            Job(APP, base_ccnuma_config(), SCALE),
+            Job(APP, base_scoma_config(), SCALE),
+        ]
         exe.run(jobs)
         assert [s[:2] for s in seen] == [(1, 2), (2, 2)]
         assert [s[2] for s in seen] == ["ccnuma", "scoma"]
@@ -354,7 +369,12 @@ class TestTelemetry:
         ticks = []
         jobs = [
             Job(APP, cfg, SCALE)
-            for cfg in (ideal(), cc_config(), scoma_config(), rnuma_config())
+            for cfg in (
+                ideal_config(),
+                base_ccnuma_config(),
+                base_scoma_config(),
+                base_rnuma_config(),
+            )
         ]
         serial = Executor(workers=1).run(jobs)
         noisy = Executor(
@@ -369,7 +389,10 @@ class TestTelemetry:
     def test_write_manifest(self, tmp_path):
         store = ResultStore(tmp_path)
         exe = Executor(workers=2, store=store)
-        jobs = [Job(APP, cc_config(), SCALE), Job(APP, cc_config(), SCALE)]
+        jobs = [
+            Job(APP, base_ccnuma_config(), SCALE),
+            Job(APP, base_ccnuma_config(), SCALE),
+        ]
         exe.run(jobs)
         path = exe.write_manifest(jobs, extra={"command": "test-sweep"})
         assert path is not None and path.name == "run_manifest.json"
@@ -388,7 +411,10 @@ class TestTelemetry:
         """A sweep over a warm store reports each hit once, as loaded
         from the store; a rerun of the same executor finds them in its
         cache."""
-        jobs = [Job(APP, cc_config(), SCALE), Job(APP, scoma_config(), SCALE)]
+        jobs = [
+            Job(APP, base_ccnuma_config(), SCALE),
+            Job(APP, base_scoma_config(), SCALE),
+        ]
         Executor(store=ResultStore(tmp_path)).run(jobs)
         warm = Executor(store=ResultStore(tmp_path))
         warm.run(jobs)
@@ -401,7 +427,7 @@ class TestTelemetry:
 
     def test_write_manifest_without_store_is_noop(self):
         exe = Executor(workers=1)
-        assert exe.write_manifest([Job(APP, cc_config(), SCALE)]) is None
+        assert exe.write_manifest([Job(APP, base_ccnuma_config(), SCALE)]) is None
 
     def test_manifest_records_retry_policy_and_empty_failures(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -410,7 +436,7 @@ class TestTelemetry:
             store=store,
             retry=RetryPolicy(retries=2, job_timeout=30.0),
         )
-        jobs = [Job(APP, cc_config(), SCALE)]
+        jobs = [Job(APP, base_ccnuma_config(), SCALE)]
         exe.run(jobs)
         manifest = json.loads(exe.write_manifest(jobs).read_text())
         assert manifest["retry_policy"] == {
@@ -429,7 +455,10 @@ class TestTelemetry:
             raise RuntimeError("telemetry bug")
 
         exe = Executor(workers=1, progress=broken)
-        jobs = [Job(APP, cc_config(), SCALE), Job(APP, scoma_config(), SCALE)]
+        jobs = [
+            Job(APP, base_ccnuma_config(), SCALE),
+            Job(APP, base_scoma_config(), SCALE),
+        ]
         results = exe.run(jobs)
         assert len(results) == 2  # the sweep survived its heartbeat
         assert calls == [1]  # disabled after the first raise

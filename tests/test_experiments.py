@@ -9,8 +9,14 @@ import dataclasses
 
 import pytest
 
+from repro.common.params import (
+    SOFT_COSTS,
+    base_ccnuma_config,
+    base_rnuma_config,
+    base_scoma_config,
+    ideal_config,
+)
 from repro.experiments import (
-    cc_config,
     compute_figure5,
     compute_figure6,
     compute_figure7,
@@ -26,14 +32,10 @@ from repro.experiments import (
     format_table2,
     format_table3,
     format_table4,
-    ideal,
-    rnuma_config,
-    scoma_config,
 )
-from repro.experiments.config import EXPERIMENT_APPS
 from repro.experiments.executor import Executor
 from repro.experiments.figure6 import figure6_grid
-from repro.experiments.runner import config_key, grid_jobs, run_grid
+from repro.experiments.runner import EXPERIMENT_APPS, config_key, grid_jobs, run_grid
 from repro.experiments.topology_scaling import topology_scaling_grid
 from repro.experiments.reporting import render_bar_chart, render_table
 
@@ -79,16 +81,16 @@ class TestConfigs:
         assert len(EXPERIMENT_APPS) == 10
 
     def test_config_key_distinguishes(self):
-        assert config_key(cc_config()) != config_key(cc_config(1024))
-        assert config_key(rnuma_config(threshold=16)) != config_key(
-            rnuma_config(threshold=64)
+        assert config_key(base_ccnuma_config()) != config_key(base_ccnuma_config(1024))
+        assert config_key(base_rnuma_config(threshold=16)) != config_key(
+            base_rnuma_config(threshold=64)
         )
-        assert config_key(ideal()) == config_key(ideal())
+        assert config_key(ideal_config()) == config_key(ideal_config())
 
     def test_changing_any_leaf_field_changes_the_key(self):
         """The key is derived from the config, so every compared field —
         including any added later — reaches the store key."""
-        base = rnuma_config()
+        base = base_rnuma_config()
         leaves = list(_leaf_fields(base))
         assert len(leaves) > 30
         for path, value in leaves:
@@ -100,28 +102,26 @@ class TestConfigs:
     def test_obs_does_not_change_the_key(self):
         from repro.common.params import ObsParams
 
-        config = rnuma_config()
+        config = base_rnuma_config()
         traced = config.with_obs(ObsParams(trace_path="t.json", metrics_interval=7))
         assert config_key(traced) == config_key(config)
 
     def test_soft_configs_change_costs(self):
-        from repro.experiments.config import rnuma_soft_config, scoma_soft_config
-
-        assert scoma_soft_config().costs.soft_trap == 4000
-        assert rnuma_soft_config().costs.tlb_shootdown == 2000
+        assert base_scoma_config(costs=SOFT_COSTS).costs.soft_trap == 4000
+        assert base_rnuma_config(costs=SOFT_COSTS).costs.tlb_shootdown == 2000
 
 
 class TestRunner:
     def test_cache_hits(self, executor):
         before = len(executor.cache)
-        r1 = executor.run_app("em3d", ideal(), scale=SCALE)
-        r2 = executor.run_app("em3d", ideal(), scale=SCALE)
+        r1 = executor.run_app("em3d", ideal_config(), scale=SCALE)
+        r2 = executor.run_app("em3d", ideal_config(), scale=SCALE)
         assert r1 is r2
         assert len(executor.cache) == before + 1
 
     def test_distinct_configs_not_conflated(self, executor):
-        r1 = executor.run_app("em3d", cc_config(), scale=SCALE)
-        r2 = executor.run_app("em3d", scoma_config(), scale=SCALE)
+        r1 = executor.run_app("em3d", base_ccnuma_config(), scale=SCALE)
+        r2 = executor.run_app("em3d", base_scoma_config(), scale=SCALE)
         assert r1 is not r2
 
 

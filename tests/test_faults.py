@@ -8,9 +8,8 @@ suite and the fault-tolerance property suite.
 import pytest
 
 from repro.common.errors import ConfigurationError, FaultInjected
-from repro.common.params import RetryPolicy
+from repro.common.params import RetryPolicy, base_ccnuma_config
 from repro.experiments import executor as executor_module
-from repro.experiments.config import cc_config
 from repro.experiments.executor import Executor, Job
 from repro.faults import injection
 
@@ -148,6 +147,6 @@ def test_a_malformed_plan_runs_no_attempt(monkeypatch):
     monkeypatch.setenv(injection.ENV_VAR, "bogus")
     executor = Executor(retry=RetryPolicy(retries=2, backoff=0.0))
     with pytest.raises(ConfigurationError, match="unknown fault point 'bogus'"):
-        executor.run([Job("em3d", cc_config(), 0.05)])
+        executor.run([Job("em3d", base_ccnuma_config(), 0.05)])
     assert attempts == []
     assert executor.failures == []

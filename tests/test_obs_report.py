@@ -7,7 +7,7 @@ import pytest
 from repro.cli import main
 from repro.common.params import ObsParams
 from repro.obs.report import metrics_summary, report, sniff_kind, trace_summary
-from repro.sim import simulate
+from repro.sim.engine import simulate
 
 from tests.conftest import tiny_config
 from tests.property.test_obs_differential import _traces

@@ -117,10 +117,6 @@ class TestSystemConfig:
         with pytest.raises(ConfigurationError):
             SystemConfig(relocation_threshold=0)
 
-    def test_with_protocol(self):
-        cfg = base_ccnuma_config().with_protocol("scoma")
-        assert cfg.protocol == "scoma"
-
     def test_base_configs_match_paper(self):
         assert base_ccnuma_config().caches.block_cache_size == 32 * KB
         assert base_scoma_config().caches.page_cache_size == 320 * KB
@@ -157,13 +153,6 @@ class TestSystemConfig:
         assert data["costs"]["link_latency"] == cfg.costs.link_latency
         assert config_from_dict(data) == cfg
 
-    def test_pre_topology_payloads_default_to_uniform(self):
-        from repro.common.params import config_from_dict, config_to_dict
-
-        data = config_to_dict(SystemConfig())
-        del data["topology"]  # a payload serialized before this subsystem
-        assert config_from_dict(data).topology == "uniform"
-
 
 class TestDirectoryParams:
     def test_default_is_the_exact_full_map(self):
@@ -199,13 +188,6 @@ class TestDirectoryParams:
         data = config_to_dict(cfg)
         assert data["directory"]["representation"] == "limited"
         assert config_from_dict(data) == cfg
-
-    def test_pre_directory_payloads_default_to_fullmap(self):
-        from repro.common.params import config_from_dict, config_to_dict
-
-        data = config_to_dict(SystemConfig())
-        del data["directory"]  # a payload serialized before this knob
-        assert config_from_dict(data).directory.representation == "fullmap"
 
     def test_directory_is_part_of_the_run_identity(self):
         from repro.common.params import DirectoryParams

@@ -85,7 +85,8 @@ class TestPartialPlacementAcrossEngines:
         backend must run the same late-first-touch fallback (the shared
         resolve_home helper) and land on identical results *and* an
         identically completed homes map."""
-        from repro.sim import simulate, simulate_reference
+        from repro.sim.engine import simulate
+        from repro.sim.reference import simulate_reference
         from tests.conftest import tiny_config
         from tests.property.test_runahead_differential import (
             assert_identical_results,

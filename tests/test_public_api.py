@@ -1,6 +1,13 @@
 """The public API surface: everything README/examples rely on."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import repro
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_version():
@@ -51,3 +58,31 @@ def test_model_exports():
     assert 2.0 <= model.bound_at_optimum <= 3.0
     assert repro.optimal_threshold(params) == model.optimal_threshold
     assert repro.worst_case_bound(params) == model.bound_at_optimum
+
+
+def test_cli_loads_neither_the_oracle_nor_the_obs_writers():
+    """Each name is imported from its defining module, so a process that
+    imports the CLI, simulates, and writes a manifest's provenance block
+    loads only what it runs: not the reference engine or the frozen
+    oracle, nor the trace and metrics writers."""
+    code = (
+        "import sys\n"
+        "import repro.cli\n"
+        "from repro.common.records import Access, Barrier\n"
+        "from repro.sim.engine import simulate\n"
+        "from tests.conftest import tiny_config\n"
+        "simulate(tiny_config('rnuma'), [[Access(0), Barrier(0)], [Barrier(0)]])\n"
+        "import repro.obs.provenance\n"
+        "unused = ('repro.sim.reference', 'repro.sim.legacy',\n"
+        "          'repro.obs.trace', 'repro.obs.metrics')\n"
+        "loaded = [name for name in unused if name in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=str(ROOT),
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -17,9 +17,17 @@ from dataclasses import replace
 import pytest
 
 from repro.common.addressing import AddressSpace
-from repro.common.params import CacheParams, DirectoryParams, MachineParams, SystemConfig
+from repro.common.params import (
+    CacheParams,
+    DirectoryParams,
+    MachineParams,
+    SystemConfig,
+    base_ccnuma_config,
+    base_rnuma_config,
+    base_scoma_config,
+    ideal_config,
+)
 from repro.common.records import Access, Barrier
-from repro.experiments.config import cc_config, ideal, rnuma_config, scoma_config
 from repro.sim.engine import SimulationEngine
 from repro.sim.reference import ReferenceEngine
 from repro.workloads.compile import compile_program
@@ -32,7 +40,12 @@ PROTOCOLS = ("ccnuma", "scoma", "rnuma", "ideal")
 
 
 def _app_configs():
-    return (ideal(), cc_config(), scoma_config(), rnuma_config())
+    return (
+        ideal_config(),
+        base_ccnuma_config(),
+        base_scoma_config(),
+        base_rnuma_config(),
+    )
 
 
 def _relocation_heavy():
@@ -112,8 +125,8 @@ class TestFreshRunsRepeat:
 
     def test_frozen_reference_engine_repeats(self):
         program = build_program("em3d", scale=0.05)
-        first = _run(cc_config(), program, ReferenceEngine)
-        assert_same_run(_run(cc_config(), program, ReferenceEngine), first)
+        first = _run(base_ccnuma_config(), program, ReferenceEngine)
+        assert_same_run(_run(base_ccnuma_config(), program, ReferenceEngine), first)
 
 
 def _hot_buffers(machine):
@@ -139,7 +152,7 @@ class TestHotBuffersHoldForARun:
     @pytest.mark.parametrize("workload", ["em3d", "relocation-heavy"])
     def test_a_run_replaces_no_hot_buffer(self, workload):
         if workload == "em3d":
-            config, program = rnuma_config(), build_program("em3d", scale=0.05)
+            config, program = base_rnuma_config(), build_program("em3d", scale=0.05)
         else:
             config, program = _relocation_heavy()
         engine = SimulationEngine(config, program)

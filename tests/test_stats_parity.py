@@ -13,7 +13,7 @@ import dataclasses
 import pytest
 
 from repro.common.stats import NodeStats
-from repro.sim import simulate
+from repro.sim.engine import simulate
 from repro.sim.factory import ENGINES
 
 from tests.conftest import tiny_config

@@ -16,7 +16,7 @@ import time
 import pytest
 
 from repro.common.errors import FaultInjected
-from repro.experiments.config import cc_config
+from repro.common.params import base_ccnuma_config
 from repro.experiments.executor import Executor, Job, ResultStore
 from repro.faults import injection
 
@@ -26,7 +26,7 @@ APP = "em3d"
 
 @pytest.fixture(scope="module")
 def fresh_result():
-    return Executor().run_app(APP, cc_config(), SCALE)
+    return Executor().run_app(APP, base_ccnuma_config(), SCALE)
 
 
 def _hammer_saves(root, job, result, iterations):
@@ -46,7 +46,7 @@ class TestConcurrentWriters:
         """Two processes save the same key as fast as they can; every
         observation of the entry in between is a complete, checksum-
         valid payload (atomic rename), and no temp files leak."""
-        job = Job(APP, cc_config(), SCALE)
+        job = Job(APP, base_ccnuma_config(), SCALE)
         store = ResultStore(tmp_path)
         procs = [
             _spawn(_hammer_saves, tmp_path, job, fresh_result, 100)
@@ -71,7 +71,7 @@ class TestConcurrentWriters:
         """``clear`` racing a saving process must not delete the
         writer's in-flight temp file (its rename would crash and the
         result would be lost) — the age gate keeps fresh temps."""
-        job = Job(APP, cc_config(), SCALE)
+        job = Job(APP, base_ccnuma_config(), SCALE)
         store = ResultStore(tmp_path)
         proc = _spawn(_hammer_saves, tmp_path, job, fresh_result, 100)
         try:
@@ -89,7 +89,7 @@ class TestCrashedWriter:
         monkeypatch.setenv(injection.ENV_VAR, "crash-before-rename")
         injection.reset_counters()
         store = ResultStore(tmp_path)
-        job = Job(APP, cc_config(), SCALE)
+        job = Job(APP, base_ccnuma_config(), SCALE)
         with pytest.raises(FaultInjected):
             store.save(job, fresh_result)
         # The entry never appeared, the temp file did — exactly a
@@ -104,7 +104,7 @@ class TestCrashedWriter:
         monkeypatch.setenv(injection.ENV_VAR, "crash-before-rename:times=1")
         injection.reset_counters()
         store = ResultStore(tmp_path)
-        job = Job(APP, cc_config(), SCALE)
+        job = Job(APP, base_ccnuma_config(), SCALE)
         with pytest.raises(FaultInjected):
             store.save(job, fresh_result)
         (orphan,) = tmp_path.glob("*.tmp")
@@ -130,7 +130,7 @@ class TestCrashedWriter:
         monkeypatch.setenv(injection.ENV_VAR, "store-torn-write:times=1")
         injection.reset_counters()
         store = ResultStore(tmp_path)
-        job = Job(APP, cc_config(), SCALE)
+        job = Job(APP, base_ccnuma_config(), SCALE)
         store.save(job, fresh_result)
         path = store.path_for(job)
         assert path.exists()
@@ -144,7 +144,7 @@ class TestCrashedWriter:
         self, tmp_path, fresh_result, monkeypatch
     ):
         store = ResultStore(tmp_path)
-        job = Job(APP, cc_config(), SCALE)
+        job = Job(APP, base_ccnuma_config(), SCALE)
         store.save(job, fresh_result)
         monkeypatch.setenv(injection.ENV_VAR, "store-read-corruption:times=1")
         injection.reset_counters()

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from repro.cli import main
-from repro.experiments.config import cc_config, scoma_config
+from repro.common.params import base_ccnuma_config, base_scoma_config
 from repro.experiments.executor import (
     STORE_SCHEMA_VERSION,
     Executor,
@@ -23,13 +23,13 @@ APP = "em3d"
 
 @pytest.fixture(scope="module")
 def fresh_result():
-    return Executor().run_app(APP, cc_config(), SCALE)
+    return Executor().run_app(APP, base_ccnuma_config(), SCALE)
 
 
 @pytest.fixture
 def warm_store(tmp_path, fresh_result):
     store = ResultStore(tmp_path)
-    store.save(Job(APP, cc_config(), SCALE), fresh_result)
+    store.save(Job(APP, base_ccnuma_config(), SCALE), fresh_result)
     return store
 
 
@@ -50,7 +50,7 @@ class TestChecksum:
         # Believable tampering: a counter silently changed, JSON intact.
         payload["result"]["exec_cycles"] = payload["result"]["exec_cycles"] + 1
         path.write_text(json.dumps(payload))
-        assert warm_store.load(Job(APP, cc_config(), SCALE)) is None
+        assert warm_store.load(Job(APP, base_ccnuma_config(), SCALE)) is None
         assert warm_store.classify_entry(path) == "checksum-mismatch"
 
     def test_missing_checksum_loads_none(self, warm_store):
@@ -58,7 +58,7 @@ class TestChecksum:
         payload = json.loads(path.read_text())
         del payload["payload_sha256"]
         path.write_text(json.dumps(payload))
-        assert warm_store.load(Job(APP, cc_config(), SCALE)) is None
+        assert warm_store.load(Job(APP, base_ccnuma_config(), SCALE)) is None
         assert warm_store.classify_entry(path) == "missing-checksum"
 
     def test_checksum_is_canonical_over_key_order(self, fresh_result):
@@ -80,31 +80,45 @@ class TestClassifyAndVerify:
         path = entry_path(warm_store)
         path.write_bytes(data)
         assert warm_store.classify_entry(path) == "corrupt-json"
-        job = Job(APP, cc_config(), SCALE)
+        job = Job(APP, base_ccnuma_config(), SCALE)
         assert warm_store.load(job) is None
         assert warm_store.stats()["schema_versions"] == {"corrupt": 1}
         report = warm_store.verify(quarantine=False)
         assert [q["reason"] for q in report["quarantined"]] == ["corrupt-json"]
         # The sweep re-simulates the job and rewrites the entry.
-        rerun = Executor(store=warm_store).run_app(APP, cc_config(), SCALE)
+        rerun = Executor(store=warm_store).run_app(APP, base_ccnuma_config(), SCALE)
         assert rerun.to_json_dict() == fresh_result.to_json_dict()
         assert warm_store.classify_entry(path) == "ok"
 
     def test_stale_schema(self, tmp_path, fresh_result):
         old = ResultStore(tmp_path, schema_version=STORE_SCHEMA_VERSION - 1)
-        old.save(Job(APP, cc_config(), SCALE), fresh_result)
+        old.save(Job(APP, base_ccnuma_config(), SCALE), fresh_result)
         current = ResultStore(tmp_path)
         assert current.classify_entry(entry_path(current)) == "stale-schema"
+
+    def test_config_missing_a_field_is_invalid(self, warm_store):
+        """A stored config that lost ``topology`` is refused, not read
+        as the uniform fabric, even with its checksum recomputed."""
+        path = entry_path(warm_store)
+        payload = json.loads(path.read_text())
+        del payload["result"]["config"]["topology"]
+        payload["payload_sha256"] = payload_checksum(payload["result"])
+        path.write_text(json.dumps(payload))
+        assert warm_store.classify_entry(path) == "invalid-result"
+        assert warm_store.load(Job(APP, base_ccnuma_config(), SCALE)) is None
+        report = warm_store.verify()
+        assert [q["reason"] for q in report["quarantined"]] == ["invalid-result"]
+        assert (warm_store.quarantine_dir / path.name).exists()
 
     def test_verify_quarantines_corrupt_keeps_ok_and_stale(
         self, tmp_path, fresh_result
     ):
         store = ResultStore(tmp_path)
-        store.save(Job(APP, cc_config(), SCALE), fresh_result)
-        store.save(Job(APP, scoma_config(), SCALE), fresh_result)
+        store.save(Job(APP, base_ccnuma_config(), SCALE), fresh_result)
+        store.save(Job(APP, base_scoma_config(), SCALE), fresh_result)
         old = ResultStore(tmp_path, schema_version=STORE_SCHEMA_VERSION - 1)
-        old.save(Job(APP, cc_config(), SCALE), fresh_result)
-        victim = store.path_for(Job(APP, scoma_config(), SCALE))
+        old.save(Job(APP, base_ccnuma_config(), SCALE), fresh_result)
+        victim = store.path_for(Job(APP, base_scoma_config(), SCALE))
         victim.write_text("{truncated")
 
         report = store.verify()
@@ -130,13 +144,13 @@ class TestClassifyAndVerify:
 class TestGcAndStats:
     def test_gc_removes_stale_entries(self, tmp_path, fresh_result):
         old = ResultStore(tmp_path, schema_version=STORE_SCHEMA_VERSION - 1)
-        old.save(Job(APP, cc_config(), SCALE), fresh_result)
+        old.save(Job(APP, base_ccnuma_config(), SCALE), fresh_result)
         store = ResultStore(tmp_path)
-        store.save(Job(APP, cc_config(), SCALE), fresh_result)
+        store.save(Job(APP, base_ccnuma_config(), SCALE), fresh_result)
         report = store.gc()
         assert report["removed_stale_entries"] == 1
         assert len(store) == 1
-        assert store.load(Job(APP, cc_config(), SCALE)) is not None
+        assert store.load(Job(APP, base_ccnuma_config(), SCALE)) is not None
 
     def test_gc_age_gates_orphan_tmps(self, warm_store):
         fresh = warm_store.root / "live-writer.tmp"
@@ -152,9 +166,9 @@ class TestGcAndStats:
 
     def test_stats(self, tmp_path, fresh_result):
         store = ResultStore(tmp_path)
-        store.save(Job(APP, cc_config(), SCALE), fresh_result)
+        store.save(Job(APP, base_ccnuma_config(), SCALE), fresh_result)
         old = ResultStore(tmp_path, schema_version=STORE_SCHEMA_VERSION - 1)
-        old.save(Job(APP, scoma_config(), SCALE), fresh_result)
+        old.save(Job(APP, base_scoma_config(), SCALE), fresh_result)
         (tmp_path / "orphan.tmp").write_text("x")
         stats = store.stats()
         assert stats["entries"] == 2
@@ -170,14 +184,14 @@ class TestGcAndStats:
 class TestLenAndClear:
     def test_len_ignores_manifest_and_tmps(self, warm_store, fresh_result):
         exe = Executor(workers=1, store=warm_store)
-        exe.write_manifest([Job(APP, cc_config(), SCALE)])
+        exe.write_manifest([Job(APP, base_ccnuma_config(), SCALE)])
         (warm_store.root / "orphan.tmp").write_text("x")
         assert warm_store.manifest_path.exists()
         assert len(warm_store) == 1
 
     def test_clear_removes_entries_and_manifest(self, warm_store):
         exe = Executor(workers=1, store=warm_store)
-        exe.write_manifest([Job(APP, cc_config(), SCALE)])
+        exe.write_manifest([Job(APP, base_ccnuma_config(), SCALE)])
         warm_store.clear()
         assert len(warm_store) == 0
         assert not warm_store.manifest_path.exists()
@@ -196,7 +210,8 @@ class TestStoreCli:
     def _populate(self, tmp_path):
         store = ResultStore(tmp_path)
         store.save(
-            Job(APP, cc_config(), SCALE), Executor().run_app(APP, cc_config(), SCALE)
+            Job(APP, base_ccnuma_config(), SCALE),
+            Executor().run_app(APP, base_ccnuma_config(), SCALE),
         )
         return store
 

@@ -14,11 +14,6 @@ from repro.interconnect.topology import (
 
 
 class TestRegistry:
-    def test_names_match_systemconfig_validation(self):
-        # params.py cannot import the topology registry (package-init
-        # cycle); this is the sync assertion its comment promises.
-        assert topology_names() == SystemConfig._TOPOLOGIES
-
     def test_unknown_topology_rejected(self):
         with pytest.raises(ConfigurationError):
             make_topology("hypercube", 8)

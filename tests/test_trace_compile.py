@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 from repro.common.addressing import AddressSpace
 from repro.common.errors import TraceError
-from repro.common.params import MachineParams
+from repro.common.params import (
+    MachineParams,
+    base_ccnuma_config,
+    base_rnuma_config,
+    base_scoma_config,
+    ideal_config,
+)
 from repro.common.records import (
     MAX_ADDR,
     MAX_THINK,
@@ -26,7 +32,6 @@ from repro.common.records import (
     validate_barrier_sequences,
 )
 from repro.experiments.executor import Executor, Job, _job_payload
-from repro.experiments.config import cc_config, ideal, rnuma_config, scoma_config
 from repro.osint.placement import first_touch_homes
 from repro.sim.engine import simulate
 from repro.workloads import registry
@@ -310,7 +315,12 @@ class TestCrossProtocolReuse:
         registry.reset_build_counts()
 
     def test_four_protocol_sweep_generates_each_workload_once(self):
-        configs = (ideal(), cc_config(), scoma_config(), rnuma_config())
+        configs = (
+            ideal_config(),
+            base_ccnuma_config(),
+            base_scoma_config(),
+            base_rnuma_config(),
+        )
         jobs = [Job("em3d", cfg, 0.1) for cfg in configs]
         results = Executor(workers=1).run(jobs)
         assert len(results) == 4
@@ -324,7 +334,12 @@ class TestCrossProtocolReuse:
         )
 
     def test_parallel_payloads_reuse_one_build_and_one_placement(self):
-        configs = (ideal(), cc_config(), scoma_config(), rnuma_config())
+        configs = (
+            ideal_config(),
+            base_ccnuma_config(),
+            base_scoma_config(),
+            base_rnuma_config(),
+        )
         jobs = [Job("em3d", cfg, 0.1) for cfg in configs]
         payloads = [_job_payload(job) for job in jobs]
         counts = registry.build_counts()
@@ -338,7 +353,7 @@ class TestCrossProtocolReuse:
     def test_payload_pickles_with_warm_placement(self, monkeypatch):
         import pickle
 
-        config, program = _job_payload(Job("em3d", cc_config(), 0.1))
+        config, program = _job_payload(Job("em3d", base_ccnuma_config(), 0.1))
         back_config, back_program = pickle.loads(
             pickle.dumps((config, program))
         )

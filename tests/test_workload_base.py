@@ -157,8 +157,3 @@ class TestRegistry:
         clear_cache()
         p3 = build_program("fft", scale=0.1)
         assert p3 is not p1
-
-    def test_no_cache_builds_fresh(self):
-        p1 = build_program("fft", scale=0.1, use_cache=False)
-        p2 = build_program("fft", scale=0.1, use_cache=False)
-        assert p1 is not p2
