@@ -85,6 +85,18 @@ class TestCacheParams:
         with pytest.raises(ConfigurationError):
             CacheParams(l1_size=0)
 
+    def test_replacement_names_match_the_page_cache(self):
+        # CacheParams validates against the page cache's own list: every
+        # policy it accepts builds a PageCache, and a rejection lists them.
+        from repro.caches.page_cache import POLICIES, PageCache
+
+        for policy in POLICIES:
+            assert CacheParams(page_replacement=policy).page_replacement == policy
+            assert PageCache(4, policy).policy == policy
+        with pytest.raises(ConfigurationError) as err:
+            CacheParams(page_replacement="random")
+        assert str(err.value).endswith(f"expected one of {POLICIES}")
+
 
 class TestMachineParams:
     def test_defaults_match_paper(self):
@@ -172,6 +184,33 @@ class TestDirectoryParams:
             DirectoryParams(representation="limited", overflow="drop")
         with pytest.raises(ConfigurationError):
             DirectoryParams(representation="coarse", region_size=0)
+
+    def test_names_match_the_directory_module(self):
+        # DirectoryParams validates against the directory module's lists:
+        # make_directory builds every representation it accepts, the
+        # limited-pointer directory takes every overflow policy, and a
+        # rejection lists the names.
+        from repro.coherence.directory import (
+            OVERFLOW_POLICIES,
+            REPRESENTATIONS,
+            LimitedPointerDirectory,
+            make_directory,
+        )
+        from repro.common.params import DirectoryParams
+
+        for rep in REPRESENTATIONS:
+            make_directory(DirectoryParams(representation=rep), nodes=8)
+        for overflow in OVERFLOW_POLICIES:
+            params = DirectoryParams(representation="limited", overflow=overflow)
+            directory = make_directory(params, nodes=8)
+            assert isinstance(directory, LimitedPointerDirectory)
+            assert directory.evict_on_overflow == (overflow == "evict")
+        with pytest.raises(ConfigurationError) as err:
+            DirectoryParams(representation="sparse")
+        assert str(err.value).endswith(f"expected one of {REPRESENTATIONS}")
+        with pytest.raises(ConfigurationError) as err:
+            DirectoryParams(overflow="drop")
+        assert str(err.value).endswith(f"expected one of {OVERFLOW_POLICIES}")
 
     def test_round_trips_through_dict(self):
         from repro.common.params import (

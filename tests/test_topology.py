@@ -14,6 +14,16 @@ from repro.interconnect.topology import (
 
 
 class TestRegistry:
+    def test_names_match_systemconfig_validation(self):
+        # SystemConfig validates against the registry itself: it accepts
+        # every registered name and lists them all, in order, when it
+        # rejects one.
+        for name in topology_names():
+            assert SystemConfig(topology=name).topology == name
+        with pytest.raises(ConfigurationError) as err:
+            SystemConfig(topology="hypercube")
+        assert str(err.value).endswith(f"expected one of {topology_names()}")
+
     def test_unknown_topology_rejected(self):
         with pytest.raises(ConfigurationError):
             make_topology("hypercube", 8)
