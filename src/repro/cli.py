@@ -41,7 +41,8 @@ Commands
     ``--backoff``) and, if
     it permanently fails, recorded in the manifest while the rest of
     the sweep completes (``--keep-going``, the default; ``--fail-fast``
-    aborts at the first permanent failure).  A failed sweep exits
+    aborts at the first permanent failure and prints only the sections
+    that need no simulation).  A failed sweep exits
     nonzero with a failure table; ``--resume`` re-runs only the
     recorded failures.
 ``store {verify,gc,stats}``
@@ -76,46 +77,7 @@ from repro.common.params import (
     base_scoma_config,
     ideal_config,
 )
-from repro.experiments import (
-    compute_directory_scaling,
-    compute_figure5,
-    compute_figure6,
-    compute_figure7,
-    compute_figure8,
-    compute_figure9,
-    compute_placement_ablation,
-    compute_relocation_ablation,
-    compute_replacement_ablation,
-    compute_scaling,
-    compute_table4,
-    compute_topology_scaling,
-    directory_scaling_grid,
-    figure5_grid,
-    figure6_grid,
-    figure7_grid,
-    figure8_grid,
-    figure9_grid,
-    format_ablation,
-    format_directory_scaling,
-    format_figure5,
-    format_figure6,
-    format_figure7,
-    format_figure8,
-    format_figure9,
-    format_scaling,
-    format_table1,
-    format_table2,
-    format_table3,
-    format_table4,
-    format_topology_scaling,
-    grid_jobs,
-    placement_ablation_grid,
-    relocation_ablation_grid,
-    replacement_ablation_grid,
-    scaling_grid,
-    table4_grid,
-    topology_scaling_grid,
-)
+import repro.experiments as experiments
 from repro.experiments.executor import (
     TMP_GC_AGE_S,
     Executor,
@@ -125,11 +87,10 @@ from repro.experiments.executor import (
     default_store_dir,
     job_from_failure,
 )
-from repro.experiments.runner import Grid
+from repro.experiments.runner import Grid, grid_jobs
 from repro.interconnect.routing import routing_table_for
 from repro.interconnect.topology import TOPOLOGIES, topology_names
-from repro.sim.engine import simulate
-from repro.sim.factory import ENGINES, engine_backends
+from repro.sim.engine import ENGINES, simulate
 from repro.workloads.registry import APPLICATIONS, build_program, workload_names
 
 _PROTOCOL_CONFIGS = {
@@ -159,40 +120,47 @@ def _computed(compute, fmt) -> Callable[..., str]:
     )
 
 
-#: Every section of the ``reproduce`` report, in report order.  The
-#: ``compute_*``/``format_*`` names are bound here, at import.
+#: Every section of the ``reproduce`` report, in report order.  Each
+#: section function is read as ``experiments.<name>``: the grids and
+#: the computed sections' functions here, at import; the tables' when
+#: they render.
 SECTIONS: Tuple[Section, ...] = (
-    Section("Table 1", ("table", "1"), None, lambda *_: format_table1()),
-    Section("Table 2", ("table", "2"), None, lambda *_: format_table2()),
+    Section("Table 1", ("table", "1"), None, lambda *_: experiments.format_table1()),
+    Section("Table 2", ("table", "2"), None, lambda *_: experiments.format_table2()),
     Section("Table 3", ("table", "3"), None,
-            lambda scale, *_: format_table3(scale=scale)),
-    Section("Figure 5", ("figure", "5"), figure5_grid,
-            _computed(compute_figure5, format_figure5)),
-    Section("Figure 6", ("figure", "6"), figure6_grid,
-            _computed(compute_figure6, format_figure6)),
-    Section("Figure 7", ("figure", "7"), figure7_grid,
-            _computed(compute_figure7, format_figure7)),
-    Section("Figure 8", ("figure", "8"), figure8_grid,
-            _computed(compute_figure8, format_figure8)),
-    Section("Figure 9", ("figure", "9"), figure9_grid,
-            _computed(compute_figure9, format_figure9)),
-    Section("Table 4", ("table", "4"), table4_grid,
-            _computed(compute_table4, format_table4)),
+            lambda scale, *_: experiments.format_table3(scale=scale)),
+    Section("Figure 5", ("figure", "5"), experiments.figure5_grid,
+            _computed(experiments.compute_figure5, experiments.format_figure5)),
+    Section("Figure 6", ("figure", "6"), experiments.figure6_grid,
+            _computed(experiments.compute_figure6, experiments.format_figure6)),
+    Section("Figure 7", ("figure", "7"), experiments.figure7_grid,
+            _computed(experiments.compute_figure7, experiments.format_figure7)),
+    Section("Figure 8", ("figure", "8"), experiments.figure8_grid,
+            _computed(experiments.compute_figure8, experiments.format_figure8)),
+    Section("Figure 9", ("figure", "9"), experiments.figure9_grid,
+            _computed(experiments.compute_figure9, experiments.format_figure9)),
+    Section("Table 4", ("table", "4"), experiments.table4_grid,
+            _computed(experiments.compute_table4, experiments.format_table4)),
     Section("Ablation: placement", ("ablation", "placement"),
-            placement_ablation_grid,
-            _computed(compute_placement_ablation, format_ablation)),
+            experiments.placement_ablation_grid,
+            _computed(experiments.compute_placement_ablation,
+                      experiments.format_ablation)),
     Section("Ablation: relocation", ("ablation", "relocation"),
-            relocation_ablation_grid,
-            _computed(compute_relocation_ablation, format_ablation)),
+            experiments.relocation_ablation_grid,
+            _computed(experiments.compute_relocation_ablation,
+                      experiments.format_ablation)),
     Section("Ablation: replacement", ("ablation", "replacement"),
-            replacement_ablation_grid,
-            _computed(compute_replacement_ablation, format_ablation)),
-    Section("Extension: cluster-size", None, scaling_grid,
-            _computed(compute_scaling, format_scaling)),
-    Section("Extension: topology", None, topology_scaling_grid,
-            _computed(compute_topology_scaling, format_topology_scaling)),
-    Section("Extension: directory", None, directory_scaling_grid,
-            _computed(compute_directory_scaling, format_directory_scaling)),
+            experiments.replacement_ablation_grid,
+            _computed(experiments.compute_replacement_ablation,
+                      experiments.format_ablation)),
+    Section("Extension: cluster-size", None, experiments.scaling_grid,
+            _computed(experiments.compute_scaling, experiments.format_scaling)),
+    Section("Extension: topology", None, experiments.topology_scaling_grid,
+            _computed(experiments.compute_topology_scaling,
+                      experiments.format_topology_scaling)),
+    Section("Extension: directory", None, experiments.directory_scaling_grid,
+            _computed(experiments.compute_directory_scaling,
+                      experiments.format_directory_scaling)),
 )
 
 #: ``(command, name)`` -> the section that command prints.
@@ -622,8 +590,8 @@ def _cmd_directories() -> None:
 
 def _cmd_engines() -> None:
     print(f"{'engine':<12} summary")
-    for row in engine_backends():
-        print(f"{row['name']:<12} {row['summary']}")
+    for name, summary in ENGINES.items():
+        print(f"{name:<12} {summary}")
 
 
 def _run_config_overrides(args: argparse.Namespace, config):
@@ -696,9 +664,7 @@ def _cmd_run(args: argparse.Namespace) -> None:
             config = _PROTOCOL_CONFIGS[name]()
         config = _run_config_overrides(args, config)
         obs = _run_obs_params(args, name, multi)
-        if obs.enabled:
-            config = config.with_obs(obs)
-        result = simulate(config, program, engine=args.engine)
+        result = simulate(config, program, engine=args.engine, obs=obs)
         if baseline is None:
             baseline = result
         print(f"{name:<8} {result.exec_cycles:>12,} cycles "
@@ -927,10 +893,18 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     # a permanently failed job without simulating it again.  A section
     # that needs a failed job, or whose render raises, becomes a skip
     # line; the rest of the report and the manifest are still written.
+    # A --fail-fast abort left jobs the sweep never reached, and no
+    # render may run them, so every section that needs a job is skipped.
     render_failed = False
+    aborted = bool(failures) and args.fail_fast
 
     def _render(section: Section) -> str:
         nonlocal render_failed
+        if aborted and section.grid is not None:
+            return (
+                f"{section.label}: skipped — --fail-fast aborted the sweep "
+                "(see failure table)"
+            )
         try:
             return section.render(scale, apps, executor)
         except SweepFailure as exc:
@@ -999,7 +973,11 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     hint = ""
     if failures:
         _print_failure_table(failures)
-        if executor.store is not None:
+        if aborted:
+            # The jobs after the failure never ran; a resume would
+            # replay only the failure.
+            hint = "; --fail-fast stopped the sweep: run it again to finish"
+        elif executor.store is not None:
             # A resume re-runs failed jobs; it cannot mend a render.
             hint = (
                 "; re-run only the failed jobs with "

@@ -242,13 +242,13 @@ class MachineParams:
 class ObsParams:
     """Observability settings: event tracing and metrics sampling.
 
-    Observability is *not* part of a system's identity: enabling it
-    never changes simulation results (the hooks are observational-only,
-    pinned by ``tests/property/test_obs_differential.py``), so the
-    field is excluded from :func:`repro.experiments.runner.config_key`,
-    from ``SystemConfig`` equality/hashing (``compare=False``), and
-    from :func:`config_to_dict` payloads.  With both paths ``None``
-    (the default) the instrumentation layer is structurally absent: no
+    Observability is *not* part of a system: enabling it never changes
+    simulation results (the hooks are observational-only, pinned by
+    ``tests/property/test_obs_differential.py``), so it is not a
+    :class:`SystemConfig` field but an argument of
+    :func:`repro.sim.engine.simulate` (``obs=``), the one place it
+    enters a run.  Without it, or with both paths ``None`` (the
+    default), the instrumentation layer is structurally absent: no
     hook is installed, no obs module is imported, and the engines run
     the exact same code they run without this class existing — a
     contract ``tests/property/test_obs_differential.py`` gates by
@@ -375,9 +375,10 @@ class SystemConfig:
     per-link contention governed by ``costs.link_latency`` /
     ``costs.link_occupancy``.
 
-    The engine backend that simulates a config is not part of it: the
-    backends are bit-identical, so it is passed by name at run time
-    (see :mod:`repro.sim.factory`).
+    A config describes the simulated system and nothing else: the
+    engine backend that simulates it and the observability settings
+    are arguments of :func:`repro.sim.engine.simulate`, since neither
+    changes what a run computes.
     """
 
     protocol: str = "rnuma"
@@ -399,11 +400,6 @@ class SystemConfig:
     #: C_relocate = C_allocate in either mode (EQ 3's bound of 3, not
     #: the aggressive design's 2).
     relocation_mode: str = "local"
-    #: observability settings (event tracing / metrics sampling).
-    #: Excluded from equality, hashing, run keys, and serialized
-    #: payloads: instrumentation never changes what a run computes,
-    #: only what it additionally writes.
-    obs: ObsParams = field(default_factory=ObsParams, compare=False)
 
     _PROTOCOLS = ("ccnuma", "scoma", "rnuma", "ideal")
     _RELOCATION_MODES = ("local", "flush")
@@ -426,14 +422,6 @@ class SystemConfig:
                 f"unknown relocation_mode {self.relocation_mode!r}; "
                 f"expected one of {self._RELOCATION_MODES}"
             )
-
-    def with_obs(self, obs: ObsParams) -> "SystemConfig":
-        """A copy of this config with different observability settings.
-
-        Identity-preserving: the copy compares and hashes equal to the
-        original and produces bit-identical results.
-        """
-        return replace(self, obs=obs)
 
 
 # The paper's four systems.  ``python -m repro run`` and every figure,
@@ -476,16 +464,8 @@ def ideal_config() -> SystemConfig:
 
 
 def config_to_dict(config: SystemConfig) -> Dict[str, Any]:
-    """A JSON-safe plain-dict form of a :class:`SystemConfig`.
-
-    Observability settings are omitted: they are not part of a
-    system's identity (results are bit-identical with or without
-    them), so stored payloads stay byte-identical across traced and
-    untraced runs of the same configuration.
-    """
-    data = asdict(config)
-    data.pop("obs", None)
-    return data
+    """A JSON-safe plain-dict form of a :class:`SystemConfig`."""
+    return asdict(config)
 
 
 def config_from_dict(data: Dict[str, Any]) -> SystemConfig:

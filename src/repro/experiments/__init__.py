@@ -9,9 +9,9 @@ persists results in an on-disk :class:`ResultStore`; every ``format_*``
 function renders the same rows/series the paper reports as ASCII.
 
 Unlike the other subpackages, this one re-exports: ``repro.cli``'s
-``SECTIONS`` binds the ``compute_*``/``format_*`` names from here at
-import, and perfbench's traced run wraps them through ``__all__``
-before it imports the CLI.
+``SECTIONS`` reads the ``compute_*``/``format_*``/``*_grid`` names as
+``experiments.<name>``, and perfbench's traced run wraps them through
+``__all__`` before it imports the CLI.
 """
 
 from repro.experiments.executor import (

@@ -37,8 +37,8 @@ if TYPE_CHECKING:
 #: the ten applications, in the paper's figure order
 EXPERIMENT_APPS = tuple(workload_names())
 
-#: type -> names of its compared dataclass fields (``()`` for a leaf
-#: type), looked up once per type so a key costs one pass over values.
+#: type -> names of its dataclass fields (``()`` for a leaf type),
+#: looked up once per type so a key costs one pass over values.
 _KEY_FIELDS: Dict[type, Tuple[str, ...]] = {}
 
 
@@ -47,7 +47,7 @@ def _identity(value: Any) -> Any:
     names = _KEY_FIELDS.get(cls)
     if names is None:
         names = _KEY_FIELDS[cls] = (
-            tuple(f.name for f in fields(cls) if f.compare) if is_dataclass(cls) else ()
+            tuple(f.name for f in fields(cls)) if is_dataclass(cls) else ()
         )
     if not names:
         return value
@@ -56,9 +56,9 @@ def _identity(value: Any) -> Any:
 
 def config_key(config: SystemConfig) -> Tuple:
     """Hashable identity of a system configuration: the values of every
-    field that takes part in ``SystemConfig`` equality, recursing into
-    the frozen parameter dataclasses, so a new field can never be left
-    out of the store key.  ``obs`` (``compare=False``) stays out."""
+    ``SystemConfig`` field, recursing into the frozen parameter
+    dataclasses, so a new field can never be left out of the store
+    key."""
     return _identity(config)
 
 

@@ -4,8 +4,11 @@ This package is the *optional* instrumentation layer over the
 simulator.  Three design rules govern everything in it:
 
 1. **Zero cost when off.**  Nothing here is imported — let alone
-   executed — unless a run explicitly asks for instrumentation via
-   :class:`repro.common.params.ObsParams`.  The engines' hot paths
+   executed — unless a run explicitly asks for instrumentation: an
+   enabled :class:`repro.common.params.ObsParams` passed as the ``obs``
+   argument of :func:`repro.sim.engine.simulate`, the one place it
+   enters (it is not part of a ``SystemConfig``, so no run key, store
+   entry or result carries it).  The engines' hot paths
    contain no tracing branches; enabling tracing *wraps* the shared
    miss hook at engine-construction time (:mod:`repro.obs.attach`),
    and disabling it leaves the engine byte-for-byte the code it was

@@ -25,37 +25,30 @@ runs are bit-identical to untraced ones (pinned by
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Any, Dict, List, Optional
 
 from repro.common.params import ObsParams, config_to_dict
+from repro.common.stats import NodeStats
 from repro.obs.metrics import MetricsWriter
 from repro.obs.provenance import provenance_block
 from repro.obs.trace import TraceWriter
 
+#: The analytic NodeStats counters: the engines settle them after the
+#: run loop, so they only appear in the metrics ``final`` line.
+_ANALYTIC_COUNTERS = (
+    "l1_hits",
+    "l1_misses",
+    "busy_cycles",
+    "stall_cycles",
+    "barrier_wait_cycles",
+)
+
 #: NodeStats counters that are live during ``_miss`` (mutated as the
-#: miss executes).  Deliberately excludes the analytic counters
-#: (``l1_hits``, ``l1_misses``, ``busy_cycles``, ``stall_cycles``,
-#: ``barrier_wait_cycles``), which the engines settle after the run
-#: loop and which therefore only appear in the metrics ``final`` line.
-TRACKED_COUNTERS = (
-    "local_fills",
-    "cache_to_cache",
-    "block_cache_hits",
-    "block_cache_misses",
-    "block_cache_writebacks",
-    "page_cache_hits",
-    "page_cache_misses",
-    "page_faults",
-    "page_allocations",
-    "page_replacements",
-    "blocks_flushed",
-    "tlb_shootdowns",
-    "remote_fetches",
-    "refetches",
-    "coherence_misses",
-    "invalidations_sent",
-    "relocations",
-    "relocation_interrupts",
+#: miss executes): every other field, in declaration order, so a new
+#: counter is tracked without an edit here.
+TRACKED_COUNTERS = tuple(
+    f.name for f in fields(NodeStats) if f.name not in _ANALYTIC_COUNTERS
 )
 
 #: Indices into a TRACKED_COUNTERS snapshot, by name.

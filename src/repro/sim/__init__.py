@@ -2,10 +2,10 @@
 model with per-processor clocks, contention, and barrier synchronization,
 and produces a :class:`~repro.sim.results.SimulationResult`.
 
-Two schedulers share one miss-path contract, selected by name (see
-:mod:`repro.sim.factory`): the run-ahead engine
-(:func:`repro.sim.engine.simulate`'s default, the production path) and
-the classic one-event-per-reference loop
-(:func:`repro.sim.reference.simulate_reference`, the
-differential-testing oracle).
+:func:`repro.sim.engine.simulate` is the one way to run a simulation.
+It takes the engine backend by name (its ``ENGINES`` table): the
+run-ahead engine (the default, the production path) or the classic
+one-event-per-reference loop (``engine="reference"``,
+:class:`repro.sim.reference.ReferenceEngine`, the differential-testing
+oracle).  Observability enters there too, as its ``obs`` argument.
 """

@@ -104,8 +104,8 @@ from repro.coherence.states import (
     OWNED,
     SHARED,
 )
-from repro.common.errors import TraceError
-from repro.common.params import SystemConfig
+from repro.common.errors import ConfigurationError, TraceError
+from repro.common.params import ObsParams, SystemConfig
 from repro.common.records import ADDR_SHIFT, THINK_MASK
 from repro.machine.machine import Machine
 from repro.machine.node import Node
@@ -919,26 +919,46 @@ class SimulationEngine:
                 row[off] = BLOCK_READONLY
 
 
+#: Every engine backend, by the name ``simulate`` takes, with the
+#: summary the ``engines`` command prints.  Both produce bit-identical
+#: results (the differential property suites pin it), so the backend is
+#: a run-time argument, never part of a configuration or of a result's
+#: identity.
+ENGINES = {
+    "runahead": "drain-loop scheduler (production default)",
+    "reference": "classic per-reference loop (differential oracle)",
+}
+
+
 def simulate(
     config: SystemConfig,
     traces: Sequence[Sequence[object]],
     homes: Optional[Dict[int, int]] = None,
     engine: str = "runahead",
+    obs: Optional[ObsParams] = None,
 ) -> SimulationResult:
-    """Build the named engine backend (see :mod:`repro.sim.factory`),
-    run it, and return the result.
+    """Build the named engine backend (see :data:`ENGINES`), run it, and
+    return the result.
 
-    When ``config.obs`` enables tracing or metrics, the run goes
-    through :func:`repro.obs.attach.observed_run` (imported only then —
-    the obs package stays unloaded for ordinary runs), which attaches
-    the miss-hook instrumentation before the run loop starts.  Results
-    are bit-identical either way.
+    ``reference`` is :class:`repro.sim.reference.ReferenceEngine`,
+    imported only when asked for.  When ``obs`` enables tracing or
+    metrics, the run goes through :func:`repro.obs.attach.observed_run`
+    (imported only then — the obs package stays unloaded for ordinary
+    runs), which attaches the miss-hook instrumentation before the run
+    loop starts.  Results are bit-identical either way.
     """
-    from repro.sim.factory import make_engine
+    if engine == "runahead":
+        sim = SimulationEngine(config, traces, homes)
+    elif engine == "reference":
+        from repro.sim.reference import ReferenceEngine
 
-    sim = make_engine(config, traces, homes, engine)
-    if config.obs.enabled:
+        sim = ReferenceEngine(config, traces, homes)
+    else:
+        raise ConfigurationError(
+            f"unknown engine {engine!r}; expected one of {tuple(ENGINES)}"
+        )
+    if obs is not None and obs.enabled:
         from repro.obs.attach import observed_run
 
-        return observed_run(sim, config.obs, engine)
+        return observed_run(sim, obs, engine)
     return sim.run()

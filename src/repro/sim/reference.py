@@ -11,8 +11,9 @@ engine optimized away:
   insertion-ordered-dict page cache (the frozen transcriptions in
   :mod:`repro.sim.legacy`, swapped into the machine at construction).
 
-It is the differential-testing oracle: the columnar engine is correct
-precisely when it produces bit-identical
+It is the differential-testing oracle, run by
+``repro.sim.engine.simulate(..., engine="reference")``: the columnar
+engine is correct precisely when it produces bit-identical
 :class:`~repro.sim.results.SimulationResult`s to this loop on every
 input (see ``tests/property/test_runahead_differential.py``).  Because
 it also keeps the pre-columnar structures, that equality covers the
@@ -561,11 +562,3 @@ class ReferenceEngine(SimulationEngine):
             if v.tags.get(g, off) == BLOCK_WRITABLE:
                 v.tags.set(g, off, BLOCK_READONLY)
 
-
-def simulate_reference(
-    config: SystemConfig,
-    traces: Sequence[Sequence[object]],
-    homes: Optional[Dict[int, int]] = None,
-) -> SimulationResult:
-    """Run the frozen baseline engine; the differential-testing oracle."""
-    return ReferenceEngine(config, traces, homes).run()

@@ -33,7 +33,6 @@ from repro.coherence.directory import (
 from repro.common.errors import ProtocolError
 from repro.common.params import DirectoryParams
 from repro.sim.engine import simulate
-from repro.sim.reference import simulate_reference
 
 from tests.conftest import tiny_config
 from tests.property.test_runahead_differential import (
@@ -364,7 +363,7 @@ class TestEngineLevel:
             config = tiny_config(protocol, directory=params)
             assert_identical_results(
                 simulate(config, [list(t) for t in traces]),
-                simulate_reference(config, [list(t) for t in traces]),
+                simulate(config, [list(t) for t in traces], engine="reference"),
             )
 
     @given(traces=programs(), protocol=st.sampled_from(PROTOCOLS))

@@ -28,14 +28,11 @@ from repro.common.addressing import AddressSpace
 from repro.common.params import CacheParams, MachineParams, ObsParams, SystemConfig
 from repro.common.records import Access, Barrier
 from repro.obs.schema import validate_metrics_file, validate_trace_file
-from repro.sim.engine import SimulationEngine, simulate
-from repro.sim.factory import make_engine
+from repro.sim.engine import ENGINES, SimulationEngine, simulate
 from repro.workloads.compile import CompiledProgram
 
 from tests.conftest import tiny_config
 from tests.property.test_runahead_differential import assert_identical_results
-
-ENGINES = ("runahead", "reference")
 
 
 def _traces():
@@ -70,7 +67,7 @@ def _run_pair(engine, tmp_path):
     config = tiny_config("rnuma")
     obs = _obs(tmp_path, engine)
     plain = simulate(config, _traces(), engine=engine)
-    traced = simulate(config.with_obs(obs), _traces(), engine=engine)
+    traced = simulate(config, _traces(), engine=engine, obs=obs)
     return plain, traced, obs
 
 
@@ -79,7 +76,7 @@ def test_traced_run_bit_identical(engine, tmp_path):
     plain, traced, _ = _run_pair(engine, tmp_path)
     assert_identical_results(plain, traced)
     # Belt and braces: the serialized payloads (what the store compares
-    # and dedups on) must match too, obs excluded from config identity.
+    # and dedups on) must match too.
     assert plain.to_json_dict() == traced.to_json_dict()
 
 
@@ -100,7 +97,7 @@ def test_trace_captures_paper_dynamics(tmp_path):
     appear in the trace, attributed to real node/cpu tracks."""
     config = tiny_config("rnuma")
     obs = _obs(tmp_path, "dynamics")
-    result = simulate(config.with_obs(obs), _traces())
+    result = simulate(config, _traces(), obs=obs)
     assert result.total("relocations") > 0, "scenario must relocate"
     events = json.loads(open(obs.trace_path).read())["traceEvents"]
     names = {e["name"] for e in events}
@@ -135,8 +132,8 @@ def test_category_filter_drops_events(tmp_path):
         trace_categories=("counter",),
     )
     full = ObsParams(trace_path=str(tmp_path / "full.trace.json"))
-    r1 = simulate(config.with_obs(obs), _traces())
-    r2 = simulate(config.with_obs(full), _traces())
+    r1 = simulate(config, _traces(), obs=obs)
+    r2 = simulate(config, _traces(), obs=full)
     assert_identical_results(r1, r2)
     filtered = json.loads(open(obs.trace_path).read())["traceEvents"]
     cats = {e["cat"] for e in filtered if e["ph"] != "M"}
@@ -150,7 +147,7 @@ def test_metrics_samples_are_monotonic(tmp_path):
     obs = ObsParams(
         metrics_path=str(tmp_path / "mono.metrics.jsonl"), metrics_interval=100
     )
-    result = simulate(config.with_obs(obs), _traces())
+    result = simulate(config, _traces(), obs=obs)
     records = [
         json.loads(line) for line in open(obs.metrics_path) if line.strip()
     ]
@@ -197,12 +194,21 @@ def test_disabled_obs_is_structurally_absent():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_disabled_obs_installs_no_wrapper():
-    """With obs disabled nothing touches the engine: ``_miss`` stays
-    the plain class method, with no observing wrapper in between."""
-    config = tiny_config("ccnuma")
-    engine = make_engine(config, _traces())
-    assert "_miss" not in engine.__dict__
+def test_disabled_obs_installs_no_wrapper(monkeypatch):
+    """With obs absent or disabled nothing touches the engine: the
+    engine ``simulate()`` runs has ``_miss`` as the plain class method,
+    with no observing wrapper in between."""
+    wrapped = []
+    run = SimulationEngine.run
+
+    def spy(engine):
+        wrapped.append("_miss" in engine.__dict__)
+        return run(engine)
+
+    monkeypatch.setattr(SimulationEngine, "run", spy)
+    for obs in (None, ObsParams()):
+        simulate(tiny_config("ccnuma"), _traces(), obs=obs)
+    assert wrapped == [False, False]
 
 
 # ----------------------------------------------------------------------
@@ -344,8 +350,8 @@ def _opcodes(run) -> int:
 
 def test_disabled_obs_dispatch_adds_constant_bytecode():
     """The zero-cost-off claim, counted.  Per scenario, the bytecode
-    ``simulate()`` executes with the default disabled ObsParams (the
-    path every caller takes) minus that of the run-ahead engine
+    ``simulate()`` executes without ``obs`` (the path every caller
+    takes) minus that of the run-ahead engine
     constructed directly (the pre-obs code path).  Any disabled-obs
     cost that grows with the simulated work — a per-miss hook, a
     per-reference check — makes that difference vary across scenarios
@@ -356,7 +362,6 @@ def test_disabled_obs_dispatch_adds_constant_bytecode():
     _opcodes(lambda: None)
     extra = {}
     for name, (config, program) in _gate_scenarios().items():
-        assert not config.obs.enabled
         # Warm the program and page maps, and check the scenario still
         # stresses the miss path.
         engine = SimulationEngine(config, program)

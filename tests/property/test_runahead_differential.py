@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 from repro.common.params import MachineParams
 from repro.common.records import Access, Barrier
 from repro.sim.engine import simulate
-from repro.sim.reference import simulate_reference
 
 from tests.conftest import TINY_CACHES, tiny_config
 
@@ -88,7 +87,7 @@ def assert_identical_results(a, b):
 @settings(max_examples=300, deadline=None)
 def test_runahead_matches_reference(traces, config):
     fast = simulate(config, [list(t) for t in traces])
-    slow = simulate_reference(config, [list(t) for t in traces])
+    slow = simulate(config, [list(t) for t in traces], engine="reference")
     assert_identical_results(fast, slow)
 
 
@@ -105,7 +104,7 @@ def test_runahead_matches_reference_multi_cpu_nodes(traces):
             protocol, machine=MachineParams(nodes=2, cpus_per_node=2)
         )
         fast = simulate(config, [list(t) for t in traces])
-        slow = simulate_reference(config, [list(t) for t in traces])
+        slow = simulate(config, [list(t) for t in traces], engine="reference")
         assert_identical_results(fast, slow)
 
 
@@ -127,7 +126,7 @@ def test_runahead_matches_reference_on_an_app_program():
         base_rnuma_config(),
     ):
         fast = simulate(config, program)
-        slow = simulate_reference(config, program)
+        slow = simulate(config, program, engine="reference")
         assert_identical_results(fast, slow)
 
 
@@ -154,7 +153,7 @@ def test_engines_agree_on_an_app_at_ten_nodes():
         base_rnuma_config(),
     ):
         config = replace(config, machine=machine)
-        slow = simulate_reference(config, program)
+        slow = simulate(config, program, engine="reference")
         assert_identical_results(simulate(config, program), slow)
 
 
@@ -188,7 +187,7 @@ def _engine_matches_reference_at(nodes):
     for protocol in PROTOCOLS:
         config = tiny_config(protocol, machine=machine)
         fast = simulate(config, [list(t) for t in traces])
-        slow = simulate_reference(config, [list(t) for t in traces])
+        slow = simulate(config, [list(t) for t in traces], engine="reference")
         assert_identical_results(fast, slow)
 
 

@@ -26,7 +26,6 @@ from repro.interconnect.network import Network
 from repro.interconnect.resource import BusyResource
 from repro.interconnect.topology import topology_names
 from repro.sim.engine import simulate
-from repro.sim.reference import simulate_reference
 
 from tests.conftest import tiny_config
 from tests.property.test_runahead_differential import assert_identical_results
@@ -132,7 +131,7 @@ def programs(draw):
 def test_runahead_matches_reference_on_every_topology(traces, topology, protocol):
     config = tiny_config(protocol, topology=topology)
     fast = simulate(config, [list(t) for t in traces])
-    slow = simulate_reference(config, [list(t) for t in traces])
+    slow = simulate(config, [list(t) for t in traces], engine="reference")
     assert_identical_results(fast, slow)
 
 
@@ -158,5 +157,5 @@ def test_runahead_matches_reference_on_an_app_across_topologies():
         ):
             config = replace(base, topology=topology)
             fast = simulate(config, program)
-            slow = simulate_reference(config, program)
+            slow = simulate(config, program, engine="reference")
             assert_identical_results(fast, slow)

@@ -405,6 +405,33 @@ def test_reproduce_failure_resume_cycle(capsys, tmp_path, monkeypatch):
         assert heading in out
 
 
+def test_fail_fast_runs_no_job_after_the_abort(capsys, tmp_path, monkeypatch):
+    """``--fail-fast`` stops the sweep at the first permanent failure,
+    and the render phase runs none of the jobs the sweep never reached:
+    every section that needs a job is a skip line, and the manifest
+    records the one failure the failure table shows."""
+    monkeypatch.setenv("REPRO_FAULTS", "worker-raise:index=0")
+    argv = [
+        "reproduce", "--scale", "0.05", "--apps", "em3d", "--fail-fast",
+        "--backoff", "0", "--store", str(tmp_path),
+    ]
+    assert main(argv) == 1
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert len(manifest["failures"]) == 1
+    assert manifest["sources"]["simulated"] == 0
+    assert manifest["sources"]["failed"] == 1
+    assert not list(tmp_path.glob("[0-9a-f]*.json")), "no job may have run"
+    captured = capsys.readouterr()
+    assert "\n1 job(s) permanently failed:" in captured.err
+    # A resume would replay only the failure, not the jobs never run.
+    assert "run it again to finish" in captured.err
+    assert "--resume" not in captured.err
+    assert "Table 2: system cost assumptions" in captured.out
+    skipped = [line for line in captured.out.splitlines() if "skipped" in line]
+    assert len(skipped) == sum(s.grid is not None for s in SECTIONS)
+    assert all("--fail-fast aborted the sweep" in line for line in skipped)
+
+
 def test_a_section_whose_render_raises_is_skipped(capsys, tmp_path, monkeypatch):
     """Table 3 builds every application, whatever ``--apps`` says.  A
     builder that raises (radix without NumPy) turns that section into a

@@ -1,7 +1,7 @@
 """Engine-backend selection: the backend is a run-time argument passed
 by name (``simulate(..., engine=)``, ``run --engine``), never a field
-of :class:`SystemConfig`, and the factory builds each backend.  A sweep
-has no choice to make: the executor always runs on run-ahead.
+of :class:`SystemConfig`, and ``simulate`` builds each backend.  A
+sweep has no choice to make: the executor always runs on run-ahead.
 """
 
 import dataclasses
@@ -24,8 +24,7 @@ from repro.experiments.executor import (
     ResultStore,
     job_from_failure,
 )
-from repro.sim import factory
-from repro.sim.engine import SimulationEngine, simulate
+from repro.sim.engine import ENGINES, SimulationEngine, simulate
 from repro.sim.reference import ReferenceEngine
 
 from tests.conftest import tiny_config
@@ -40,13 +39,27 @@ def _traces():
     return [list(t) for t in TRACES]
 
 
+def _spy_on_runs(monkeypatch):
+    """Record the class of every engine ``simulate`` runs."""
+    built = []
+    for cls in (SimulationEngine, ReferenceEngine):
+        run = cls.__dict__["run"]
+
+        def spy(engine, run=run):
+            built.append(type(engine))
+            return run(engine)
+
+        monkeypatch.setattr(cls, "run", spy)
+    return built
+
+
 class TestConfigField:
     """The engine is chosen per run, not stored in the config."""
 
-    def test_default_resolves_to_runahead(self, tmp_path):
-        assert type(factory.make_engine(tiny_config("ccnuma"), _traces())) is (
-            SimulationEngine
-        )
+    def test_default_resolves_to_runahead(self, tmp_path, monkeypatch):
+        built = _spy_on_runs(monkeypatch)
+        simulate(tiny_config("ccnuma"), _traces())
+        assert built == [SimulationEngine]
         with pytest.raises(TypeError):
             Executor(engine="runahead")
         manifest = Executor(store=ResultStore(tmp_path)).write_manifest([])
@@ -75,21 +88,16 @@ class TestConfigField:
         assert job_from_failure(JobFailure.from_json_dict(record)).config == config
 
 
-class TestFactory:
-    def test_builds_each_backend(self):
-        cfg = tiny_config("ccnuma")
-        assert type(factory.make_engine(cfg, [[], []])) is SimulationEngine
-        assert isinstance(
-            factory.make_engine(cfg, [[], []], engine="reference"), ReferenceEngine
-        )
-
-    def test_backend_listing_shape(self):
-        rows = factory.engine_backends()
-        assert [r["name"] for r in rows] == list(factory.ENGINES) == [
-            "runahead",
-            "reference",
+class TestSimulateDispatch:
+    def test_simulate_routes_by_engine_name(self, monkeypatch):
+        built = _spy_on_runs(monkeypatch)
+        results = [
+            simulate(tiny_config("scoma"), _traces(), engine=name)
+            for name in ENGINES
         ]
-        assert all(set(row) == {"name", "summary"} for row in rows)
+        assert built == [SimulationEngine, ReferenceEngine]
+        assert list(ENGINES) == ["runahead", "reference"]
+        assert len({r.exec_cycles for r in results}) == 1
 
     def test_runahead_and_reference_survive_missing_numpy(self, monkeypatch):
         monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy fails
@@ -97,24 +105,6 @@ class TestFactory:
         fast = simulate(cfg, _traces())
         slow = simulate(cfg, _traces(), engine="reference")
         assert fast.exec_cycles == slow.exec_cycles > 0
-
-
-class TestSimulateDispatch:
-    def test_simulate_routes_by_engine_name(self, monkeypatch):
-        built = []
-        make = factory.make_engine
-
-        def spy(config, traces, homes=None, engine="runahead"):
-            built.append(engine)
-            return make(config, traces, homes, engine)
-
-        monkeypatch.setattr(factory, "make_engine", spy)
-        results = [
-            simulate(tiny_config("scoma"), _traces(), engine=name)
-            for name in factory.ENGINES
-        ]
-        assert built == list(factory.ENGINES)
-        assert len({r.exec_cycles for r in results}) == 1
 
 
 class TestReferenceScope:

@@ -99,13 +99,6 @@ class TestConfigs:
             assert changed != base
             assert config_key(changed) != config_key(base), ".".join(path)
 
-    def test_obs_does_not_change_the_key(self):
-        from repro.common.params import ObsParams
-
-        config = base_rnuma_config()
-        traced = config.with_obs(ObsParams(trace_path="t.json", metrics_interval=7))
-        assert config_key(traced) == config_key(config)
-
     def test_soft_configs_change_costs(self):
         assert base_scoma_config(costs=SOFT_COSTS).costs.soft_trap == 4000
         assert base_rnuma_config(costs=SOFT_COSTS).costs.tlb_shootdown == 2000

@@ -22,7 +22,7 @@ def artifacts(tmp_path_factory):
         metrics_path=str(tmp / "run.metrics.jsonl"),
         metrics_interval=200,
     )
-    result = simulate(tiny_config("rnuma").with_obs(obs), _traces())
+    result = simulate(tiny_config("rnuma"), _traces(), obs=obs)
     return obs, result
 
 

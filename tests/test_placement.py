@@ -85,8 +85,7 @@ class TestPartialPlacementAcrossEngines:
         backend must run the same late-first-touch fallback (the shared
         resolve_home helper) and land on identical results *and* an
         identically completed homes map."""
-        from repro.sim.engine import simulate
-        from repro.sim.reference import simulate_reference
+        from repro.sim.engine import ENGINES, simulate
         from tests.conftest import tiny_config
         from tests.property.test_runahead_differential import (
             assert_identical_results,
@@ -103,9 +102,11 @@ class TestPartialPlacementAcrossEngines:
             config = tiny_config(protocol)
             results = []
             completed = []
-            for run in (simulate, simulate_reference):
+            for engine in ENGINES:
                 homes = dict(partial)
-                results.append(run(config, [list(t) for t in traces], homes))
+                results.append(
+                    simulate(config, [list(t) for t in traces], homes, engine)
+                )
                 completed.append(homes)
             for other in results[1:]:
                 assert_identical_results(results[0], other)
@@ -116,15 +117,12 @@ class TestPartialPlacementAcrossEngines:
             assert set(completed[0]) == {0, 1, 2, 3}
 
     def test_engine_instances_share_the_caller_map(self):
-        """make_engine must keep the caller's dict as the live homes map
-        (first-touch adoptions visible to the caller), for every backend."""
-        from repro.sim.factory import ENGINES, make_engine
+        """Every backend must keep the caller's dict as the live homes
+        map (first-touch adoptions visible to the caller)."""
+        from repro.sim.engine import ENGINES, simulate
         from tests.conftest import tiny_config
 
         for name in ENGINES:
             homes = {}
-            engine = make_engine(
-                tiny_config("ccnuma"), [[Access(0, True)], []], homes, name
-            )
-            engine.run()
+            simulate(tiny_config("ccnuma"), [[Access(0, True)], []], homes, name)
             assert homes == {0: 0}, name

@@ -13,8 +13,7 @@ import dataclasses
 import pytest
 
 from repro.common.stats import NodeStats
-from repro.sim.engine import simulate
-from repro.sim.factory import ENGINES
+from repro.sim.engine import ENGINES, simulate
 
 from tests.conftest import tiny_config
 from tests.property.test_obs_differential import _traces
@@ -56,9 +55,28 @@ def test_all_engines_agree_on_every_stat(protocol):
 
 
 def test_stat_fields_cover_the_tracked_counters():
-    """The obs layer's TRACKED_COUNTERS must all be real NodeStats
-    fields — a rename there would silently zero a metrics column."""
+    """The obs layer tracks every NodeStats field but the five analytic
+    ones, in field order: the metrics ``meta.counters`` line lists
+    exactly these, so any change to it is made here on purpose."""
     from repro.obs.attach import TRACKED_COUNTERS
 
-    missing = set(TRACKED_COUNTERS) - set(STAT_FIELDS)
-    assert not missing, f"obs tracks unknown counters: {sorted(missing)}"
+    assert TRACKED_COUNTERS == (
+        "local_fills",
+        "cache_to_cache",
+        "block_cache_hits",
+        "block_cache_misses",
+        "block_cache_writebacks",
+        "page_cache_hits",
+        "page_cache_misses",
+        "page_faults",
+        "page_allocations",
+        "page_replacements",
+        "blocks_flushed",
+        "tlb_shootdowns",
+        "remote_fetches",
+        "refetches",
+        "coherence_misses",
+        "invalidations_sent",
+        "relocations",
+        "relocation_interrupts",
+    )
