@@ -252,6 +252,16 @@ def test_engines_listing(capsys):
     assert names == ["runahead", "reference"]
 
 
+def test_engines_listing_prints_each_summary(capsys):
+    """A header, then one aligned row per backend with its summary."""
+    out = run_cli(capsys, "engines")
+    assert out.splitlines() == [
+        "engine       summary",
+        "runahead     drain-loop scheduler (production default)",
+        "reference    classic per-reference loop (differential oracle)",
+    ]
+
+
 def test_reference_engine_refusal_is_a_usage_error(capsys):
     """The oracle models only the full-map directory; asking it to run
     one that can overflow is an error message, not a traceback."""

@@ -99,6 +99,30 @@ class TestSimulateDispatch:
         assert list(ENGINES) == ["runahead", "reference"]
         assert len({r.exec_cycles for r in results}) == 1
 
+    def test_builds_each_backend_from_positional_arguments(self, monkeypatch):
+        """``simulate`` hands the backend it names ``(config, traces,
+        homes)`` positionally, so a profiler that wraps ``__init__``
+        finds the traces at a fixed place in its arguments."""
+        entered = []
+        for cls in (SimulationEngine, ReferenceEngine):
+            init = cls.__dict__["__init__"]
+
+            def spy(engine, *args, init=init, cls=cls, **kwargs):
+                entered.append((cls, args, kwargs))
+                init(engine, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", spy)
+        config = tiny_config("ccnuma")
+        for name, cls in zip(ENGINES, (SimulationEngine, ReferenceEngine)):
+            traces, homes = _traces(), {}
+            entered.clear()
+            simulate(config, traces, homes, name)
+            outer, args, kwargs = entered[0]
+            assert outer is cls, name
+            assert kwargs == {}, name
+            assert len(args) == 3, name
+            assert args[0] is config and args[1] is traces and args[2] is homes
+
     def test_runahead_and_reference_survive_missing_numpy(self, monkeypatch):
         monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy fails
         cfg = tiny_config("rnuma")

@@ -11,6 +11,8 @@ import pytest
 
 from repro.common.params import (
     SOFT_COSTS,
+    ObsParams,
+    SystemConfig,
     base_ccnuma_config,
     base_rnuma_config,
     base_scoma_config,
@@ -54,10 +56,8 @@ _ALTERNATIVE_STRINGS = {
 
 
 def _leaf_fields(obj, path=()):
-    """(field path, value) of every compared non-dataclass field."""
+    """(field path, value) of every non-dataclass field."""
     for f in dataclasses.fields(obj):
-        if not f.compare:
-            continue
         value = getattr(obj, f.name)
         if dataclasses.is_dataclass(value):
             yield from _leaf_fields(value, path + (f.name,))
@@ -98,6 +98,21 @@ class TestConfigs:
             changed = _with_leaf(base, path, other)
             assert changed != base
             assert config_key(changed) != config_key(base), ".".join(path)
+
+    def test_every_config_field_is_compared(self):
+        """Observability is an argument of ``simulate``, not a config
+        field, so no field is left out of equality and the store key."""
+        assert "obs" not in {f.name for f in dataclasses.fields(SystemConfig)}
+        with pytest.raises(TypeError):
+            SystemConfig(obs=ObsParams())
+        pending = [base_rnuma_config()]
+        while pending:
+            obj = pending.pop()
+            for f in dataclasses.fields(obj):
+                assert f.compare, f"{type(obj).__name__}.{f.name}"
+                value = getattr(obj, f.name)
+                if dataclasses.is_dataclass(value):
+                    pending.append(value)
 
     def test_soft_configs_change_costs(self):
         assert base_scoma_config(costs=SOFT_COSTS).costs.soft_trap == 4000
