@@ -9,8 +9,8 @@ result store:
    (``REPRO_FAULTS="worker-raise:times=2"``) and a retry budget that
    covers it — the sweep completes bit-identically;
 3. with one job crashing on *every* attempt — the sweep finishes the
-   survivors, raises ``SweepFailure``, records a replayable failure,
-   and a resume-style re-run (faults cleared) heals the store.
+   survivors and raises ``SweepFailure``; running the same sweep again
+   (faults cleared) simulates only the dead job and heals the store.
 
 Run:  python examples/fault_tolerance_drill.py [app] [scale]
 """
@@ -33,7 +33,6 @@ from repro.experiments.executor import (
     Job,
     ResultStore,
     SweepFailure,
-    job_from_failure,
 )
 from repro.faults.injection import ENV_VAR
 
@@ -70,7 +69,7 @@ def main() -> None:
     )
     print(f"   completed; bit-identical to fault-free: {identical}")
 
-    print("\n3. job #1 crashes on every attempt; keep-going survives ...")
+    print("\n3. job #1 crashes on every attempt; the sweep runs on ...")
     with tempfile.TemporaryDirectory() as tmp:
         store = ResultStore(tmp)
         exe = Executor(
@@ -91,12 +90,16 @@ def main() -> None:
         finally:
             del os.environ[ENV_VAR]
 
-        print("   resume-style re-run of the one dead job ...")
+        print("   the same sweep again, faults cleared ...")
         healed = Executor(workers=1, store=store)
-        (recovered,) = healed.run([job_from_failure(dead)])
-        match = recovered.exec_cycles == baseline[1].exec_cycles
+        recovered = healed.run(jobs)
+        simulated = sum(p["source"] == "simulated" for p in healed.job_profiles)
+        match = all(
+            a.exec_cycles == b.exec_cycles for a, b in zip(baseline, recovered)
+        )
         print(
-            f"   recovered {dead.protocol} bit-identically: {match}; "
+            f"   simulated {simulated} job(s), the rest from the store; "
+            f"bit-identical to fault-free: {match}; "
             f"store now holds {len(store)} results"
         )
 

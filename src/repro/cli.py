@@ -40,11 +40,9 @@ Commands
     or hung job is retried (``--retries``, ``--job-timeout``,
     ``--backoff``) and, if
     it permanently fails, recorded in the manifest while the rest of
-    the sweep completes (``--keep-going``, the default; ``--fail-fast``
-    aborts at the first permanent failure and prints only the sections
-    that need no simulation).  A failed sweep exits
-    nonzero with a failure table; ``--resume`` re-runs only the
-    recorded failures.
+    the sweep completes.  A failed sweep exits nonzero with a failure
+    table; running the same command again simulates only the jobs the
+    store lacks, the failed ones among them.
 ``store {verify,gc,stats}``
     Maintain the persistent result store: ``verify`` fscks every entry
     (quarantining corrupt ones), ``gc`` removes stale-schema entries
@@ -58,7 +56,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import reprlib
 import sys
 import traceback
 from dataclasses import replace
@@ -85,7 +82,6 @@ from repro.experiments.executor import (
     ResultStore,
     SweepFailure,
     default_store_dir,
-    job_from_failure,
 )
 from repro.experiments.runner import Grid, grid_jobs
 from repro.interconnect.routing import routing_table_for
@@ -239,23 +235,6 @@ def _add_executor_args(parser: argparse.ArgumentParser) -> None:
             "jitter (default: 0.5)"
         ),
     )
-    outcome = parser.add_mutually_exclusive_group()
-    outcome.add_argument(
-        "--keep-going",
-        dest="fail_fast",
-        action="store_false",
-        help=(
-            "run every remaining job even after permanent failures, "
-            "then exit nonzero with a failure table (default)"
-        ),
-    )
-    outcome.add_argument(
-        "--fail-fast",
-        dest="fail_fast",
-        action="store_true",
-        help="abort the sweep at the first permanent job failure",
-    )
-    parser.set_defaults(fail_fast=False)
 
 
 def _add_apps_arg(parser: argparse.ArgumentParser) -> None:
@@ -275,7 +254,6 @@ def _make_executor(args: argparse.Namespace) -> Executor:
             retries=args.retries,
             job_timeout=args.job_timeout,
             backoff=args.backoff,
-            fail_fast=args.fail_fast,
         )
     except ConfigurationError as exc:
         raise SystemExit(f"repro: {exc}")
@@ -476,14 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="stream per-job progress to stderr as the sweep runs",
     )
-    rep_p.add_argument(
-        "--resume",
-        action="store_true",
-        help=(
-            "re-run only the failures recorded in the last sweep's "
-            "run manifest (everything else is already stored)"
-        ),
-    )
     _add_executor_args(rep_p)
 
     store_p = sub.add_parser(
@@ -664,7 +634,16 @@ def _cmd_run(args: argparse.Namespace) -> None:
             config = _PROTOCOL_CONFIGS[name]()
         config = _run_config_overrides(args, config)
         obs = _run_obs_params(args, name, multi)
-        result = simulate(config, program, engine=args.engine, obs=obs)
+        try:
+            result = simulate(config, program, engine=args.engine, obs=obs)
+        except OSError as exc:
+            # Only the --trace and --metrics writers do I/O here.  One
+            # that cannot write ends the command like an unusable
+            # --store: one line, no traceback.
+            raise SystemExit(
+                f"repro: cannot write {exc.filename or 'run output'}: "
+                f"{exc.strerror or exc}"
+            )
         if baseline is None:
             baseline = result
         print(f"{name:<8} {result.exec_cycles:>12,} cycles "
@@ -768,71 +747,6 @@ def _cmd_report(args: argparse.Namespace) -> None:
         print("\nschema: valid")
 
 
-def _resume_reproduce(args: argparse.Namespace, executor: Executor) -> int:
-    """``reproduce --resume``: re-run only the failures the last
-    sweep's manifest recorded — everything that succeeded is already in
-    the store, so there is nothing else to do."""
-    if executor.store is None:
-        raise SystemExit(
-            "repro: --resume needs the on-disk store (drop --no-store)"
-        )
-    manifest = executor.store.read_manifest()
-    if manifest is None and not executor.store.manifest_path.exists():
-        raise SystemExit(
-            f"repro: --resume found no run manifest under "
-            f"{executor.store.root}; run `python -m repro reproduce` first"
-        )
-    # The manifest is a file on disk: one that is damaged or holds a
-    # record of the wrong shape is a usage error, and nothing is run or
-    # rewritten.
-    entries = manifest.get("failures", []) if manifest is not None else None
-    jobs = []
-    problem = None
-    if manifest is None:
-        problem = "not a JSON object"
-    elif not isinstance(entries, list):
-        problem = f"'failures' is {reprlib.repr(entries)}, not a list"
-    else:
-        for entry in entries:
-            try:
-                jobs.append(job_from_failure(JobFailure.from_json_dict(entry)))
-            except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
-                problem = (
-                    f"bad failure record {reprlib.repr(entry)} "
-                    f"({type(exc).__name__}: {exc})"
-                )
-                break
-    if problem is not None:
-        print(
-            f"repro: cannot resume: {executor.store.manifest_path}: {problem}",
-            file=sys.stderr,
-        )
-        return 2
-    if not jobs:
-        print(
-            "reproduce: manifest records no failures; nothing to resume",
-            file=sys.stderr,
-        )
-        return 0
-    print(f"reproduce: resuming {len(jobs)} failed job(s)", file=sys.stderr)
-    failures: List[JobFailure] = []
-    try:
-        executor.run(jobs)
-    except SweepFailure as exc:
-        failures = exc.failures
-    manifest["failures"] = [f.to_json_dict() for f in failures]
-    executor.store.write_manifest_payload(manifest)
-    print(
-        f"reproduce: {len(jobs) - len(failures)} job(s) recovered, "
-        f"{len(failures)} still failing",
-        file=sys.stderr,
-    )
-    if failures:
-        _print_failure_table(failures)
-        return 1
-    return 0
-
-
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     """Full paper sweep: one deduplicated job set, one executor."""
     import time
@@ -850,8 +764,6 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
             )
 
         executor.progress = _heartbeat
-    if args.resume:
-        return _resume_reproduce(args, executor)
     scale, apps = args.scale, args.apps
 
     # Enumerate every section's simulations up front so overlapping
@@ -874,8 +786,8 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     # its jobs is dispatched (the "trace compile" row) and tracks store
     # I/O separately; the rest is simulation.  A SweepFailure here means
     # some jobs are permanently dead after their retry budget;
-    # everything else completed (keep-going) and is cached/stored, so
-    # rendering proceeds on the survivors.
+    # everything else completed and is cached/stored, so rendering
+    # proceeds on the survivors.
     t0 = time.perf_counter()
     failures: List[JobFailure] = []
     try:
@@ -893,18 +805,10 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     # a permanently failed job without simulating it again.  A section
     # that needs a failed job, or whose render raises, becomes a skip
     # line; the rest of the report and the manifest are still written.
-    # A --fail-fast abort left jobs the sweep never reached, and no
-    # render may run them, so every section that needs a job is skipped.
     render_failed = False
-    aborted = bool(failures) and args.fail_fast
 
     def _render(section: Section) -> str:
         nonlocal render_failed
-        if aborted and section.grid is not None:
-            return (
-                f"{section.label}: skipped — --fail-fast aborted the sweep "
-                "(see failure table)"
-            )
         try:
             return section.render(scale, apps, executor)
         except SweepFailure as exc:
@@ -973,16 +877,10 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     hint = ""
     if failures:
         _print_failure_table(failures)
-        if aborted:
-            # The jobs after the failure never ran; a resume would
-            # replay only the failure.
-            hint = "; --fail-fast stopped the sweep: run it again to finish"
-        elif executor.store is not None:
-            # A resume re-runs failed jobs; it cannot mend a render.
-            hint = (
-                "; re-run only the failed jobs with "
-                "`python -m repro reproduce --resume`"
-            )
+        if executor.store is not None:
+            # The store holds every finished job, so a rerun simulates
+            # only the failed ones; no rerun mends a render.
+            hint = "; run the same command again to re-run only the failed jobs"
     print(f"reproduce: partial results kept{hint}", file=sys.stderr)
     return 1
 

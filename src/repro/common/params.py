@@ -330,16 +330,14 @@ class RetryPolicy:
         deterministic per-(job, attempt) jitter derived from the run
         key — no global random state (see
         :func:`repro.experiments.executor.backoff_delay`).
-    ``fail_fast``
-        Abort the sweep on the first *permanently* failed job (its
-        retry budget spent) instead of recording it and finishing the
-        rest (the default, ``--keep-going``).
+
+    A job whose budget is spent is recorded as failed while the rest of
+    the sweep runs on.
     """
 
     retries: int = 0
     job_timeout: Optional[float] = None
     backoff: float = 0.5
-    fail_fast: bool = False
 
     def __post_init__(self) -> None:
         if self.retries < 0:

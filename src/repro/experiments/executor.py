@@ -44,11 +44,11 @@ Each job owns an attempt budget (:class:`repro.common.params.RetryPolicy`):
   bystanders are re-dispatched *without* being charged.
 
 A job whose budget is spent becomes a :class:`JobFailure`; the sweep
-keeps going (or aborts at once under ``fail_fast``), partial results
-stay cached and stored, and :meth:`Executor.run` raises
-:class:`SweepFailure` at the end so callers must notice.  Failures land
-in the run manifest's ``failures`` section, which ``reproduce
---resume`` replays.
+keeps going, partial results stay cached and stored, and
+:meth:`Executor.run` raises :class:`SweepFailure` at the end so callers
+must notice.  Failures land in the run manifest's ``failures`` section.
+Running the same job set again finishes the sweep: the store answers
+every job that succeeded, so only the failed ones are simulated.
 
 Store invalidation is by schema version: :data:`STORE_SCHEMA_VERSION`
 participates in the key hash *and* is checked in the payload, so
@@ -71,7 +71,7 @@ import time
 import traceback as traceback_module
 from collections import deque
 from contextlib import closing
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from itertools import count
 from pathlib import Path
@@ -90,12 +90,7 @@ from typing import (
 )
 
 from repro.common.errors import FaultInjected, ReproError
-from repro.common.params import (
-    RetryPolicy,
-    SystemConfig,
-    config_from_dict,
-    config_to_dict,
-)
+from repro.common.params import RetryPolicy, SystemConfig
 from repro.experiments import reuse
 from repro.experiments.runner import Job
 from repro.faults import injection
@@ -150,11 +145,9 @@ def default_store_dir() -> Path:
 
 @dataclass
 class JobFailure:
-    """A job that permanently failed during a sweep.
-
-    Carries everything the failure table prints, plus the full config
-    dict so ``reproduce --resume`` can rebuild and re-run the exact
-    job (:func:`job_from_failure`) from the manifest alone.
+    """A job that permanently failed during a sweep: what the failure
+    table prints and the run manifest records.  ``key`` identifies the
+    job; running its sweep again re-runs it.
     """
 
     key: str  #: ``repr(run_key(...))`` — matches stored-entry keys.
@@ -165,33 +158,17 @@ class JobFailure:
     attempts: int
     error: str  #: one-line cause (exception repr, or the deadline).
     traceback: str  #: full worker traceback ("" for timeouts).
-    config: Dict[str, Any]  #: :func:`config_to_dict` payload for resume.
 
     def to_json_dict(self) -> Dict[str, Any]:
         return asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, data: Dict[str, Any]) -> "JobFailure":
-        # Records written while the engine was part of a job carry an
-        # ``engine`` entry; the job it describes is the same without it.
-        return cls(**{f.name: data[f.name] for f in fields(cls)})
-
-
-def job_from_failure(failure: JobFailure) -> Job:
-    """Rebuild the runnable :class:`Job` a failure record describes."""
-    return Job(
-        app=failure.app,
-        config=config_from_dict(failure.config),
-        scale=failure.scale,
-    )
 
 
 class SweepFailure(ReproError):
     """One or more jobs of a sweep permanently failed.
 
-    Raised by :meth:`Executor.run` *after* every other job completed
-    (or immediately under ``fail_fast``).  All partial results remain
-    in the cache and store; ``failures`` lists the casualties.
+    Raised by :meth:`Executor.run` *after* every other job completed.
+    All partial results remain in the cache and store; ``failures``
+    lists the casualties.
     """
 
     def __init__(self, failures: Sequence[JobFailure]) -> None:
@@ -570,21 +547,6 @@ class ResultStore:
             "has_manifest": self.manifest_path.exists(),
         }
 
-    def read_manifest(self) -> Optional[Dict[str, Any]]:
-        """The last sweep's ``run_manifest.json``, or None when it is
-        absent or does not read as a JSON object."""
-        try:
-            payload = json.loads(self.manifest_path.read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
-            return None
-        return payload if isinstance(payload, dict) else None
-
-    def write_manifest_payload(self, payload: Dict[str, Any]) -> Path:
-        _atomic_write_json(
-            self.root, self.manifest_path, payload, indent=2, sort_keys=True
-        )
-        return self.manifest_path
-
     def __len__(self) -> int:
         return sum(1 for _ in self._entry_paths())
 
@@ -593,9 +555,8 @@ class ResultStore:
         and the run manifest.
 
         The manifest goes too — by decision, not accident: it is the
-        census of a sweep whose results this call just deleted, and a
-        stale manifest would make ``reproduce --resume`` replay
-        failures against an empty store as if the rest still existed.
+        census of a sweep whose results this call just deleted, and
+        would otherwise describe results the store no longer holds.
         Fresh ``.tmp`` files are kept (the same live-writer age gate as
         :meth:`gc`), and ``quarantine/`` is kept as diagnostic
         evidence until explicitly removed.
@@ -625,7 +586,7 @@ class Executor:
         #: Results by run key: fresh simulations and store hits.
         self.cache: Dict[Tuple, SimulationResult] = {}
         self.store = store
-        #: Failure policy: per-job retries, deadline, backoff, fail-fast.
+        #: Failure policy: per-job retries, deadline, backoff.
         self.retry = retry if retry is not None else RetryPolicy()
         #: Cumulative wall time spent reading / writing the on-disk
         #: store, split by direction so a profile can tell a cold sweep
@@ -736,7 +697,6 @@ class Executor:
             attempts=attempts,
             error=error,
             traceback=traceback,
-            config=config_to_dict(job.config),
         )
 
     # -- execution -----------------------------------------------------
@@ -762,10 +722,10 @@ class Executor:
         (groups in first-seen order, each tightest first), whatever the
         completion order or worker count.
 
-        Raises :class:`SweepFailure` if any job permanently failed —
-        immediately under ``retry.fail_fast``, otherwise after every
-        other job completed (partial results stay cached/stored and
-        the failures are recorded on :attr:`failures`).
+        Raises :class:`SweepFailure` if any job permanently failed,
+        after every other job completed (partial results stay
+        cached/stored and the failures are recorded on
+        :attr:`failures`).
         """
         # A malformed fault plan is a usage error, raised before any
         # job is looked up or dispatched.
@@ -836,8 +796,6 @@ class Executor:
                     failed_now.append(outcome)
                     self._profile(job, "failed")
                     self._notify(next(done), total, job, "failed")
-                    if self.retry.fail_fast:
-                        raise SweepFailure(failed_now)
                 else:
                     _, result, simulate_s, queue_wait_s = outcome
                     write_before = self.store_write_seconds
@@ -1057,9 +1015,9 @@ class Executor:
         workers, retry policy, store schema version), how each unique
         job was resolved (``sources``: simulated, reused, loaded from
         the store, or failed), and what *did not* survive — the
-        ``failures`` section carries one replayable record per
-        permanently failed job, which ``reproduce --resume`` re-runs.
-        Returns the manifest path, or None when there is no store.
+        ``failures`` section carries one :class:`JobFailure` record per
+        permanently failed job.  Returns the manifest path, or None when
+        there is no store.
         """
         if self.store is None:
             return None
@@ -1080,7 +1038,6 @@ class Executor:
                 "retries": self.retry.retries,
                 "job_timeout": self.retry.job_timeout,
                 "backoff": self.retry.backoff,
-                "fail_fast": self.retry.fail_fast,
             },
             "jobs": len(jobs),
             "unique_jobs": len({job.key for job in jobs}),
@@ -1092,5 +1049,7 @@ class Executor:
         }
         if extra:
             manifest.update(extra)
-        return self.store.write_manifest_payload(manifest)
+        path = self.store.manifest_path
+        _atomic_write_json(self.store.root, path, manifest, indent=2, sort_keys=True)
+        return path
 

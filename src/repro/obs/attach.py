@@ -80,14 +80,19 @@ _PAGE_EVENTS = (
 class _Observer:
     """Shared per-run state for the miss wrappers and samplers."""
 
-    def __init__(self, engine: Any, obs: ObsParams, name: str) -> None:
+    def __init__(self, engine: Any, obs: ObsParams) -> None:
         self.engine = engine
         self.obs = obs
-        config = engine.config
-        self.threshold = config.relocation_threshold
+        self.threshold = engine.config.relocation_threshold
         self.trace: Optional[TraceWriter] = None
         self.metrics: Optional[MetricsWriter] = None
         self.next_due = obs.metrics_interval
+
+    def open(self, name: str) -> None:
+        """Open the writers ``obs`` asks for, recording ``name`` as the
+        engine.  A writer that fails to open leaves the ones before it
+        open, for :meth:`close` to complete."""
+        obs, config = self.obs, self.engine.config
         if obs.trace_path is not None:
             self.trace = TraceWriter(
                 obs.trace_path,
@@ -255,12 +260,14 @@ def observed_run(engine: Any, obs: ObsParams, name: str) -> Any:
     attached; return its result.
 
     The engine must not have been run yet (the hook is captured before
-    the run loop binds it).  Writers are closed even if the run raises,
-    so a crashed run still leaves a loadable (if truncated-at-a-record)
-    metrics stream and a syntactically complete trace.
+    the run loop binds it).  Writers are closed even if the run raises
+    or a later writer cannot be opened, so a crashed run still leaves a
+    loadable (if truncated-at-a-record) metrics stream and a
+    syntactically complete trace.
     """
-    observer = _Observer(engine, obs, name)
+    observer = _Observer(engine, obs)
     try:
+        observer.open(name)
         _install(engine, observer)
         result = engine.run()
         observer.finish(result)

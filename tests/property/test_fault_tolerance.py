@@ -4,8 +4,9 @@ The central property: a sweep running under injected faults — worker
 crashes, hung workers, torn store writes, corrupt store reads — either
 completes with **bit-identical results and zero result loss** relative
 to the fault-free sweep (when the retry budget covers the faults), or
-fails *loudly* with a replayable :class:`JobFailure` record per dead
-job while every survivor's result is kept (when it does not).
+fails *loudly* with a :class:`JobFailure` record per dead job while
+every survivor's result is kept (when it does not).  Running the same
+sweep again once the faults are gone then simulates only the dead jobs.
 """
 
 import json
@@ -23,10 +24,8 @@ from repro.common.params import (
 from repro.experiments.executor import (
     Executor,
     Job,
-    JobFailure,
     ResultStore,
     SweepFailure,
-    job_from_failure,
 )
 from repro.faults import injection
 
@@ -90,8 +89,9 @@ class TestCrashRecovery:
     def test_exhausted_budget_keeps_survivors(
         self, baseline, monkeypatch, tmp_path
     ):
-        """One job crashes on every attempt; keep-going still finishes
-        (and persists) the other three before raising."""
+        """One job crashes on every attempt; the sweep still finishes
+        (and persists) the other three before raising, and running the
+        same jobs again finishes it."""
         monkeypatch.setenv(injection.ENV_VAR, "worker-raise:index=1")
         store = ResultStore(tmp_path)
         exe = Executor(
@@ -110,31 +110,21 @@ class TestCrashRecovery:
         assert failure.key == repr(jobs[1].key)
         assert len(store) == 3 and len(exe.cache) == 3
 
-        # The failure lands in the manifest, replayable.
-        exe.write_manifest(jobs)
-        manifest = store.read_manifest()
-        (recorded,) = manifest["failures"]
-        rebuilt = job_from_failure(
-            JobFailure.from_json_dict(json.loads(json.dumps(recorded)))
-        )
-        assert rebuilt.key == jobs[1].key
+        # The failure lands in the manifest.
+        manifest = json.loads(exe.write_manifest(jobs).read_text())
+        assert manifest["failures"] == [failure.to_json_dict()]
 
-        # Resume-style: faults gone, re-running just the failed job
-        # yields the bit-identical missing result.
+        # Faults gone, the same jobs run again: the store answers the
+        # three survivors and only the failed job is simulated, giving
+        # the bit-identical missing result.
         monkeypatch.delenv(injection.ENV_VAR)
-        (recovered,) = Executor(workers=1, store=store).run([rebuilt])
-        assert_results_equal(baseline[1], recovered)
+        healed = Executor(workers=1, store=store)
+        for a, b in zip(baseline, healed.run(jobs)):
+            assert_results_equal(a, b)
+        assert sorted(p["source"] for p in healed.job_profiles) == [
+            "simulated", "store", "store", "store",
+        ]
         assert len(store) == 4
-
-    def test_fail_fast_aborts_at_first_permanent_failure(self, monkeypatch):
-        monkeypatch.setenv(injection.ENV_VAR, "worker-raise:index=0")
-        exe = Executor(
-            workers=1,
-            retry=RetryPolicy(retries=0, backoff=0.0, fail_fast=True),
-        )
-        with pytest.raises(SweepFailure):
-            exe.run(sweep_jobs())
-        assert len(exe.cache) == 0, "fail-fast must not run the rest"
 
     def test_known_failure_is_not_resimulated(self, monkeypatch):
         monkeypatch.setenv(injection.ENV_VAR, "worker-raise:index=0")

@@ -11,8 +11,6 @@ import sys
 import pytest
 
 from repro.cli import SECTIONS, build_parser, main
-from repro.common.params import base_rnuma_config, config_to_dict
-from repro.experiments.executor import JobFailure
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -166,6 +164,12 @@ def test_reproduce_full_sweep_and_store_reuse(capsys, tmp_path):
     second = run_cli(capsys, *argv)
     assert second == first
     assert len(list(tmp_path.glob("*.json"))) == stored
+    # ... and simulates nothing: the store answers every unique job.
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest["sources"] == {
+        "simulated": 0, "reused": 0, "failed": 0,
+        "store": manifest["unique_jobs"],
+    }
 
 
 def test_reproduce_no_store(capsys):
@@ -343,6 +347,33 @@ def test_store_path_collision_rejected(tmp_path):
         main(["table", "4", "--scale", "0.1", "--store", str(not_a_dir)])
 
 
+def test_an_output_path_run_cannot_write_is_one_error_line(capsys, tmp_path):
+    """A ``--metrics`` or ``--trace`` path that cannot be written ends
+    ``run`` with one ``repro: cannot write`` line and exit 1, no
+    traceback; a trace opened before the metrics file failed is closed,
+    so it still loads and validates."""
+    occupied = tmp_path / "F"
+    occupied.write_text("")
+    trace = tmp_path / "T.json"
+    run = ["run", "em3d", "--protocol", "rnuma", "--scale", "0.05"]
+    for outputs, culprit in (
+        (["--trace", str(trace), "--metrics", str(occupied / "m.jsonl")], occupied),
+        (["--trace", str(tmp_path)], tmp_path),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *run, *outputs],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1, proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith(f"repro: cannot write {culprit}: "), line
+    json.loads(trace.read_text())
+    assert main(["report", str(trace), "--validate"]) == 0
+    assert "schema: valid" in capsys.readouterr().out
+
+
 def test_negative_retries_rejected():
     with pytest.raises(SystemExit, match="retries"):
         main(["table", "4", "--scale", "0.1", "--no-store", "--retries", "-1"])
@@ -378,68 +409,45 @@ def test_store_maintenance_on_a_missing_path_creates_nothing(
     assert not (tmp_path / "typo").exists()
 
 
-def test_fail_fast_and_keep_going_conflict():
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["reproduce", "--fail-fast", "--keep-going"])
-
-
-def test_reproduce_failure_resume_cycle(capsys, tmp_path, monkeypatch):
+def test_rerunning_a_failed_sweep_finishes_it(capsys, tmp_path, monkeypatch):
     """An injected permanent failure makes ``reproduce`` exit nonzero
-    with a failure table and a manifest record; ``--resume`` in a
-    healthy environment re-runs only that job and clears the record."""
+    with a failure table and one manifest record.  Running the same
+    command again in a healthy environment simulates only that job,
+    serves every other one from the store, and prints a clean sweep's
+    report."""
     argv = [
         "reproduce", "--scale", "0.1", "--apps", "em3d",
         "--store", str(tmp_path), "--backoff", "0",
     ]
+    manifest_path = tmp_path / "run_manifest.json"
     monkeypatch.setenv("REPRO_FAULTS", "worker-raise:index=0")
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert "skipped" in captured.out  # sections missing their job
-    assert "permanently failed" in captured.err
-    assert "--resume" in captured.err
-    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
-    assert len(manifest["failures"]) == 1
-    assert manifest["failures"][0]["kind"] == "crash"
+    assert "\n1 job(s) permanently failed:" in captured.err
+    assert (
+        "run the same command again to re-run only the failed jobs"
+        in captured.err
+    )
+    (failure,) = json.loads(manifest_path.read_text())["failures"]
+    assert failure["kind"] == "crash"
+    assert sorted(failure) == [
+        "app", "attempts", "error", "key", "kind", "protocol", "scale",
+        "traceback",
+    ]
 
     monkeypatch.delenv("REPRO_FAULTS")
-    assert main(argv + ["--resume"]) == 0
-    captured = capsys.readouterr()
-    assert "1 job(s) recovered" in captured.err
-    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    report = run_cli(capsys, *argv)
+    manifest = json.loads(manifest_path.read_text())
+    sources = manifest["sources"]
     assert manifest["failures"] == []
-
-    # With the store healed, the full report renders every section.
-    out = run_cli(capsys, *argv)
-    assert "skipped" not in out
-    for heading in ("Table 4", "Figure 5", "Extension: topology"):
-        assert heading in out
-
-
-def test_fail_fast_runs_no_job_after_the_abort(capsys, tmp_path, monkeypatch):
-    """``--fail-fast`` stops the sweep at the first permanent failure,
-    and the render phase runs none of the jobs the sweep never reached:
-    every section that needs a job is a skip line, and the manifest
-    records the one failure the failure table shows."""
-    monkeypatch.setenv("REPRO_FAULTS", "worker-raise:index=0")
-    argv = [
-        "reproduce", "--scale", "0.05", "--apps", "em3d", "--fail-fast",
-        "--backoff", "0", "--store", str(tmp_path),
-    ]
-    assert main(argv) == 1
-    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
-    assert len(manifest["failures"]) == 1
-    assert manifest["sources"]["simulated"] == 0
-    assert manifest["sources"]["failed"] == 1
-    assert not list(tmp_path.glob("[0-9a-f]*.json")), "no job may have run"
-    captured = capsys.readouterr()
-    assert "\n1 job(s) permanently failed:" in captured.err
-    # A resume would replay only the failure, not the jobs never run.
-    assert "run it again to finish" in captured.err
-    assert "--resume" not in captured.err
-    assert "Table 2: system cost assumptions" in captured.out
-    skipped = [line for line in captured.out.splitlines() if "skipped" in line]
-    assert len(skipped) == sum(s.grid is not None for s in SECTIONS)
-    assert all("--fail-fast aborted the sweep" in line for line in skipped)
+    assert sources["failed"] == 0
+    assert sources["simulated"] + sources["reused"] == 1
+    assert sources["store"] == manifest["unique_jobs"] - 1
+    clean = run_cli(
+        capsys, "reproduce", "--scale", "0.1", "--apps", "em3d", "--no-store"
+    )
+    assert report == clean
 
 
 def test_a_section_whose_render_raises_is_skipped(capsys, tmp_path, monkeypatch):
@@ -468,73 +476,8 @@ def test_a_section_whose_render_raises_is_skipped(capsys, tmp_path, monkeypatch)
     ) in captured.out
     assert "Figure 6: execution time normalized" in captured.out
     assert "Traceback" in captured.err
-    assert "--resume" not in captured.err  # a resume cannot mend a render
+    assert "run the same command again" not in captured.err  # no rerun mends it
     assert (tmp_path / "run_manifest.json").exists()
-
-
-def test_resume_with_clean_manifest_is_noop(capsys, tmp_path):
-    argv = [
-        "reproduce", "--scale", "0.1", "--apps", "em3d", "--store", str(tmp_path),
-    ]
-    assert main(argv) == 0
-    capsys.readouterr()
-    assert main(argv + ["--resume"]) == 0
-    assert "nothing to resume" in capsys.readouterr().err
-
-
-def test_resume_requires_store():
-    with pytest.raises(SystemExit, match="--resume needs the on-disk store"):
-        main(["reproduce", "--resume", "--no-store"])
-
-
-def test_resume_without_manifest_rejected(tmp_path):
-    with pytest.raises(SystemExit, match="no run manifest"):
-        main(["reproduce", "--resume", "--store", str(tmp_path)])
-
-
-@pytest.mark.parametrize(
-    "manifest",
-    [b'{"failures": [', b"\xff\xfe\x00garbage", b"[]"],
-    ids=["truncated", "not-utf8", "not-an-object"],
-)
-def test_resume_rejects_a_damaged_manifest(capsys, tmp_path, manifest):
-    """A manifest that does not read as a JSON object is damaged, not
-    missing: a usage error that runs nothing and rewrites nothing."""
-    path = tmp_path / "run_manifest.json"
-    path.write_bytes(manifest)
-    assert main(["reproduce", "--resume", "--store", str(tmp_path)]) == 2
-    assert f"repro: cannot resume: {path}: " in capsys.readouterr().err
-    assert path.read_bytes() == manifest
-
-
-def _record_whose_config_lacks_a_field():
-    config = config_to_dict(base_rnuma_config())
-    del config["relocation_mode"]
-    return JobFailure(
-        key="k", app="em3d", scale=0.1, protocol="rnuma", kind="crash",
-        attempts=1, error="", traceback="", config=config,
-    ).to_json_dict()
-
-
-@pytest.mark.parametrize(
-    "failures",
-    [
-        [{"app": "em3d"}],
-        ["em3d"],
-        "x",
-        [_record_whose_config_lacks_a_field()],
-    ],
-    ids=["missing-field", "non-dict-record", "non-list", "config-missing-field"],
-)
-def test_resume_rejects_a_malformed_failure_record(capsys, tmp_path, failures):
-    """The manifest is a file on disk: a record of the wrong shape is a
-    usage error that runs nothing and rewrites nothing."""
-    manifest = tmp_path / "run_manifest.json"
-    manifest.write_text(json.dumps({"failures": failures}))
-    before = manifest.read_bytes()
-    assert main(["reproduce", "--resume", "--store", str(tmp_path)]) == 2
-    assert f"repro: cannot resume: {manifest}: " in capsys.readouterr().err
-    assert manifest.read_bytes() == before
 
 
 def test_malformed_fault_plan_is_a_usage_error(capsys, monkeypatch):

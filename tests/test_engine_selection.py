@@ -18,12 +18,7 @@ from repro.common.params import (
     config_to_dict,
 )
 from repro.common.records import Access
-from repro.experiments.executor import (
-    Executor,
-    JobFailure,
-    ResultStore,
-    job_from_failure,
-)
+from repro.experiments.executor import Executor, ResultStore
 from repro.sim.engine import ENGINES, SimulationEngine, simulate
 from repro.sim.reference import ReferenceEngine
 
@@ -75,17 +70,11 @@ class TestConfigField:
             SystemConfig(engine="runahead")
 
     def test_config_from_dict_ignores_a_stored_engine(self):
-        """Payloads written while the engine was part of a job still
-        load: configs and manifest failure records alike."""
+        """Store payloads written while the engine was part of a job
+        still load."""
         config = tiny_config("ccnuma")
         data = dict(config_to_dict(config), engine="specialized")
         assert config_from_dict(data) == config
-        record = {
-            "key": "k", "app": "em3d", "scale": 0.1, "engine": "vector",
-            "protocol": "ccnuma", "kind": "crash", "attempts": 1,
-            "error": "boom", "traceback": "", "config": data,
-        }
-        assert job_from_failure(JobFailure.from_json_dict(record)).config == config
 
 
 class TestSimulateDispatch:

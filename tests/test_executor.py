@@ -443,7 +443,6 @@ class TestTelemetry:
             "retries": 2,
             "job_timeout": 30.0,
             "backoff": 0.5,
-            "fail_fast": False,
         }
         assert manifest["failures"] == []
 
@@ -474,7 +473,6 @@ class TestRetryPolicy:
         assert policy.retries == 0
         assert policy.job_timeout is None
         assert policy.max_attempts == 1
-        assert not policy.fail_fast
 
     def test_max_attempts(self):
         assert RetryPolicy(retries=3).max_attempts == 4
