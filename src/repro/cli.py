@@ -877,11 +877,14 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     hint = ""
     if failures:
         _print_failure_table(failures)
-        if executor.store is not None:
-            # The store holds every finished job, so a rerun simulates
-            # only the failed ones; no rerun mends a render.
-            hint = "; run the same command again to re-run only the failed jobs"
-    print(f"reproduce: partial results kept{hint}", file=sys.stderr)
+        # The store holds every finished job, so a rerun simulates
+        # only the failed ones; no rerun mends a render.
+        hint = "; run the same command again to re-run only the failed jobs"
+    if executor.store is None:
+        # Nothing was stored, so a rerun would simulate every job again.
+        print("reproduce: incomplete; --no-store kept no results", file=sys.stderr)
+    else:
+        print(f"reproduce: partial results kept{hint}", file=sys.stderr)
     return 1
 
 

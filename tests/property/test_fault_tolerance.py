@@ -126,6 +126,27 @@ class TestCrashRecovery:
         ]
         assert len(store) == 4
 
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
+    @pytest.mark.parametrize("index", [0, 3], ids=["first", "last"])
+    def test_a_permanent_failure_ends_no_sweep_early(
+        self, baseline, monkeypatch, index, workers
+    ):
+        """Whichever job permanently fails, every other job still runs
+        to its bit-identical result before the failure is raised."""
+        monkeypatch.setenv(injection.ENV_VAR, f"worker-raise:index={index}")
+        exe = Executor(workers=workers, retry=RetryPolicy(backoff=0.0))
+        jobs = sweep_jobs()
+        with pytest.raises(SweepFailure) as exc_info:
+            exe.run(jobs)
+        (failure,) = exc_info.value.failures
+        assert failure.key == repr(jobs[index].key)
+        for i, job in enumerate(jobs):
+            if i != index:
+                assert_results_equal(baseline[i], exe.cache[job.key])
+        assert sorted(p["source"] for p in exe.job_profiles) == [
+            "failed", "simulated", "simulated", "simulated",
+        ]
+
     def test_known_failure_is_not_resimulated(self, monkeypatch):
         monkeypatch.setenv(injection.ENV_VAR, "worker-raise:index=0")
         exe = Executor(workers=1, retry=RetryPolicy(backoff=0.0))

@@ -91,6 +91,34 @@ def test_emitted_artifacts_pass_schemas(engine, tmp_path):
     assert trace_meta["engine"] == metrics_meta["engine"] == engine
 
 
+@pytest.mark.parametrize("where", ["under-a-file", "a-directory"])
+def test_a_metrics_file_that_cannot_open_leaves_a_complete_trace(
+    tmp_path, where
+):
+    """The trace opens first.  A metrics path that then cannot be
+    opened raises its OSError, and the trace already open is closed
+    whole, so it loads and passes its schema."""
+    occupied = tmp_path / "occupied"
+    occupied.write_text("")
+    metrics = {"under-a-file": occupied / "m.jsonl", "a-directory": tmp_path}
+    trace = tmp_path / "t.trace.json"
+    obs = ObsParams(trace_path=str(trace), metrics_path=str(metrics[where]))
+    with pytest.raises(OSError):
+        simulate(tiny_config("rnuma"), _traces(), obs=obs)
+    assert json.loads(trace.read_text())["traceEvents"]
+    assert validate_trace_file(str(trace)) == []
+
+
+def test_a_trace_that_cannot_open_opens_no_metrics_file(tmp_path):
+    """The writers open in order and stop at the first that fails, so
+    no metrics stream is left behind by a run that never started."""
+    metrics = tmp_path / "m.jsonl"
+    obs = ObsParams(trace_path=str(tmp_path), metrics_path=str(metrics))
+    with pytest.raises(IsADirectoryError):
+        simulate(tiny_config("rnuma"), _traces(), obs=obs)
+    assert not metrics.exists()
+
+
 def test_trace_captures_paper_dynamics(tmp_path):
     """The rnuma scenario's behavioral events — refetches, the
     competitive counter crossing its threshold, the relocation — all

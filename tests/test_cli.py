@@ -450,6 +450,60 @@ def test_rerunning_a_failed_sweep_finishes_it(capsys, tmp_path, monkeypatch):
     assert report == clean
 
 
+def test_a_failed_sweep_without_a_store_claims_nothing_kept(
+    capsys, monkeypatch
+):
+    """With ``--no-store`` nothing outlives the command, so a failed
+    sweep neither says partial results were kept nor suggests a rerun,
+    which would simulate every job again."""
+    monkeypatch.setenv("REPRO_FAULTS", "worker-raise:index=0")
+    argv = [
+        "reproduce", "--scale", "0.05", "--apps", "em3d", "--no-store",
+        "--backoff", "0",
+    ]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "\n1 job(s) permanently failed:" in err
+    assert err.splitlines()[-1] == (
+        "reproduce: incomplete; --no-store kept no results"
+    )
+    assert "partial results kept" not in err
+    assert "run the same command again" not in err
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    [b'{"failures": [', b"\xff\xfe\x00garbage", b"[]"],
+    ids=["truncated", "not-utf8", "not-an-object"],
+)
+def test_a_rerun_replaces_a_damaged_manifest(capsys, tmp_path, manifest):
+    """A sweep reads nothing back from ``run_manifest.json``: over a
+    damaged one, the rerun takes every job from the store, prints the
+    same report, and writes a whole manifest in its place."""
+    argv = [
+        "reproduce", "--scale", "0.05", "--apps", "em3d",
+        "--store", str(tmp_path),
+    ]
+    report = run_cli(capsys, *argv)
+    path = tmp_path / "run_manifest.json"
+    path.write_bytes(manifest)
+    assert run_cli(capsys, *argv) == report
+    rewritten = json.loads(path.read_text())
+    assert rewritten["failures"] == []
+    assert rewritten["sources"]["store"] == rewritten["unique_jobs"]
+
+
+@pytest.mark.parametrize("option", ["--resume", "--fail-fast", "--keep-going"])
+def test_the_deleted_sweep_options_are_usage_errors(capsys, option):
+    """Running the command again is the only way to finish a sweep, and
+    running every job the only way one ends, so the options that chose
+    otherwise are gone: each is a usage error before anything runs."""
+    with pytest.raises(SystemExit) as exc_info:
+        main(["reproduce", option, "--no-store"])
+    assert exc_info.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+
 def test_a_section_whose_render_raises_is_skipped(capsys, tmp_path, monkeypatch):
     """Table 3 builds every application, whatever ``--apps`` says.  A
     builder that raises (radix without NumPy) turns that section into a
