@@ -10,8 +10,7 @@ from setuptools import setup
 # The columnar miss path uses 3.10+ features (slotted dataclasses,
 # int.bit_count); CI tests 3.10–3.12.
 #
-# The simulator, its engines, the result store and the CLI have zero
-# runtime dependencies.  NumPy's only user is the radix trace generator,
-# so the full paper sweep (`python -m repro reproduce`) needs
-#   pip install numpy
+# Standard library only, the full paper sweep (`python -m repro
+# reproduce`) included.  NumPy is used by one test alone, which checks
+# radix's key stream against the NumPy generator it was ported from.
 setup(python_requires=">=3.10")

@@ -70,15 +70,8 @@ def provenance_block() -> Dict[str, Any]:
     """The shared provenance block.
 
     Keys: ``git_commit``, ``git_describe``, ``timestamp_utc``,
-    ``python``, ``implementation``, ``numpy`` (version or
-    ``"absent"``), ``platform``, ``host_cpus``.
+    ``python``, ``implementation``, ``platform``, ``host_cpus``.
     """
-    try:
-        import numpy
-
-        numpy_version = numpy.__version__
-    except ImportError:
-        numpy_version = "absent"
     git = git_revision()
     return {
         "git_commit": git["commit"],
@@ -86,7 +79,6 @@ def provenance_block() -> Dict[str, Any]:
         "timestamp_utc": utc_timestamp(),
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
-        "numpy": numpy_version,
         "platform": platform.platform(),
         "host_cpus": os.cpu_count(),
     }

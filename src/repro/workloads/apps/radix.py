@@ -27,6 +27,97 @@ RADIX = 256
 
 PAPER_INPUT = "1M integers, radix 1024"
 
+# NumPy bounds a 32-bit draw by Lemire's multiply-shift (2019), which
+# redraws while the product's low word is below (2**32 - RADIX) % RADIX.
+# For a power of two that threshold is 0, so a key is just the draw's
+# top log2(RADIX) bits.  Pin it so a new RADIX cannot silently change
+# the keys.
+assert RADIX > 0 and RADIX & (RADIX - 1) == 0, (
+    "the key stream assumes a power-of-two radix"
+)
+_KEY_SHIFT = 32 - (RADIX.bit_length() - 1)
+
+_M32 = (1 << 32) - 1
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+#: PCG64's 128-bit LCG multiplier.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_sequence(seed: int) -> list[int]:
+    """NumPy's ``SeedSequence(seed).generate_state(4, np.uint64)``."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    entropy = [seed & _M32]  # little-endian 32-bit words
+    while seed > _M32:
+        seed >>= 32
+        entropy.append(seed & _M32)
+    # SeedSequence's 32-bit hash: its constant steps by ``mult`` on
+    # every call.  The pool is mixed with one pair of constants and
+    # read out with another.
+    const, mult = 0x43B0D7E5, 0x931E8875
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const, mult = 0x8B51F9DD, 0x58F38DED
+    words = [hashmix(pool[i % 4]) for i in range(8)]
+    return [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+def _digits(seed: int, n: int) -> list[int]:
+    """NumPy's ``default_rng(seed).integers(0, RADIX, n, dtype=np.int64)``.
+
+    PCG64 (O'Neill 2014), seeded through SeedSequence.  Each 64-bit draw
+    is two 32-bit halves, low half first, and each half gives one key.
+    """
+    v0, v1, v2, v3 = _seed_sequence(seed)
+    inc = ((v2 << 64 | v3) << 1 | 1) & _M128
+    state = ((inc + (v0 << 64 | v1)) * _PCG_MULT + inc) & _M128
+    digits = []
+    for _ in range((n + 1) // 2):
+        state = (state * _PCG_MULT + inc) & _M128
+        rot = state >> 122
+        x = (state >> 64 ^ state) & _M64
+        x = (x >> rot | x << (64 - rot)) & _M64  # XSL-RR output
+        digits.append(x >> _KEY_SHIFT & (RADIX - 1))
+        digits.append(x >> 32 + _KEY_SHIFT)
+    del digits[n:]
+    return digits
+
+
+def _stable_ranks(digits: list[int]) -> list[int]:
+    """Each key's place in a stable sort by digit (the inverse of
+    ``argsort(kind="stable")``): the counting pass of a radix sort."""
+    counts = [0] * RADIX
+    for digit in digits:
+        counts[digit] += 1
+    starts, total = [], 0
+    for count in counts:
+        starts.append(total)
+        total += count
+    ranks = []
+    for digit in digits:
+        ranks.append(starts[digit])
+        starts[digit] += 1
+    return ranks
+
 
 def build(
     machine: MachineParams,
@@ -34,21 +125,15 @@ def build(
     scale: float = 1.0,
     seed: int = 99,
 ) -> Program:
-    # Deferred so `import repro` works in NumPy-free environments (the
-    # simulator itself has no hard dependency); only *generating* this
-    # trace needs NumPy — the key digits and the stable rank permutation
-    # are pinned to its seeded RNG and argsort, so swapping in the
-    # stdlib would silently change every frozen radix result.
-    import numpy as np
-
     cpus = machine.total_cpus
     n = scaled(100352, scale, cpus * 512)
     n -= n % cpus
     per_cpu = n // cpus
     keys_per_block = space.block_size // KEY_BYTES
 
-    rng = np.random.default_rng(seed)
-    digits = rng.integers(0, RADIX, size=n, dtype=np.int64)
+    # The keys are NumPy's seeded stream, ported exactly: every frozen
+    # radix result was generated from it.
+    digits = _digits(seed, n)
 
     layout = Layout(space)
     src = layout.region("keys", n * KEY_BYTES)
@@ -88,9 +173,7 @@ def build(
     tb.barrier()
 
     # Stable global ranks: bucket-major, then source order.
-    ranks = np.empty(n, dtype=np.int64)
-    sort_idx = np.argsort(digits, kind="stable")
-    ranks[sort_idx] = np.arange(n)
+    ranks = _stable_ranks(digits)
 
     # Permutation: sequential source reads, scattered remote writes.
     for cpu in range(cpus):
@@ -101,7 +184,7 @@ def build(
             if blk != last_block:
                 tb.read(cpu, src.addr(blk * space.block_size), think=2)
                 last_block = blk
-            tb.write(cpu, dst.addr(int(ranks[i]) * KEY_BYTES), think=2)
+            tb.write(cpu, dst.addr(ranks[i] * KEY_BYTES), think=2)
     tb.barrier()
 
     return tb.build(

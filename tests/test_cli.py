@@ -280,10 +280,9 @@ def test_reference_engine_refusal_is_a_usage_error(capsys):
     assert "Traceback" not in err
 
 
-def test_importing_the_cli_leaves_numpy_unimported():
-    """NumPy's only user is the radix trace generator, which imports it
-    lazily; the CLI, the engines and the store load without it."""
-    code = "import sys, repro.cli; assert 'numpy' not in sys.modules"
+def _run_without_loading_numpy(code):
+    """Run ``code`` in a fresh interpreter; fail if it imported NumPy."""
+    code += "\nassert 'numpy' not in sys.modules, 'NumPy was imported'\n"
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
@@ -291,6 +290,28 @@ def test_importing_the_cli_leaves_numpy_unimported():
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_importing_the_cli_leaves_numpy_unimported():
+    """No module needs NumPy: neither importing the CLI nor a sweep loads
+    it, though every sweep's Table 3 builds radix, whose keys are
+    NumPy's seeded stream ported to the standard library."""
+    _run_without_loading_numpy(
+        "import sys, repro.cli\n"
+        "assert 'numpy' not in sys.modules, 'import repro.cli loaded NumPy'\n"
+        "argv = ['reproduce', '--scale', '0.05', '--apps', 'em3d', '--no-store']\n"
+        "assert repro.cli.main(argv) == 0\n"
+    )
+
+
+def test_the_provenance_block_leaves_numpy_unimported():
+    """Every manifest, trace and metrics file embeds the provenance
+    block; it names no NumPy version, so writing one loads no NumPy."""
+    _run_without_loading_numpy(
+        "import sys\n"
+        "from repro.obs.provenance import provenance_block\n"
+        "assert 'numpy' not in provenance_block()\n"
+    )
 
 
 def test_unknown_app_rejected():
@@ -505,19 +526,20 @@ def test_the_deleted_sweep_options_are_usage_errors(capsys, option):
 
 
 def test_a_section_whose_render_raises_is_skipped(capsys, tmp_path, monkeypatch):
-    """Table 3 builds every application, whatever ``--apps`` says.  A
-    builder that raises (radix without NumPy) turns that section into a
-    skip line naming the error; the rest of the report and the manifest
-    are still written, and the command exits 1."""
+    """Table 3 builds every application, whatever ``--apps`` says, in
+    the render phase.  A builder that raises there (radix's, replaced
+    by one whose import fails) turns that section into a skip line
+    naming the error; the rest of the report and the manifest are still
+    written, and the command exits 1."""
     from repro.workloads import registry
 
-    def without_numpy(*args, **kwargs):
+    def broken_builder(*args, **kwargs):
         raise ModuleNotFoundError("No module named 'numpy'")
 
     _, problem, paper_input = registry.APPLICATIONS["radix"]
     monkeypatch.setattr(registry, "_cache", {})  # so the builders run
     monkeypatch.setitem(
-        registry.APPLICATIONS, "radix", (without_numpy, problem, paper_input)
+        registry.APPLICATIONS, "radix", (broken_builder, problem, paper_input)
     )
     argv = [
         "reproduce", "--scale", "0.05", "--apps", "em3d", "--store", str(tmp_path),

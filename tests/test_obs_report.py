@@ -71,6 +71,22 @@ def test_cli_report_validate(artifacts, capsys):
     assert main(["report", obs.metrics_path, "--validate"]) in (0, None)
 
 
+def test_cli_report_validates_a_metrics_file_with_a_numpy_version(
+    artifacts, tmp_path, capsys
+):
+    """Metrics files written while the provenance block still carried a
+    ``numpy`` version keep passing validation."""
+    obs, _ = artifacts
+    meta, *rest = open(obs.metrics_path).read().splitlines()
+    record = json.loads(meta)
+    assert "numpy" not in record["provenance"]
+    record["provenance"]["numpy"] = "2.4.6"
+    older = tmp_path / "older.metrics.jsonl"
+    older.write_text("\n".join([json.dumps(record), *rest]) + "\n")
+    assert main(["report", str(older), "--validate"]) in (0, None)
+    assert "schema: valid" in capsys.readouterr().out
+
+
 def test_cli_report_validate_fails_on_bad_file(tmp_path, capsys):
     bad = tmp_path / "bad.metrics.jsonl"
     bad.write_text('{"type": "sample", "ts": 1}\n')

@@ -1,7 +1,11 @@
 """Algorithmic-validity tests for the workload kernels: do the traces
 actually encode the computation structure each kernel claims?"""
 
+import hashlib
+import json
 from collections import defaultdict
+
+import pytest
 
 from repro.common.addressing import AddressSpace
 from repro.common.params import MachineParams
@@ -57,6 +61,51 @@ class TestRadixSemantics:
                 and item.addr >= hist_base
             )
             assert hist_reads > 0, f"cpu {cpu} skipped the prefix phase"
+
+
+#: Seeds for the NumPy cross-check: small, at 32-bit word boundaries,
+#: and longer than the four words SeedSequence's pool holds (it mixes
+#: any further words in afterwards).
+CROSS_CHECK_SEEDS = [
+    0, 1, 2, 3, 7, 42, 99, 255, 256, 2**31 - 1, 2**31, 2**32 - 1, 2**32,
+    2**32 + 5, 2**63, 2**64 - 1, 2**64, 2**70 + 3, 2**96 + 11, 2**127 + 1,
+    2**128 + 7, 2**160 - 1, 12345678901234567890, 3141592653, 27182818,
+    2**200 + 99,
+]
+
+
+class TestRadixKeyStream:
+    """radix's keys are NumPy's ``default_rng(seed).integers(0, 256, n)``
+    stream, ported to the standard library, and its ranks are a stable
+    sort's; both feed every frozen radix result."""
+
+    @pytest.mark.parametrize("seed", CROSS_CHECK_SEEDS)
+    def test_digits_and_ranks_equal_numpys(self, seed):
+        np = pytest.importorskip("numpy")
+        for n in (1, 2, 3, 1024, 10241):
+            rng = np.random.default_rng(seed)
+            want = rng.integers(0, radix.RADIX, n, dtype=np.int64)
+            digits = radix._digits(seed, n)
+            assert digits == want.tolist(), (seed, n)
+            ranks = np.empty(n, dtype=np.int64)
+            ranks[np.argsort(want, kind="stable")] = np.arange(n)
+            assert radix._stable_ranks(digits) == ranks.tolist(), (seed, n)
+
+    def test_the_stream_is_pinned_without_numpy(self):
+        """Values taken from NumPy's generator, so a machine without
+        NumPy still checks the stream."""
+        assert radix._digits(99, 8) == [245, 129, 193, 144, 45, 131, 241, 248]
+        prog = radix.build(MACHINE, SPACE, scale=0.05)
+        columns = json.dumps([column.tolist() for column in prog.columns])
+        assert hashlib.sha256(columns.encode()).hexdigest() == (
+            "16dc851b443fa123c6232c5715fcb79aeefd1b4bc96170f54e94c1d760c8428e"
+        )
+
+    def test_a_negative_seed_is_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            radix._digits(-1, 4)
+        with pytest.raises(ValueError, match="non-negative"):
+            radix.build(MACHINE, SPACE, scale=0.05, seed=-99)
 
 
 class TestFftSemantics:
