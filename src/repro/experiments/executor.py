@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
 import re
 import sys
@@ -285,6 +284,14 @@ class _InProcessPool:
         """Nothing runs in the background, so nothing is stopped."""
 
     join = terminate
+
+
+def _process_pool(size: int) -> Any:
+    """A ``multiprocessing.Pool`` of ``size`` workers.  The module is
+    imported here, so a sweep that never builds a pool never loads it."""
+    import multiprocessing
+
+    return multiprocessing.Pool(processes=size)
 
 
 def payload_checksum(result_payload: Dict[str, Any]) -> str:
@@ -851,8 +858,10 @@ class Executor:
         with one each worker gets only the attempt it runs.  With one
         slot and no ``job_timeout`` there is nothing to overlap or
         preempt, so attempts go to :class:`_InProcessPool` and run in
-        this process.  A deadline needs a preemptible worker, so it
-        forces a real pool even for one worker and one job.
+        this process, which then never imports :mod:`multiprocessing`;
+        only :func:`_process_pool` does.  A deadline needs a preemptible
+        worker, so it forces a real pool even for one worker and one
+        job.
 
         One caveat the envelope cannot cover: a worker killed from
         *outside* (SIGKILL, the OOM killer) loses its task silently —
@@ -873,7 +882,7 @@ class Executor:
         if size == 1 and policy.job_timeout is None:
             pool, depth = _InProcessPool(), 1
         else:
-            pool = multiprocessing.Pool(processes=size)
+            pool = _process_pool(size)
             depth = size if policy.job_timeout is not None else 2 * size
         try:
             while queue or inflight:
@@ -947,7 +956,7 @@ class Executor:
                         continue
                     pool.terminate()
                     pool.join()
-                    pool = multiprocessing.Pool(processes=size)
+                    pool = _process_pool(size)
                     for index, (job, _, _) in list(inflight.items()):
                         del inflight[index]
                         if index in expired:

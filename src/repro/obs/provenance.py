@@ -5,6 +5,12 @@ embed the same block so any recorded number can be traced back to a
 commit, a host, and a moment in time.  Everything degrades gracefully:
 outside a git checkout the git fields read ``"unknown"`` rather than
 raising, because provenance must never break the run it describes.
+
+Git is asked only when the directory holding ``src/`` has a ``.git``
+(a directory, or a file in a worktree or submodule), so an installed
+copy reads ``"unknown"`` even inside an unrelated repository.  Both
+git fields take dirtiness from one ``git describe --dirty`` query:
+modified tracked files make a tree dirty, untracked files do not.
 """
 
 from __future__ import annotations
@@ -12,12 +18,12 @@ from __future__ import annotations
 import os
 import platform
 import subprocess
-from datetime import datetime, timezone
+import time
 from pathlib import Path
 from typing import Any, Dict, Optional
 
-#: Repository root the git queries run in (the installed package's
-#: checkout; irrelevant — and absent — for non-git installs).
+#: Repository root the git queries run in: the package's checkout,
+#: when it has a ``.git``.
 _REPO_ROOT = Path(__file__).resolve().parents[3]
 
 
@@ -42,28 +48,25 @@ def _git(*args: str) -> Optional[str]:
 def git_revision() -> Dict[str, str]:
     """The checkout's commit hash and ``git describe`` string.
 
-    ``commit`` is the full SHA with a ``-dirty`` suffix when the work
-    tree has uncommitted changes; ``describe`` falls back to the short
-    SHA when no tag is reachable.  Both read ``"unknown"`` outside a
-    git checkout.
+    ``commit`` is the full SHA with a ``-dirty`` suffix when a tracked
+    file has uncommitted changes; ``describe`` falls back to the short
+    SHA, with no dirtiness known, when ``git describe`` fails.  Both
+    read ``"unknown"`` outside a git checkout.
     """
-    commit = _git("rev-parse", "HEAD")
+    commit = _git("rev-parse", "HEAD") if (_REPO_ROOT / ".git").exists() else None
     if commit is None:
         return {"commit": "unknown", "describe": "unknown"}
-    if _git("status", "--porcelain"):
+    describe = _git("describe", "--always", "--dirty")
+    if describe is None:
+        return {"commit": commit, "describe": commit[:12]}
+    if describe.endswith("-dirty"):
         commit += "-dirty"
-    describe = _git("describe", "--always", "--dirty") or commit[:12]
     return {"commit": commit, "describe": describe}
 
 
 def utc_timestamp() -> str:
     """Now, as an ISO-8601 UTC timestamp (``...Z``, second precision)."""
-    return (
-        datetime.now(timezone.utc)
-        .replace(microsecond=0)
-        .isoformat()
-        .replace("+00:00", "Z")
-    )
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
 def provenance_block() -> Dict[str, Any]:

@@ -10,6 +10,7 @@ sweep again once the faults are gone then simulates only the dead jobs.
 """
 
 import json
+import multiprocessing
 import time
 
 import pytest
@@ -224,9 +225,17 @@ class TestHangRecovery:
         # Innocent bystanders of the pool recycle still completed.
         assert len(exe.cache) == 3
 
-    def test_job_timeout_forces_preemptible_pool(self):
+    def test_job_timeout_forces_preemptible_pool(self, monkeypatch):
         """With a deadline set, even a single job must go through the
         supervised pool — an in-process job cannot be preempted."""
+        built = []
+        real_pool = multiprocessing.Pool
+
+        def spy(processes):
+            built.append(processes)
+            return real_pool(processes=processes)
+
+        monkeypatch.setattr("multiprocessing.Pool", spy)
         exe = Executor(
             workers=1,
             retry=RetryPolicy(job_timeout=60.0),
@@ -234,6 +243,7 @@ class TestHangRecovery:
         (result,) = exe.run([Job(APP, base_ccnuma_config(), SCALE)])
         assert result.exec_cycles > 0
         assert [p["source"] for p in exe.job_profiles] == ["simulated"]
+        assert built == [1]
 
 
 class TestStoreFaults:

@@ -280,9 +280,13 @@ def test_reference_engine_refusal_is_a_usage_error(capsys):
     assert "Traceback" not in err
 
 
-def _run_without_loading_numpy(code):
-    """Run ``code`` in a fresh interpreter; fail if it imported NumPy."""
-    code += "\nassert 'numpy' not in sys.modules, 'NumPy was imported'\n"
+def _run_without_loading(code, *modules):
+    """Run ``code`` in a fresh interpreter; fail if it imported any of
+    ``modules``."""
+    code += (
+        f"\nloaded = [name for name in {modules!r} if name in sys.modules]\n"
+        "assert not loaded, f'imported {loaded}'\n"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
@@ -292,25 +296,37 @@ def _run_without_loading_numpy(code):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_importing_the_cli_leaves_numpy_unimported():
+def test_a_serial_sweep_and_a_run_load_no_numpy_multiprocessing_or_datetime(tmp_path):
     """No module needs NumPy: neither importing the CLI nor a sweep loads
     it, though every sweep's Table 3 builds radix, whose keys are
-    NumPy's seeded stream ported to the standard library."""
-    _run_without_loading_numpy(
+    NumPy's seeded stream ported to the standard library.  A serial
+    sweep runs every job in this process, so it loads no
+    ``multiprocessing`` either (only a real pool imports it), and its
+    manifest's timestamp loads no ``datetime``; nor does a run on the
+    reference engine."""
+    _run_without_loading(
         "import sys, repro.cli\n"
         "assert 'numpy' not in sys.modules, 'import repro.cli loaded NumPy'\n"
-        "argv = ['reproduce', '--scale', '0.05', '--apps', 'em3d', '--no-store']\n"
+        "argv = ['reproduce', '--scale', '0.05', '--apps', 'em3d',\n"
+        f"        '--store', {str(tmp_path)!r}]\n"
         "assert repro.cli.main(argv) == 0\n"
+        "argv = ['run', 'em3d', '--scale', '0.05', '--engine', 'reference']\n"
+        "assert repro.cli.main(argv) == 0\n",
+        "numpy",
+        "multiprocessing",
+        "datetime",
     )
+    assert (tmp_path / "run_manifest.json").exists()
 
 
 def test_the_provenance_block_leaves_numpy_unimported():
     """Every manifest, trace and metrics file embeds the provenance
     block; it names no NumPy version, so writing one loads no NumPy."""
-    _run_without_loading_numpy(
+    _run_without_loading(
         "import sys\n"
         "from repro.obs.provenance import provenance_block\n"
-        "assert 'numpy' not in provenance_block()\n"
+        "assert 'numpy' not in provenance_block()\n",
+        "numpy",
     )
 
 

@@ -6,7 +6,6 @@ sweep has no choice to make: the executor always runs on run-ahead.
 
 import dataclasses
 import json
-import sys
 
 import pytest
 
@@ -111,13 +110,6 @@ class TestSimulateDispatch:
             assert kwargs == {}, name
             assert len(args) == 3, name
             assert args[0] is config and args[1] is traces and args[2] is homes
-
-    def test_runahead_and_reference_survive_missing_numpy(self, monkeypatch):
-        monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy fails
-        cfg = tiny_config("rnuma")
-        fast = simulate(cfg, _traces())
-        slow = simulate(cfg, _traces(), engine="reference")
-        assert fast.exec_cycles == slow.exec_cycles > 0
 
 
 class TestReferenceScope:

@@ -64,17 +64,23 @@ def test_cli_loads_neither_the_oracle_nor_the_obs_writers():
     """Each name is imported from its defining module, so a process that
     imports the CLI, simulates, and writes a manifest's provenance block
     loads only what it runs: not the reference engine or the frozen
-    oracle, nor the trace and metrics writers."""
+    oracle, nor the trace and metrics writers.  Nor ``multiprocessing``,
+    which only a sweep's real pool imports, or ``datetime``: the
+    provenance timestamp comes from ``time``.  The run takes no test
+    helper, since importing pytest loads ``datetime``."""
     code = (
         "import sys\n"
         "import repro.cli\n"
+        "from repro.common.params import base_rnuma_config\n"
         "from repro.common.records import Access, Barrier\n"
         "from repro.sim.engine import simulate\n"
-        "from tests.conftest import tiny_config\n"
-        "simulate(tiny_config('rnuma'), [[Access(0), Barrier(0)], [Barrier(0)]])\n"
+        "config = base_rnuma_config()\n"
+        "cpus = config.machine.total_cpus\n"
+        "simulate(config, [[Access(0), Barrier(0)]] + [[Barrier(0)]] * (cpus - 1))\n"
         "import repro.obs.provenance\n"
         "unused = ('repro.sim.reference', 'repro.sim.legacy',\n"
-        "          'repro.obs.trace', 'repro.obs.metrics')\n"
+        "          'repro.obs.trace', 'repro.obs.metrics',\n"
+        "          'multiprocessing', 'datetime')\n"
         "loaded = [name for name in unused if name in sys.modules]\n"
         "assert not loaded, loaded\n"
     )
@@ -82,7 +88,6 @@ def test_cli_loads_neither_the_oracle_nor_the_obs_writers():
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        cwd=str(ROOT),
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     assert proc.returncode == 0, proc.stderr
